@@ -38,6 +38,7 @@ from .sequences import (
     multinomial_count,
     read_sequence_csv,
     series_identity_check,
+    sqrt_series_counting,
     write_sequence_csv,
 )
 from .subgroupoids import (

@@ -3,7 +3,8 @@
 Subcommands: enumerate, count, transform, density, longitudinal, motzkin,
 verify.  Outputs are deterministic for a given configuration and written
 atomically (temp file + rename).  Exit codes: 0 success, 1 verification
-failure, 2 usage error.
+failure, 2 usage error (bad arguments, unparsable input, unwritable output),
+3 internal arithmetic fault (an exact division left a remainder).
 """
 
 from __future__ import annotations
@@ -18,16 +19,17 @@ from pathlib import Path
 
 from . import __version__
 from .density import density_report, estimate_density, longitudinal_asymptote, write_trace_csv
-from .errors import FreeMagmaError
+from .errors import ExactDivisionError, FreeMagmaError
 from .motzkin_paths import PathSpec, count_paths, enumerate_paths
-from .sequences import BigSeq, cat_transform, read_sequence_csv
-from .subgroupoids import counting_sequence, parse_family, semigroup_info
+from .sequences import BigSeq, cat_transform, read_sequence_csv, unlimited_int_digits
+from .subgroupoids import counting_sequence, longitudinal_counting, parse_family, semigroup_info
 from .terms import enumerate_terms, format_term
 from .verify import verify_all
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -45,14 +47,12 @@ def _atomic_write(path: Path, text: str) -> None:
 
 def _ensure_writable_dir(path: Path) -> None:
     path.mkdir(parents=True, exist_ok=True)
-    probe = path / ".write-probe"
     try:
-        probe.write_text("")
+        fd, probe = tempfile.mkstemp(dir=path, prefix=".write-probe-")
     except OSError as exc:
         raise FreeMagmaError(f"output directory {path} is not writable: {exc}") from exc
-    finally:
-        if probe.exists():
-            probe.unlink()
+    os.close(fd)
+    os.unlink(probe)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -63,14 +63,15 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _sequence_text(seq: BigSeq, fmt: str, meta: dict) -> str:
-    if fmt == "csv":
-        lines = ["n,value"] + [f"{n},{v}" for n, v in enumerate(seq, start=1)]
-        return "\n".join(lines)
-    if fmt == "json":
-        payload = dict(meta)
-        payload["values"] = {str(n): str(v) for n, v in enumerate(seq, start=1)}
-        return json.dumps(payload, indent=2)
-    return "\n".join(f"n={n} {v}" for n, v in enumerate(seq, start=1))
+    with unlimited_int_digits():
+        if fmt == "csv":
+            lines = ["n,value"] + [f"{n},{v}" for n, v in enumerate(seq, start=1)]
+            return "\n".join(lines)
+        if fmt == "json":
+            payload = dict(meta)
+            payload["values"] = {str(n): str(v) for n, v in enumerate(seq, start=1)}
+            return json.dumps(payload, indent=2)
+        return "\n".join(f"n={n} {v}" for n, v in enumerate(seq, start=1))
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -101,7 +102,8 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     if args.seqfile:
         seq = read_sequence_csv(args.seqfile)
     else:
-        seq = BigSeq(int(v) for v in args.values.split(","))
+        with unlimited_int_digits():
+            seq = BigSeq(int(v) for v in args.values.split(","))
     if args.n:
         seq = seq.padded(args.n)
     out = cat_transform(seq)
@@ -116,8 +118,6 @@ def _cmd_density(args: argparse.Namespace) -> int:
     family_n = parse_family(args.n)
     family_m = parse_family(args.m)
     out_dir = Path(args.out) if args.out else None
-    if out_dir is not None:
-        _ensure_writable_dir(out_dir)
     start = time.perf_counter()
     est = estimate_density(family_n, family_m, args.nmax, precision=args.precision)
     runtime = round(time.perf_counter() - start, 3)
@@ -160,12 +160,9 @@ def _cmd_longitudinal(args: argparse.Namespace) -> int:
         "per_residue": [str(v) for v in asym.per_residue],
     }
     if args.nmax:
-        from .subgroupoids import longitudinal_counting
-
-        payload["counting"] = {
-            str(n): str(v)
-            for n, v in enumerate(longitudinal_counting(lengths, args.nmax), start=1)
-        }
+        counting = longitudinal_counting(lengths, args.nmax)
+        with unlimited_int_digits():
+            payload["counting"] = {str(n): str(v) for n, v in enumerate(counting, start=1)}
     if args.format == "plain":
         lines = [
             f"lengths: {lengths}",
@@ -319,6 +316,9 @@ def main(argv: list[str] | None = None) -> int:
         if out:
             _ensure_writable_dir(Path(out) if args.command == "density" else Path(out).parent)
         return args.fn(args)
+    except ExactDivisionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (FreeMagmaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

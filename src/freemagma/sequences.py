@@ -14,6 +14,8 @@ the term algebra, so ``catalan_c(n)[k]`` is the number of terms of length
 from __future__ import annotations
 
 import csv
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import comb, factorial, prod
 from pathlib import Path
@@ -78,7 +80,10 @@ class BigSeq:
 def _exact_div(num: int, den: int) -> int:
     q, r = divmod(num, den)
     if r:
-        raise ExactDivisionError(f"{num} not divisible by {den}")
+        # The numerator may be past the int->str digit limit; report its size.
+        raise ExactDivisionError(
+            f"a {num.bit_length()}-bit integer is not divisible by {den} (remainder {r})"
+        )
     return q
 
 
@@ -135,6 +140,96 @@ def cat_transform(a: BigSeq) -> BigSeq:
             s += h * h
         b[n] = src[n - 1] + s
     return BigSeq(b[1:])
+
+
+def sqrt_series_counting(p0: Sequence[int], p1: Sequence[int], n_max: int) -> BigSeq:
+    """Counting sequence b_1..b_{n_max} with b_n = -q_n/2, where Q = sum q_n x^n
+    is the power series with Q(0) = 1 and Q^2 = p0 + p1*S, S = sqrt(1-4x).
+
+    ``p0`` and ``p1`` are integer polynomials (index = power) with p0(0) = 1
+    and p1(0) = 0.  When Psi = Psi^2 + Phi, Q = 1 - 2*Psi = sqrt(1 - 4*Phi),
+    so a finite family is p0 = 1 - 4*Phi, p1 = 0 and the shifted family M+a
+    is p0 = 1 - 2x^|a|, p1 = 2x^|a|.
+
+    With T = S*Q, w = 1-4x, alpha = p0', beta = p1'*w - 2*p1,
+    N = p0^2 - p1^2*w, U = alpha*p0 - beta*p1, V = beta*p0 - alpha*p1*w and
+    D = 2*N*w, the pair (Q, T) satisfies
+
+        D*Q' = (U*w)*Q + V*T
+        D*T' = (V*w)*Q + (U*w - 4N)*T
+
+    (derivation in docs/counting.md).  D(0) = 2, so the x^(n-1) coefficients
+    give 2n*q_n and 2n*t_n from a fixed number of earlier terms: O(deg)
+    small-by-bigint products and one exact division per step.  T is only
+    carried when p1 != 0.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    p0, p1 = list(p0) or [0], list(p1) or [0]
+    if p0[0] != 1 or p1[0] != 0:
+        raise ValueError("sqrt_series_counting needs p0(0) = 1 and p1(0) = 0")
+    w = [1, -4]
+    alpha = _poly_deriv(p0)
+    beta = _poly_sub(_poly_mul(_poly_deriv(p1), w), [2 * c for c in p1])
+    norm = _poly_sub(_poly_mul(p0, p0), _poly_mul(_poly_mul(p1, p1), w))
+    u = _poly_sub(_poly_mul(alpha, p0), _poly_mul(beta, p1))
+    v = _poly_sub(_poly_mul(beta, p0), _poly_mul(_poly_mul(alpha, p1), w))
+    d = _poly_mul([2 * c for c in norm], w)
+    uw = _poly_mul(u, w)
+    # Coefficient of the term s steps back is c0 + c1*(n - s); c1 = -D_s
+    # moves D's tail to the right-hand side.
+    q_from_q = _recurrence_terms(uw, d)
+    q_from_t = _recurrence_terms(v, [0])
+    t_from_q = _recurrence_terms(_poly_mul(v, w), [0])
+    t_from_t = _recurrence_terms(_poly_sub(uw, [4 * c for c in norm]), d)
+    with_t = any(p1)
+    q = [1] + [0] * n_max
+    t = [1] + [0] * n_max if with_t else []
+    for n in range(1, n_max + 1):
+        acc = _recurrence_step(q_from_q, q, n)
+        if with_t:
+            acc += _recurrence_step(q_from_t, t, n)
+            t[n] = _exact_div(
+                _recurrence_step(t_from_q, q, n) + _recurrence_step(t_from_t, t, n), 2 * n
+            )
+        q[n] = _exact_div(acc, 2 * n)
+    # Free T, then overwrite q with b in place, so that no more than two
+    # big-integer sequences are alive at once.
+    del t
+    for n in range(1, n_max + 1):
+        q[n] = _exact_div(-q[n], 2)
+    return BigSeq(q[1:])
+
+
+def _poly_mul(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+    return _series_mul(xs, ys, len(xs) + len(ys) - 2)
+
+
+def _poly_sub(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+    size = max(len(xs), len(ys))
+    xs = list(xs) + [0] * (size - len(xs))
+    return [x - (ys[i] if i < len(ys) else 0) for i, x in enumerate(xs)]
+
+
+def _poly_deriv(xs: Sequence[int]) -> list[int]:
+    return [i * xs[i] for i in range(1, len(xs))] or [0]
+
+
+def _recurrence_terms(rhs: Sequence[int], lhs: Sequence[int]) -> list[tuple[int, int, int]]:
+    """(s, c0, c1) for the nonzero coefficients c0 + c1*(n-s) of the term
+    s >= 1 steps back in [x^(n-1)] of rhs*F - lhs*F' (lhs[0] excluded)."""
+    top = max(len(rhs), len(lhs) - 1)
+    terms = []
+    for s in range(1, top + 1):
+        c0 = rhs[s - 1] if s - 1 < len(rhs) else 0
+        c1 = -lhs[s] if s < len(lhs) else 0
+        if c0 or c1:
+            terms.append((s, c0, c1))
+    return terms
+
+
+def _recurrence_step(terms: list[tuple[int, int, int]], seq: list[int], n: int) -> int:
+    return sum((c0 + c1 * (n - s)) * seq[n - s] for s, c0, c1 in terms if s <= n)
 
 
 def cat_transform_signed(a: Sequence[Rational]) -> list[Fraction]:
@@ -366,9 +461,28 @@ def catalan_bounds_check(n_max: int) -> CheckReport:
     )
 
 
+@contextmanager
+def unlimited_int_digits() -> Iterator[None]:
+    """Lift Python's int<->str digit limit (4300 digits by default) for the
+    duration of one serialisation call, and restore it afterwards.
+
+    Exact counts pass that limit near n = 7150 for the full magma; every
+    conversion of sequence values to or from text runs inside this block.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python releases without the limit
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def write_sequence_csv(path: str | Path, seq: BigSeq) -> None:
     """Write ``n,value`` rows; values are exact decimal strings."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="") as fh, unlimited_int_digits():
         writer = csv.writer(fh)
         writer.writerow(["n", "value"])
         for n, v in enumerate(seq, start=1):
@@ -378,7 +492,7 @@ def write_sequence_csv(path: str | Path, seq: BigSeq) -> None:
 def read_sequence_csv(path: str | Path) -> BigSeq:
     """Inverse of :func:`write_sequence_csv`; accepts ``n`` or ``index`` as
     the first header field and requires consecutive indices from 1."""
-    with open(path, newline="") as fh:
+    with open(path, newline="") as fh, unlimited_int_digits():
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or len(header) < 2 or header[0].strip().lower() not in ("n", "index"):

@@ -19,7 +19,15 @@ from pathlib import Path
 from typing import Iterable, Union
 
 from .errors import CapacityError, UnsupportedVariantError
-from .sequences import BigSeq, cat_transform, catalan_c, catalan_numbers, read_sequence_csv
+from .sequences import (
+    BigSeq,
+    cat_transform,
+    catalan_c,
+    catalan_numbers,
+    read_sequence_csv,
+    sqrt_series_counting,
+    unlimited_int_digits,
+)
 from .terms import (
     DEFAULT_ENUMERATION_CAP,
     Term,
@@ -302,13 +310,28 @@ def generator_counting_sequence(family: GenFamily, n_max: int) -> BigSeq:
 
 
 def counting_sequence(family: GenFamily, n_max: int) -> BigSeq:
-    """|N|_n for the subgroupoid N generated by ``family``."""
+    """|N|_n for the subgroupoid N generated by ``family``.
+
+    The one place that decides how a family is counted.  Psi = Psi^2 + Phi
+    gives Q = 1 - 2*Psi = sqrt(1 - 4*Phi), which is algebraic for finite and
+    shifted families, so those run the linear-time recurrence of
+    :func:`sqrt_series_counting`.  Longitudinal families have a closed form;
+    an explicit generator sequence goes through the schoolbook
+    :func:`cat_transform`.
+    """
     if isinstance(family, Longitudinal):
         return longitudinal_counting(family.lengths, n_max)
-    if isinstance(family, FiniteSet) and minimal_generators(family.terms) == frozenset({leaf()}):
-        # <1> is the whole magma; skip the O(n^2) transform of (1,0,0,...).
+    if isinstance(family, ShiftedFull):
+        # Phi = x^k * (1 - S)/2, so 1 - 4*Phi = (1 - 2x^k) + 2x^k * S.
+        k = family.a.length
+        return sqrt_series_counting([1] + [0] * (k - 1) + [-2], [0] * k + [2], n_max)
+    hist = generator_counting_sequence(family, n_max)
+    if isinstance(family, ExplicitSeq):
+        return cat_transform(hist)
+    if hist[1] == 1:
+        # The leaf generates the whole magma.
         return catalan_c(n_max)
-    return cat_transform(generator_counting_sequence(family, n_max))
+    return sqrt_series_counting([1] + [-4 * c for c in hist], [0], n_max)
 
 
 def _reachable_lengths(lengths: frozenset[int], n_max: int) -> list[bool]:
@@ -401,7 +424,8 @@ def parse_family(text: str) -> GenFamily:
         return Longitudinal(int(item) for item in items)
     if kind == "seq":
         items = _split_bracketed(body, text)
-        return ExplicitSeq(BigSeq(int(item) for item in items))
+        with unlimited_int_digits():
+            return ExplicitSeq(BigSeq(int(item) for item in items))
     if kind == "seqfile":
         if not Path(body).is_file():
             raise ValueError(f"sequence file not found: {body!r}")
@@ -420,7 +444,8 @@ def format_family(family: GenFamily) -> str:
     if isinstance(family, Longitudinal):
         return f"longitudinal:[{','.join(str(v) for v in sorted(family.lengths))}]"
     if isinstance(family, ExplicitSeq):
-        return f"seq:[{','.join(str(v) for v in family.seq)}]"
+        with unlimited_int_digits():
+            return f"seq:[{','.join(str(v) for v in family.seq)}]"
     raise TypeError(f"not a GenFamily: {family!r}")
 
 

@@ -44,6 +44,7 @@ from .subgroupoids import (
     ShiftedFull,
     brute_count,
     counting_sequence,
+    format_family,
     generator_counting_sequence,
     minimal_generating_up_to,
     semigroup_info,
@@ -217,17 +218,39 @@ def check_oracle_equivalence(scope: str) -> CheckReport:
     sets, horizon = _oracle_sets(scope)
     for gens in sets:
         by_enum = brute_count(gens, horizon)
-        by_transform = cat_transform(generator_counting_sequence(FiniteSet(gens), horizon))
-        if by_enum != by_transform:
+        by_counting = counting_sequence(FiniteSet(gens), horizon)
+        if by_enum != by_counting:
             return CheckReport(
                 "oracle-equivalence",
                 False,
-                f"mismatch for generators {sorted(gens)}: {by_enum.entries} vs {by_transform.entries}",
+                f"mismatch for generators {sorted(gens)}: {by_enum.entries} vs {by_counting.entries}",
             )
     return CheckReport(
         "oracle-equivalence",
         True,
         f"{len(sets)} generator sets agree with enumeration to n={horizon}",
+    )
+
+
+def check_recurrence_vs_schoolbook(scope: str) -> CheckReport:
+    horizon = 300 if scope == "fast" else 1000
+    families = [ShiftedFull(_shift_term(k)) for k in (1, 2, 3)]
+    families.append(FiniteSet({_two(), left_comb(3), right_comb(3)}))
+    for family in families:
+        fast = counting_sequence(family, horizon)
+        schoolbook = cat_transform(generator_counting_sequence(family, horizon))
+        if fast != schoolbook:
+            first = next(n for n in range(1, horizon + 1) if fast[n] != schoolbook[n])
+            return CheckReport(
+                "recurrence-vs-schoolbook",
+                False,
+                f"{format_family(family)}: recurrence and schoolbook transform differ at n={first}",
+                first_failure=first,
+            )
+    return CheckReport(
+        "recurrence-vs-schoolbook",
+        True,
+        f"{len(families)} families: recurrence equals the schoolbook transform to n={horizon}",
     )
 
 
@@ -434,6 +457,7 @@ CHECKS: list[tuple[str, Callable[[str], CheckReport]]] = [
     ("series-identities", check_series_identities),
     ("motzkin-paths", check_motzkin_paths),
     ("oracle-equivalence", check_oracle_equivalence),
+    ("recurrence-vs-schoolbook", check_recurrence_vs_schoolbook),
     ("multinomial-formula", check_multinomial_formula),
     ("longitudinal-asymptotes", check_longitudinal_asymptotes),
     ("longitudinal-convergence", check_longitudinal_convergence),

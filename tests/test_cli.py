@@ -1,10 +1,14 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
 import json
+import sys
 
 import pytest
 
+from freemagma import catalan_numbers, cli
 from freemagma.cli import main
+from freemagma.errors import ExactDivisionError
+from freemagma.sequences import unlimited_int_digits
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +57,27 @@ class TestCount:
         code, _, err = run_cli(capsys, "count", "--family", "bogus:[1]", "--n", "4")
         assert code == 2
         assert "error" in err
+
+    def test_values_past_int_digit_limit(self, capsys, tmp_path):
+        # C_7299 has about 4390 digits, past Python's default 4300-digit limit.
+        limit = sys.get_int_max_str_digits()
+        target = tmp_path / "full.csv"
+        code, _, err = run_cli(
+            capsys, "count", "--family", "full", "--n", "7300", "--out", str(target)
+        )
+        assert code == 0, err
+        assert sys.get_int_max_str_digits() == limit
+        last = target.read_text().splitlines()[-1]
+        with unlimited_int_digits():
+            assert last == f"7300,{catalan_numbers(7300)[-1]}"
+
+    def test_seq_family_past_int_digit_limit(self, capsys):
+        big = "9" * 5000
+        code, out, err = run_cli(
+            capsys, "count", "--family", f"seq:[{big}]", "--n", "1", "--format", "plain"
+        )
+        assert code == 0, err
+        assert out.strip() == f"n=1 {big}"
 
     def test_deterministic_output(self, capsys, tmp_path):
         target = tmp_path / "seq.csv"
@@ -156,6 +181,11 @@ class TestDensity:
 
 
 class TestLongitudinal:
+    def test_counting_past_int_digit_limit(self, capsys):
+        code, out, err = run_cli(capsys, "longitudinal", "--lengths", "2", "--nmax", "7300")
+        assert code == 0, err
+        assert len(json.loads(out)["counting"]["7300"]) > 4300
+
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "longitudinal", "--lengths", "4,6")
         assert code == 0
@@ -231,6 +261,58 @@ class TestVerify:
         config.write_text('{"scope": "fast", "horizon": 10}')
         code, _, err = run_cli(capsys, "verify", "--config", str(config))
         assert code == 2
+
+
+class TestOutputProbe:
+    def test_existing_probe_name_survives(self, capsys, tmp_path):
+        keep = tmp_path / ".write-probe"
+        keep.write_text("user data\n")
+        code, _, _ = run_cli(
+            capsys, "density", "--n", "shifted:1", "--m", "full", "--nmax", "50",
+            "--precision", "6", "--out", str(tmp_path),
+        )
+        assert code == 0
+        code, _, _ = run_cli(
+            capsys, "count", "--family", "full", "--n", "5", "--out", str(tmp_path / "c.csv")
+        )
+        assert code == 0
+        assert keep.read_text() == "user data\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ".write-probe", "c.csv", "density_accelerated.csv",
+            "density_report.json", "density_trace.csv",
+        ]
+
+    def test_density_probes_once(self, capsys, tmp_path, monkeypatch):
+        probed = []
+        real = cli._ensure_writable_dir
+
+        def spy(path):
+            probed.append(path)
+            real(path)
+
+        monkeypatch.setattr(cli, "_ensure_writable_dir", spy)
+        code, _, _ = run_cli(
+            capsys, "density", "--n", "shifted:1", "--m", "full", "--nmax", "50",
+            "--precision", "6", "--out", str(tmp_path / "out"),
+        )
+        assert code == 0
+        assert probed == [tmp_path / "out"]
+
+
+class TestExitCodes:
+    def test_internal_arithmetic_fault_is_not_usage_error(self, capsys, monkeypatch):
+        def broken(family, n_max):
+            raise ExactDivisionError("a 12-bit integer is not divisible by 7 (remainder 3)")
+
+        monkeypatch.setattr(cli, "counting_sequence", broken)
+        code, _, err = run_cli(capsys, "count", "--family", "shifted:1", "--n", "10")
+        assert code == cli.EXIT_INTERNAL == 3
+        assert "internal error" in err
+
+    def test_parse_error_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "transform", "--values", "1,x,0")
+        assert code == cli.EXIT_USAGE == 2
+        assert "error" in err
 
 
 class TestUsage:

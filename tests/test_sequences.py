@@ -2,6 +2,7 @@
 identities, bounds, CSV round-trips."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from freemagma import (
     multinomial_count,
     read_sequence_csv,
     series_identity_check,
+    sqrt_series_counting,
     write_sequence_csv,
 )
 from freemagma.sequences import (
@@ -27,6 +29,7 @@ from freemagma.sequences import (
     PI_LOWER,
     PI_UPPER,
     catalan_motzkin_offset_scan,
+    unlimited_int_digits,
 )
 
 # Frozen reference prefixes (1-indexed counting sequences).
@@ -136,6 +139,39 @@ class TestCatTransform:
     def test_empty_and_zero(self):
         assert cat_transform(BigSeq([])).entries == ()
         assert cat_transform(BigSeq([0] * 12)).entries == (0,) * 12
+
+
+def shifted_polys(k):
+    """(p0, p1) of M+a with |a| = k: 1 - 4*Phi = (1 - 2x^k) + 2x^k*sqrt(1-4x)."""
+    return [1] + [0] * (k - 1) + [-2], [0] * k + [2]
+
+
+class TestSqrtSeriesCounting:
+    """The linear-time recurrence against the schoolbook transform it replaces."""
+
+    def test_catalan_to_1000(self):
+        assert sqrt_series_counting([1, -4], [0], 1000) == cat_transform(indicator(1000, {1}))
+
+    @pytest.mark.parametrize("n_max", range(1, 8))
+    @pytest.mark.parametrize("hist", [[0, 0, 2], [0, 1, 0, 0, 3], [1], []])
+    def test_finite_small_horizons(self, hist, n_max):
+        gens = BigSeq(hist).padded(n_max)
+        got = sqrt_series_counting([1] + [-4 * c for c in gens], [0], n_max)
+        assert got == cat_transform(gens)
+
+    @pytest.mark.parametrize("n_max", range(1, 8))
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_shifted_small_horizons(self, k, n_max):
+        gens = BigSeq(([0] * k + catalan_numbers(n_max))[:n_max])
+        assert sqrt_series_counting(*shifted_polys(k), n_max) == cat_transform(gens)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            sqrt_series_counting([1, -4], [0], 0)
+        with pytest.raises(ValueError):
+            sqrt_series_counting([2, -4], [0], 5)
+        with pytest.raises(ValueError):
+            sqrt_series_counting([1, -2], [1, 2], 5)
 
 
 class TestSignedTransform:
@@ -285,6 +321,21 @@ class TestCsvRoundTrip:
         write_sequence_csv(path, seq)
         assert read_sequence_csv(path) == seq
         assert path.read_text().splitlines()[0] == "n,value"
+
+    def test_roundtrip_past_int_digit_limit(self, tmp_path):
+        limit = sys.get_int_max_str_digits()
+        seq = BigSeq([1, 7 * 10**6000 + 3])
+        path = tmp_path / "seq.csv"
+        write_sequence_csv(path, seq)
+        assert read_sequence_csv(path) == seq
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_digit_limit_restored_after_error(self):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(RuntimeError), unlimited_int_digits():
+            assert len(str(10**6000)) == 6001
+            raise RuntimeError
+        assert sys.get_int_max_str_digits() == limit
 
     def test_accepts_index_header(self, tmp_path):
         path = tmp_path / "seq.csv"

@@ -4,6 +4,7 @@ counting sequences, numerical semigroups, family syntax."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freemagma import subgroupoids
 from freemagma import (
     BigSeq,
     CapacityError,
@@ -170,6 +171,51 @@ class TestCountingSequence:
         )
 
 
+# Shifts of length 1, 2, 3 and 5, and finite families whose minimal
+# generator histograms have gaps and multiplicities: [0,0,2] and [0,1,0,0,3].
+RECURRENCE_FAMILIES = [ShiftedFull(a) for a in (ONE, TWO, THREE_PLUS, left_comb(5))] + [
+    FiniteSet({THREE_MINUS, THREE_PLUS}),
+    FiniteSet({TWO, left_comb(5), right_comb(5), sum_terms(TWO, THREE_PLUS)}),
+]
+
+
+class TestCountingRecurrence:
+    """Finite and shifted families run the sqrt-series recurrence; it must
+    reproduce the schoolbook transform bit for bit."""
+
+    def test_histograms(self):
+        assert generator_counting_sequence(RECURRENCE_FAMILIES[4], 3).entries == (0, 0, 2)
+        assert generator_counting_sequence(RECURRENCE_FAMILIES[5], 5).entries == (0, 1, 0, 0, 3)
+
+    @pytest.mark.parametrize("family", RECURRENCE_FAMILIES, ids=format_family)
+    def test_matches_schoolbook_to_1000(self, family):
+        schoolbook = cat_transform(generator_counting_sequence(family, 1000))
+        assert counting_sequence(family, 1000) == schoolbook
+
+    @pytest.mark.parametrize("n_max", range(1, 7))
+    @pytest.mark.parametrize("family", RECURRENCE_FAMILIES, ids=format_family)
+    def test_small_horizons(self, family, n_max):
+        schoolbook = cat_transform(generator_counting_sequence(family, n_max))
+        assert counting_sequence(family, n_max) == schoolbook
+
+    def test_only_explicit_sequences_use_schoolbook(self, monkeypatch):
+        calls = []
+
+        def spy(seq):
+            calls.append(len(seq))
+            return cat_transform(seq)
+
+        monkeypatch.setattr(subgroupoids, "cat_transform", spy)
+        for family in RECURRENCE_FAMILIES + [FiniteSet({ONE}), FiniteSet(())]:
+            counting_sequence(family, 40)
+        assert calls == []
+        explicit = ExplicitSeq(BigSeq([0, 1, 1]))
+        assert counting_sequence(explicit, 17).entries == (
+            0, 1, 1, 1, 2, 3, 6, 11, 22, 44, 90, 187, 392, 832, 1778, 3831, 8304
+        )
+        assert calls == [17]
+
+
 class TestLongitudinal:
     def test_even_lengths(self):
         seq = longitudinal_counting({2}, 6)
@@ -290,6 +336,7 @@ class TestRandomizedInvariants:
 
         hist = generator_counting_sequence(FiniteSet(gens), 9)
         assert brute_count(gens, 9) == cat_transform(hist)
+        assert counting_sequence(FiniteSet(gens), 9) == cat_transform(hist)
 
     @settings(max_examples=40, deadline=None)
     @given(gen_sets_st, st.data())
