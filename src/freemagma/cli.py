@@ -23,7 +23,7 @@ from .errors import ExactDivisionError, FreeMagmaError
 from .motzkin_paths import PathSpec, count_paths, enumerate_paths
 from .sequences import BigSeq, cat_transform, read_sequence_csv, unlimited_int_digits
 from .subgroupoids import counting_sequence, longitudinal_counting, parse_family, semigroup_info
-from .terms import enumerate_terms, format_term
+from .terms import DEFAULT_ENUMERATION_CAP, enumerate_terms, format_term
 from .verify import verify_all
 
 EXIT_OK = 0
@@ -130,6 +130,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
     report = density_report(
         est, args.n, args.m, trace_path, accel_path, runtime_seconds=runtime
     )
+    report_text = json.dumps(report, indent=2)
     if args.format == "plain":
         if est.status == "oscillating":
             residues = ", ".join(str(v) for v in est.per_residue or ())
@@ -140,9 +141,9 @@ def _cmd_density(args: argparse.Namespace) -> int:
         else:
             text = f"density ~= {est.value} ({est.status}, n_max={est.n_max})"
     else:
-        text = json.dumps(report, indent=2)
+        text = report_text
     if out_dir is not None:
-        _atomic_write(out_dir / "density_report.json", json.dumps(report, indent=2) + "\n")
+        _atomic_write(out_dir / "density_report.json", report_text + "\n")
     _emit(text, None)
     return EXIT_OK
 
@@ -251,7 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list all terms of a given length")
     p.add_argument("--n", type=int, required=True, help="term length (>= 1)")
-    p.add_argument("--cap", type=int, default=16, help="enumeration size cap (default 16)")
+    p.add_argument(
+        "--cap",
+        type=int,
+        default=DEFAULT_ENUMERATION_CAP,
+        help=f"enumeration size cap (default {DEFAULT_ENUMERATION_CAP})",
+    )
     p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(fn=_cmd_enumerate)

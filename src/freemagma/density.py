@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -37,12 +38,7 @@ DEFAULT_DECIMAL_DIGITS = 30
 
 def growth(a: BigSeq) -> BigSeq:
     """Cumulative sums: entry n is a_1 + ... + a_n."""
-    out = []
-    acc = 0
-    for v in a:
-        acc += v
-        out.append(acc)
-    return BigSeq(out)
+    return BigSeq(accumulate(a))
 
 
 @dataclass(frozen=True)
@@ -67,17 +63,12 @@ def ratio_trace(
     to ``precision`` significant digits.  Indices where the denominator
     growth is still zero are skipped and flagged.
     """
-    horizon = min(len(numer), len(denom))
     samples: list[tuple[int, Decimal]] = []
     skipped: list[int] = []
-    gn = 0
-    gm = 0
     with localcontext() as ctx:
         ctx.prec = precision
         ctx.rounding = ROUND_HALF_EVEN
-        for n in range(1, horizon + 1):
-            gn += numer[n]
-            gm += denom[n]
+        for n, gn, gm in zip(range(1, len(numer) + 1), accumulate(numer), accumulate(denom)):
             if gm == 0:
                 skipped.append(n)
                 continue
@@ -173,12 +164,8 @@ def longitudinal_convergence_check(
     counting = longitudinal_counting(lset, n_max)
     cats = catalan_numbers(n_max)
     tol = Fraction(str(tolerance))
-    gl = 0
-    gm = 0
     latest: dict[int, Fraction] = {}
-    for n in range(1, n_max + 1):
-        gl += counting[n]
-        gm += cats[n - 1]
+    for n, gl, gm in zip(range(1, n_max + 1), accumulate(counting), accumulate(cats)):
         latest[n % p] = Fraction(gl, gm)
     worst_err = Fraction(0)
     worst_residue = -1
@@ -418,10 +405,8 @@ def density_algebra_checks(
                 )
     for inner, middle, outer, n_max in nested_fixtures:
         levels = [closure_up_to(g, n_max) for g in (inner, middle, outer)]
-        sums = [0, 0, 0]
-        for n in range(1, n_max + 1):
-            for i in range(3):
-                sums[i] += len(levels[i][n])
+        growths = zip(*(accumulate(map(len, lv[1:])) for lv in levels))
+        for n, sums in enumerate(growths, start=1):
             if sums[2] == 0:
                 continue
             r_outer = Fraction(sums[0], sums[2])

@@ -33,6 +33,7 @@ from .terms import (
     Term,
     enumerate_terms,
     format_term,
+    grow_levels,
     leaf,
     parse_term,
     sum_terms,
@@ -113,25 +114,16 @@ def closure_up_to(
     """Per-length slices (N)_1 .. (N)_{n_max} of N = <gens>.
 
     Returns a tuple indexed 0..n_max whose entry k is the set of length-k
-    members (entry 0 is empty).  Dynamic programming on length: a term of
-    length k is in N iff it is a generator or both root children are in N.
+    members (entry 0 is empty).  The level DP of :func:`grow_levels`, seeded
+    with the minimal generating set of ``gens``: a term of length k is in N
+    iff it is a generator or both root children are in N.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if n_max > cap:
-        raise CapacityError(f"closure horizon {n_max} exceeds cap {cap}")
-    by_len: dict[int, set[Term]] = {}
-    for g in gens:
-        by_len.setdefault(g.length, set()).add(g)
-    levels: list[frozenset[Term]] = [frozenset()]
-    for k in range(1, n_max + 1):
-        level = set(by_len.get(k, ()))
-        for i in range(1, k):
-            for x in levels[i]:
-                for y in levels[k - i]:
-                    level.add(sum_terms(x, y))
-        levels.append(frozenset(level))
-    return tuple(levels)
+    by_len: dict[int, list[Term]] = {}
+    for g in minimal_generators(gens):
+        by_len.setdefault(g.length, []).append(g)
+    return tuple(map(frozenset, grow_levels(lambda k: by_len.get(k, ()), n_max, cap)))
 
 
 def _member(genset: frozenset[Term], t: Term, memo: dict[Term, bool]) -> bool:
@@ -203,20 +195,15 @@ def family_levels(
     if isinstance(family, FiniteSet):
         return closure_up_to(family.terms, n_max, cap=cap)
     if isinstance(family, ShiftedFull):
-        if n_max > cap:
-            raise CapacityError(f"horizon {n_max} exceeds cap {cap}")
-        la = family.a.length
-        levels: list[frozenset[Term]] = [frozenset()]
-        for k in range(1, n_max + 1):
-            level: set[Term] = set()
-            if k > la:
-                level.update(sum_terms(y, family.a) for y in enumerate_terms(k - la, cap=cap))
-            for i in range(1, k):
-                for x in levels[i]:
-                    for y in levels[k - i]:
-                        level.add(sum_terms(x, y))
-            levels.append(frozenset(level))
-        return tuple(levels)
+        # M+a is its own minimal generating set, so it seeds the level DP.
+        a = family.a
+
+        def seeds(k: int) -> list[Term]:
+            if k <= a.length:
+                return []
+            return [sum_terms(y, a) for y in enumerate_terms(k - a.length, cap=cap)]
+
+        return tuple(map(frozenset, grow_levels(seeds, n_max, cap)))
     if isinstance(family, Longitudinal):
         if n_max > cap:
             raise CapacityError(f"horizon {n_max} exceeds cap {cap}")
@@ -334,10 +321,9 @@ def counting_sequence(family: GenFamily, n_max: int) -> BigSeq:
     return sqrt_series_counting([1] + [-4 * c for c in hist], [0], n_max)
 
 
-def _reachable_lengths(lengths: frozenset[int], n_max: int) -> list[bool]:
+def _reachable_lengths(lengths: Iterable[int], n_max: int) -> list[bool]:
     """reachable[n] iff n is a positive combination of the given lengths."""
-    reach = [False] * (n_max + 1)
-    reach[0] = True
+    reach = [True] + [False] * n_max
     gens = sorted(lengths)
     for n in range(1, n_max + 1):
         reach[n] = any(n >= a and reach[n - a] for a in gens)
@@ -361,8 +347,8 @@ def semigroup_info(lengths: Iterable[int]) -> NumericalSemigroupInfo:
     subsemigroup generated by ``lengths``.
 
     The rank-2 case uses the closed formula ab - a - b; otherwise the
-    representability scan runs until min(A') consecutive representable
-    integers appear, after which everything larger is representable.
+    reachability scan runs up to Schur's bound (a_1 - 1)(a_k - 1) - 1 on the
+    Frobenius number, which is -1 when 1 is a generator.
     """
     aset = sorted(frozenset(int(v) for v in lengths))
     if not aset:
@@ -371,27 +357,12 @@ def semigroup_info(lengths: Iterable[int]) -> NumericalSemigroupInfo:
         raise ValueError("generators must be >= 1")
     g = math.gcd(*aset)
     reduced = [v // g for v in aset]
-    if 1 in reduced:
-        return NumericalSemigroupInfo(g, frozenset(reduced), -1)
     if len(reduced) == 2:
         a, b = reduced
         return NumericalSemigroupInfo(g, frozenset(reduced), a * b - a - b)
-    smallest = reduced[0]
-    reach = [True]  # index 0
-    run = 0
-    frob = 0
-    n = 0
-    while run < smallest:
-        n += 1
-        if n >= len(reach):
-            reach.append(False)
-        ok = any(n >= a and reach[n - a] for a in reduced)
-        reach[n] = ok
-        if ok:
-            run += 1
-        else:
-            run = 0
-            frob = n
+    bound = (reduced[0] - 1) * (reduced[-1] - 1) - 1
+    reach = _reachable_lengths(reduced, bound)
+    frob = max((n for n in range(1, bound + 1) if not reach[n]), default=-1)
     return NumericalSemigroupInfo(g, frozenset(reduced), frob)
 
 

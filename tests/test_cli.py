@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from freemagma import catalan_numbers, cli
+from freemagma import catalan_numbers, cli, terms
 from freemagma.cli import main
 from freemagma.errors import ExactDivisionError
 from freemagma.sequences import unlimited_int_digits
@@ -33,6 +33,17 @@ class TestEnumerate:
         code, _, err = run_cli(capsys, "enumerate", "--n", "17")
         assert code == 2
         assert "cap" in err
+
+    def test_default_cap_refuses_16_before_building(self, capsys, monkeypatch):
+        def no_sums(left, right):
+            raise AssertionError("a term was built past the cap")
+
+        monkeypatch.setattr(terms, "sum_terms", no_sums)
+        cached = len(terms._levels)
+        code, _, err = run_cli(capsys, "enumerate", "--n", "16")
+        assert code == 2
+        assert "cap 15" in err
+        assert len(terms._levels) == cached
 
 
 class TestCount:

@@ -1,6 +1,9 @@
 """Subgroupoid machinery: closure, membership, minimal generating sets,
 counting sequences, numerical semigroups, family syntax."""
 
+import math
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +26,7 @@ from freemagma import (
     enumerate_terms,
     family_levels,
     format_family,
+    format_term,
     generator_counting_sequence,
     leaf,
     left_comb,
@@ -43,6 +47,10 @@ TWO = ONE + ONE
 THREE_PLUS = right_comb(3)
 THREE_MINUS = left_comb(3)
 
+# Closure inputs: an independent pair, a set padded with redundant sums
+# (2+2 and 2+(2+2) lie in <2>), and a set whose closure is the whole magma.
+CLOSURE_INPUTS = [{TWO, THREE_PLUS}, {TWO, TWO + TWO, TWO + (TWO + TWO)}, {ONE, TWO}]
+
 
 class TestClosure:
     def test_single_generator_two(self):
@@ -60,10 +68,16 @@ class TestClosure:
         assert [len(lvl) for lvl in levels[1:]] == [0, 0, 2, 0, 0, 4]
 
     def test_idempotent(self):
-        levels = closure_up_to({TWO, THREE_PLUS}, 6)
-        elements = set().union(*levels)
-        again = closure_up_to(elements, 6)
-        assert again == levels
+        for gens in CLOSURE_INPUTS:
+            levels = closure_up_to(gens, 6)
+            elements = set().union(*levels)
+            again = closure_up_to(elements, 6)
+            assert again == levels
+
+    @pytest.mark.parametrize("shift", [ONE, TWO, THREE_PLUS], ids=format_term)
+    def test_shifted_full_is_closure_of_its_truncation(self, shift):
+        truncation = {y + shift for k in range(1, 10 - shift.length) for y in enumerate_terms(k)}
+        assert family_levels(ShiftedFull(shift), 9) == closure_up_to(truncation, 9)
 
     def test_cap(self):
         with pytest.raises(CapacityError):
@@ -81,12 +95,12 @@ class TestContains:
         assert not contains({TWO}, ONE)
 
     def test_agrees_with_closure(self):
-        gens = {TWO, THREE_PLUS}
-        levels = closure_up_to(gens, 7)
-        elements = set().union(*levels)
-        for k in range(1, 8):
-            for t in enumerate_terms(k):
-                assert contains(gens, t) == (t in elements)
+        for gens in CLOSURE_INPUTS:
+            levels = closure_up_to(gens, 7)
+            elements = set().union(*levels)
+            for k in range(1, 8):
+                for t in enumerate_terms(k):
+                    assert contains(gens, t) == (t in elements)
 
 
 class TestMinimalGenerators:
@@ -272,6 +286,24 @@ class TestSemigroupInfo:
 
         assert not representable(7)
         assert all(representable(n) for n in range(8, 30))
+
+    def test_frobenius_matches_brute_scan(self):
+        # Every gap of a coprime set lies below a_1 * a_k, so scanning that
+        # far finds the largest one.
+        def brute_frobenius(lengths):
+            g = math.gcd(*lengths)
+            reduced = [v // g for v in lengths]
+            limit = min(reduced) * max(reduced)
+            reachable = {0}
+            for n in range(1, limit):
+                if any(n - a in reachable for a in reduced):
+                    reachable.add(n)
+            gaps = [n for n in range(1, limit) if n not in reachable]
+            return max(gaps, default=-1)
+
+        for size in (2, 3, 4):
+            for lengths in combinations(range(1, 16), size):
+                assert semigroup_info(lengths).frobenius == brute_frobenius(lengths), lengths
 
     def test_validation(self):
         with pytest.raises(ValueError):
