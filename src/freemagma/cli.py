@@ -16,6 +16,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import TextIO
 
 from . import __version__
 from .density import density_report, estimate_density, longitudinal_asymptote, write_trace_csv
@@ -32,12 +33,19 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
+def _write_lines(fh: TextIO, text: str) -> None:
+    """Write ``text`` newline-terminated, without copying it to append one."""
+    fh.write(text)
+    if not text.endswith("\n"):
+        fh.write("\n")
+
+
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            _write_lines(fh, text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -57,9 +65,9 @@ def _ensure_writable_dir(path: Path) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        _atomic_write(Path(out), text if text.endswith("\n") else text + "\n")
+        _atomic_write(Path(out), text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        _write_lines(sys.stdout, text)
 
 
 def _sequence_text(seq: BigSeq, fmt: str, meta: dict) -> str:
@@ -143,7 +151,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
     else:
         text = report_text
     if out_dir is not None:
-        _atomic_write(out_dir / "density_report.json", report_text + "\n")
+        _atomic_write(out_dir / "density_report.json", report_text)
     _emit(text, None)
     return EXIT_OK
 
@@ -203,18 +211,6 @@ def _cmd_motzkin(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.config:
-        config = json.loads(Path(args.config).read_text())
-        unknown = set(config) - {"scope", "format", "out"}
-        if unknown:
-            raise FreeMagmaError(f"unknown verify config keys: {sorted(unknown)}")
-        # Explicit flags win over the config file.
-        if args.scope is None:
-            args.scope = config.get("scope")
-        if args.format == "plain" and "format" in config:
-            args.format = config["format"]
-        if args.out is None:
-            args.out = config.get("out")
     if args.scope not in ("fast", "full"):
         raise FreeMagmaError(f"verify needs a scope of 'fast' or 'full', got {args.scope!r}")
     reports = verify_all(args.scope)
@@ -305,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the self-verification suite")
     p.add_argument("--scope", choices=("fast", "full"), default=None)
-    p.add_argument("--config", help="JSON file with scope/format/out keys")
     p.add_argument("--format", choices=("plain", "json"), default="plain")
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(fn=_cmd_verify)

@@ -2,11 +2,20 @@
 
 A term is a finite binary tree: every leaf is the generator ``1`` and every
 internal node is an ordered, non-associative sum of its two children.  Terms
-are immutable values; equality and hashing go through the canonical encoding,
-a preorder Lukasiewicz word over ``{'1', '0'}`` (internal node = ``1``,
-leaf = ``0``).  The encoding is prefix-free, so it decodes unambiguously and
-gives a stable total order (by length, then lexicographically) that the
-enumeration below relies on.
+are immutable values that carry one string, their fully parenthesised text
+such as ``(1+(1+1))``; equality, hashing and order all go through it.
+
+The canonical encoding is the preorder Lukasiewicz word over ``{'1', '0'}``
+(internal node = ``1``, leaf = ``0``).  It is derived from the text by
+translation: dropping ``+`` and ``)`` leaves the preorder sequence of ``(``
+(internal) and ``1`` (leaf).  The encoding is prefix-free, so it decodes
+unambiguously, and it gives the total order (by length, then
+lexicographically) that the enumeration below follows.  For two terms of
+the same length that order is the reverse of text order: up to the first
+preorder node where the trees differ the texts agree, and there the
+internal node prints ``(``, which sorts below ``1``, while it encodes as
+``1``, which sorts above ``0``.  Levels are therefore sorted by text,
+descending, and no code needs to be kept.
 
 Every term-level construction (the whole magma, closures of generator
 sets, the shifted family M+a) runs through one level DP,
@@ -25,18 +34,18 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .errors import CapacityError, TermParseError
 
 # Enumeration sizes are Catalan.  Enumerating up to length 15 peaks near
-# 0.6 GB RSS, and length 16 (~9.7M terms) near 2.1 GB, so callers must opt
+# 0.7 GB RSS, and length 16 (~9.7M terms) above 2 GB, so callers must opt
 # in explicitly to go past 15.
 DEFAULT_ENUMERATION_CAP = 15
 
-_LEAF_CODE = "0"
+_TEXT_TO_CODE = str.maketrans({"(": "1", "1": "0", "+": None, ")": None})
 
 
 class Term:
     """An element of the free magma on one generator. Use :func:`leaf` and
     :func:`sum_terms` (or the ``+`` operator) to build instances."""
 
-    __slots__ = ("left", "right", "length", "code")
+    __slots__ = ("left", "right", "length", "text")
 
     def __init__(self, left: Term | None, right: Term | None):
         if (left is None) != (right is None):
@@ -45,11 +54,11 @@ class Term:
         self.right = right
         if left is None:
             self.length = 1
-            self.code = _LEAF_CODE
+            self.text = "1"
         else:
             assert right is not None
             self.length = left.length + right.length
-            self.code = "1" + left.code + right.code
+            self.text = f"({left.text}+{right.text})"
 
     @property
     def is_leaf(self) -> bool:
@@ -70,18 +79,19 @@ class Term:
             return True
         if not isinstance(other, Term):
             return NotImplemented
-        return self.code == other.code
+        return self.text == other.text
 
     def __hash__(self) -> int:
-        return hash(self.code)
+        return hash(self.text)
 
     def __lt__(self, other: Term) -> bool:
         if not isinstance(other, Term):
             return NotImplemented
-        return (self.length, self.code) < (other.length, other.code)
+        # Same-length code order is reverse text order (module docstring).
+        return (self.length, other.text) < (other.length, self.text)
 
     def __repr__(self) -> str:
-        return f"Term({format_term(self)})"
+        return f"Term({self.text})"
 
 
 _LEAF = Term(None, None)
@@ -153,7 +163,7 @@ def product(x: Term, y: Term) -> Term:
 
 def encode(t: Term) -> str:
     """Canonical preorder bitstring of ``t`` (internal = '1', leaf = '0')."""
-    return t.code
+    return t.text.translate(_TEXT_TO_CODE)
 
 
 def decode(bits: str) -> Term:
@@ -191,18 +201,7 @@ def decode(bits: str) -> Term:
 
 def format_term(t: Term) -> str:
     """Fully parenthesized additive text, e.g. ``(1+(1+1))``."""
-    parts: list[str] = []
-    stack: list[Term | str] = [t]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
-        elif item.is_leaf:
-            parts.append("1")
-        else:
-            assert item.left is not None and item.right is not None
-            stack.extend((")", item.right, "+", item.left, "("))
-    return "".join(parts)
+    return t.text
 
 
 def parse_term(text: str) -> Term:
@@ -282,7 +281,7 @@ def grow_levels(
     for k in range(len(out), n_max + 1):
         level = [sum_terms(x, y) for i in range(1, k) for x in out[i] for y in out[k - i]]
         level.extend(seeds(k))
-        level.sort(key=lambda t: t.code)
+        level.sort(key=lambda t: t.text, reverse=True)
         out.append(tuple(level))
     return out
 

@@ -29,6 +29,19 @@ class TestEnumerate:
         assert payload["count"] == 5
         assert "((1+1)+(1+1))" in payload["terms"]
 
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_out_file_bytes_equal_stdout(self, capsys, tmp_path, fmt):
+        out_file = tmp_path / "terms.txt"
+        code, out, _ = run_cli(capsys, "enumerate", "--n", "6", "--format", fmt)
+        assert code == 0
+        code, _, _ = run_cli(
+            capsys, "enumerate", "--n", "6", "--format", fmt, "--out", str(out_file)
+        )
+        assert code == 0
+        data = out_file.read_bytes()
+        assert data == out.encode()
+        assert data.endswith(b"\n") and not data.endswith(b"\n\n")
+
     def test_cap_exceeded_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "--n", "17")
         assert code == 2
@@ -140,7 +153,9 @@ class TestDensity:
         assert payload["family_n"] == "shifted:1"
         assert payload["n_max"] == 200
         assert payload["value"].startswith("0.35")
-        report = json.loads((out_dir / "density_report.json").read_text())
+        report_text = (out_dir / "density_report.json").read_text()
+        assert report_text.endswith("\n") and not report_text.endswith("\n\n")
+        report = json.loads(report_text)
         assert report["value"] == payload["value"]
         trace = (out_dir / "density_trace.csv").read_text().splitlines()
         assert trace[0] == "n,value"
@@ -259,19 +274,6 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify")
         assert code == 2
         assert "scope" in err
-
-    def test_config_file(self, capsys, tmp_path):
-        config = tmp_path / "verify.json"
-        config.write_text('{"scope": "fast", "format": "json"}')
-        code, out, _ = run_cli(capsys, "verify", "--config", str(config))
-        assert code == 0
-        assert json.loads(out)["passed"] is True
-
-    def test_config_rejects_unknown_keys(self, capsys, tmp_path):
-        config = tmp_path / "verify.json"
-        config.write_text('{"scope": "fast", "horizon": 10}')
-        code, _, err = run_cli(capsys, "verify", "--config", str(config))
-        assert code == 2
 
 
 class TestOutputProbe:

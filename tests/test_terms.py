@@ -29,6 +29,28 @@ THREE_PLUS = sum_terms(ONE, TWO)
 THREE_MINUS = sum_terms(TWO, ONE)
 
 
+def reference_format(t):
+    """Stack-walk printer, kept as the reference for ``format_term``."""
+    parts = []
+    stack = [t]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif item.is_leaf:
+            parts.append("1")
+        else:
+            stack.extend((")", item.right, "+", item.left, "("))
+    return "".join(parts)
+
+
+def reference_encode(t):
+    """Preorder Lukasiewicz word built from the tree, not from the text."""
+    if t.is_leaf:
+        return "0"
+    return "1" + reference_encode(t.left) + reference_encode(t.right)
+
+
 terms_st = st.recursive(
     st.just(ONE),
     lambda children: st.builds(sum_terms, children, children),
@@ -158,6 +180,16 @@ class TestEncoding:
     def test_roundtrip(self, t):
         assert decode(encode(t)) == t
 
+    def test_matches_reference_encoder(self):
+        for t in iter_terms_up_to(10):
+            assert encode(t) == reference_encode(t)
+
+    def test_order_is_length_then_encoding(self):
+        small = list(iter_terms_up_to(6))
+        for t in small:
+            for u in small:
+                assert (t < u) == ((t.length, encode(t)) < (u.length, encode(u)))
+
     def test_injective_on_small_terms(self):
         seen = {}
         for t in iter_terms_up_to(7):
@@ -170,6 +202,10 @@ class TestTextFormat:
         assert format_term(ONE) == "1"
         assert format_term(TWO) == "(1+1)"
         assert format_term(THREE_PLUS) == "(1+(1+1))"
+
+    def test_matches_reference_printer(self):
+        for t in iter_terms_up_to(10):
+            assert format_term(t) == reference_format(t)
 
     def test_parse_examples(self):
         assert parse_term("1") == ONE
@@ -210,7 +246,7 @@ class TestEnumeration:
         assert len(enumerate_terms(5)) == 14
 
     def test_sorted_by_encoding(self):
-        for n in (4, 6, 8):
+        for n in (4, 6, 8, 10):
             codes = [encode(t) for t in enumerate_terms(n)]
             assert codes == sorted(codes)
 
