@@ -16,13 +16,20 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import TextIO
 
 from . import __version__
 from .density import density_report, estimate_density, longitudinal_asymptote, write_trace_csv
 from .errors import ExactDivisionError, FreeMagmaError
 from .motzkin_paths import PathSpec, count_paths, enumerate_paths
-from .sequences import BigSeq, cat_transform, read_sequence_csv, unlimited_int_digits
+from .sequences import (
+    BigSeq,
+    _atomic_write,
+    _csv_text,
+    _write_lines,
+    cat_transform,
+    read_sequence_csv,
+    unlimited_int_digits,
+)
 from .subgroupoids import counting_sequence, longitudinal_counting, parse_family, semigroup_info
 from .terms import DEFAULT_ENUMERATION_CAP, enumerate_terms, format_term
 from .verify import verify_all
@@ -31,26 +38,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
-
-
-def _write_lines(fh: TextIO, text: str) -> None:
-    """Write ``text`` newline-terminated, without copying it to append one."""
-    fh.write(text)
-    if not text.endswith("\n"):
-        fh.write("\n")
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            _write_lines(fh, text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _ensure_writable_dir(path: Path) -> None:
@@ -73,8 +60,7 @@ def _emit(text: str, out: str | None) -> None:
 def _sequence_text(seq: BigSeq, fmt: str, meta: dict) -> str:
     with unlimited_int_digits():
         if fmt == "csv":
-            lines = ["n,value"] + [f"{n},{v}" for n, v in enumerate(seq, start=1)]
-            return "\n".join(lines)
+            return _csv_text(enumerate(seq, start=1))
         if fmt == "json":
             payload = dict(meta)
             payload["values"] = {str(n): str(v) for n, v in enumerate(seq, start=1)}

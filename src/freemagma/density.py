@@ -12,7 +12,7 @@ residue class together with the exact closed-form asymptotes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .reporting import CheckReport
-from .sequences import BigSeq, catalan_numbers
+from .sequences import BigSeq, _atomic_write, _csv_text, catalan_numbers
 from .subgroupoids import (
     GenFamily,
     closure_up_to,
@@ -48,7 +48,6 @@ class RatioTrace:
 
     samples: tuple[tuple[int, Decimal], ...]
     skipped: tuple[int, ...]
-    precision: int
 
     def values(self) -> list[Decimal]:
         return [v for _, v in self.samples]
@@ -73,22 +72,17 @@ def ratio_trace(
                 skipped.append(n)
                 continue
             samples.append((n, Decimal(gn) / Decimal(gm)))
-    return RatioTrace(tuple(samples), tuple(skipped), precision)
+    return RatioTrace(tuple(samples), tuple(skipped))
 
 
-def aitken(
-    xs: Sequence[Decimal],
-    precision: int = DEFAULT_DECIMAL_DIGITS,
-    eps: Decimal | None = None,
-) -> list[Decimal | None]:
+def aitken(xs: Sequence[Decimal], precision: int = DEFAULT_DECIMAL_DIGITS) -> list[Decimal | None]:
     """Aitken delta-squared acceleration.
 
     y_n = (x_n x_{n+2} - x_{n+1}^2) / (x_n + x_{n+2} - 2 x_{n+1}); entries
-    whose denominator is below ``eps`` in absolute value are emitted as
-    None (skipped) rather than divided.
+    whose denominator is below 10^-max(precision - 6, 2) in absolute value
+    are emitted as None (skipped) rather than divided.
     """
-    if eps is None:
-        eps = Decimal(10) ** -(max(precision - 6, 2))
+    eps = Decimal(10) ** -(max(precision - 6, 2))
     out: list[Decimal | None] = []
     with localcontext() as ctx:
         ctx.prec = precision
@@ -216,7 +210,6 @@ class DensityEstimate:
     per_residue: tuple[Decimal, ...] | None = None
     last_step_delta: Decimal | None = None
     window_spread: Decimal | None = None
-    diagnostics: dict = field(default_factory=dict)
 
 
 def _detect_oscillation(
@@ -260,7 +253,7 @@ def estimate_density(
     trace, accelerates it with Aitken's process, and gates the result on
     the spread of the last accelerated window against 10^-precision.
     Callers are responsible for actual nestedness of the two families;
-    ratios outside [0, 1] therefore only flag the diagnostics.
+    ratios outside [0, 1] are not checked.
 
     The point estimate is reported even when flagged ``inconclusive``;
     ``oscillating`` means no single limit exists and per-residue values
@@ -293,7 +286,6 @@ def estimate_density(
             accelerated=accelerated,
             oscillation_period=period,
             per_residue=centers,
-            diagnostics={"note": "per-residue limits reported; no single density"},
         )
 
     if accelerated:
@@ -318,7 +310,6 @@ def estimate_density(
         accelerated=accelerated,
         last_step_delta=delta,
         window_spread=spread,
-        diagnostics={"window": min(5, len(accelerated))},
     )
 
 
@@ -357,10 +348,8 @@ def density_report(
 
 
 def write_trace_csv(path: str | Path, samples: Iterable[tuple[int, Decimal]]) -> None:
-    """Write (n, value) decimal samples as ``n,value`` rows."""
-    lines = ["n,value"]
-    lines.extend(f"{n},{v}" for n, v in samples)
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write (n, value) decimal samples as ``n,value`` rows, atomically."""
+    _atomic_write(Path(path), _csv_text(samples))
 
 
 def density_algebra_checks(

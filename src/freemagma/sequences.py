@@ -14,12 +14,15 @@ the term algebra, so ``catalan_c(n)[k]`` is the number of terms of length
 from __future__ import annotations
 
 import csv
+import os
 import sys
+import tempfile
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import chain
 from math import comb, factorial, prod
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, TextIO, Union
 
 from .errors import ExactDivisionError
 from .reporting import CheckReport
@@ -66,7 +69,9 @@ class BigSeq:
         return BigSeq(self._entries[:k])
 
     def padded(self, n_max: int) -> "BigSeq":
-        """Zero-extend (or truncate) to horizon ``n_max``."""
+        """Zero-extend (or truncate) to horizon ``n_max`` >= 0."""
+        if n_max < 0:
+            raise ValueError(f"horizon must be >= 0, got {n_max}")
         if len(self._entries) >= n_max:
             return BigSeq(self._entries[:n_max])
         return BigSeq(self._entries + (0,) * (n_max - len(self._entries)))
@@ -124,12 +129,15 @@ def cat_transform(a: BigSeq) -> BigSeq:
     counting sequence of the subgroupoid it generates.  Schoolbook O(n^2)
     convolution (halved by symmetry); exact integers throughout.
     """
-    n_max = len(a)
-    if n_max == 0:
-        return BigSeq(())
-    b = [0] * (n_max + 1)
-    src = a.entries
-    b[1] = src[0]
+    return BigSeq(_schoolbook_transform(a.entries))
+
+
+def _schoolbook_transform(src: Sequence[Rational]) -> list[Rational]:
+    """The recurrence of :func:`cat_transform` over ints or Fractions."""
+    n_max = len(src)
+    b: list[Rational] = [0] * (n_max + 1)
+    if n_max:
+        b[1] = src[0]
     for n in range(2, n_max + 1):
         s = 0
         for i in range(1, (n - 1) // 2 + 1):
@@ -139,7 +147,7 @@ def cat_transform(a: BigSeq) -> BigSeq:
             h = b[n // 2]
             s += h * h
         b[n] = src[n - 1] + s
-    return BigSeq(b[1:])
+    return b[1:]
 
 
 def sqrt_series_counting(p0: Sequence[int], p1: Sequence[int], n_max: int) -> BigSeq:
@@ -238,16 +246,7 @@ def cat_transform_signed(a: Sequence[Rational]) -> list[Fraction]:
     Exists to exercise the scaling law Cat(alpha^n a_n) = alpha^n Cat(a_n)
     and its signed special case for alpha outside the integers.
     """
-    n_max = len(a)
-    b: list[Fraction] = [Fraction(0)] * (n_max + 1)
-    if n_max >= 1:
-        b[1] = Fraction(a[0])
-    for n in range(2, n_max + 1):
-        s = Fraction(0)
-        for i in range(1, n):
-            s += b[i] * b[n - i]
-        b[n] = Fraction(a[n - 1]) + s
-    return b[1:]
+    return _schoolbook_transform([Fraction(v) for v in a])
 
 
 def motzkin_numbers(count: int) -> list[int]:
@@ -480,13 +479,37 @@ def unlimited_int_digits() -> Iterator[None]:
         sys.set_int_max_str_digits(previous)
 
 
+def _write_lines(fh: TextIO, text: str) -> None:
+    """Write ``text`` newline-terminated, without copying it to append one."""
+    fh.write(text)
+    if not text.endswith("\n"):
+        fh.write("\n")
+
+
+def _atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` newline-terminated to ``path`` through a temp file in
+    the same directory and a rename, so readers never see a partial file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            _write_lines(fh, text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _csv_text(rows: Iterable[tuple[int, object]]) -> str:
+    """The ``n,value`` header and one ``n,value`` line per row."""
+    return "\n".join(chain(("n,value",), (f"{n},{v}" for n, v in rows)))
+
+
 def write_sequence_csv(path: str | Path, seq: BigSeq) -> None:
-    """Write ``n,value`` rows; values are exact decimal strings."""
-    with open(path, "w", newline="") as fh, unlimited_int_digits():
-        writer = csv.writer(fh)
-        writer.writerow(["n", "value"])
-        for n, v in enumerate(seq, start=1):
-            writer.writerow([n, str(v)])
+    """Write ``n,value`` rows atomically; values are exact decimal strings."""
+    with unlimited_int_digits():
+        _atomic_write(Path(path), _csv_text(enumerate(seq, start=1)))
 
 
 def read_sequence_csv(path: str | Path) -> BigSeq:

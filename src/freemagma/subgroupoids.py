@@ -108,9 +108,7 @@ class NumericalSemigroupInfo:
 Levels = tuple[frozenset[Term], ...]
 
 
-def closure_up_to(
-    gens: Iterable[Term], n_max: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Levels:
+def closure_up_to(gens: Iterable[Term], n_max: int) -> Levels:
     """Per-length slices (N)_1 .. (N)_{n_max} of N = <gens>.
 
     Returns a tuple indexed 0..n_max whose entry k is the set of length-k
@@ -123,7 +121,8 @@ def closure_up_to(
     by_len: dict[int, list[Term]] = {}
     for g in minimal_generators(gens):
         by_len.setdefault(g.length, []).append(g)
-    return tuple(map(frozenset, grow_levels(lambda k: by_len.get(k, ()), n_max, cap)))
+    levels = grow_levels(lambda k: by_len.get(k, ()), n_max, DEFAULT_ENUMERATION_CAP)
+    return tuple(map(frozenset, levels))
 
 
 def _member(genset: frozenset[Term], t: Term, memo: dict[Term, bool]) -> bool:
@@ -155,9 +154,7 @@ def contains(gens: Iterable[Term], t: Term) -> bool:
     return _member(frozenset(gens), t, {})
 
 
-def brute_count(
-    gens: Iterable[Term], n_max: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> BigSeq:
+def brute_count(gens: Iterable[Term], n_max: int) -> BigSeq:
     """Ground-truth counting oracle: enumerate every term of each length
     and count the members of <gens>.
 
@@ -171,7 +168,7 @@ def brute_count(
     counts = []
     for k in range(1, n_max + 1):
         cnt = 0
-        for t in enumerate_terms(k, cap=cap):
+        for t in enumerate_terms(k):
             if t.is_leaf:
                 m = t in genset
             else:
@@ -185,15 +182,13 @@ def brute_count(
 # ---------------------------------------------------------------------------
 # Level sets per family and minimal generating sets
 
-def family_levels(
-    family: GenFamily, n_max: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Levels:
+def family_levels(family: GenFamily, n_max: int) -> Levels:
     """Per-length slices of the subgroupoid generated by ``family``.
 
     Only term-enumerable variants are supported (not ExplicitSeq).
     """
     if isinstance(family, FiniteSet):
-        return closure_up_to(family.terms, n_max, cap=cap)
+        return closure_up_to(family.terms, n_max)
     if isinstance(family, ShiftedFull):
         # M+a is its own minimal generating set, so it seeds the level DP.
         a = family.a
@@ -201,16 +196,16 @@ def family_levels(
         def seeds(k: int) -> list[Term]:
             if k <= a.length:
                 return []
-            return [sum_terms(y, a) for y in enumerate_terms(k - a.length, cap=cap)]
+            return [sum_terms(y, a) for y in enumerate_terms(k - a.length)]
 
-        return tuple(map(frozenset, grow_levels(seeds, n_max, cap)))
+        return tuple(map(frozenset, grow_levels(seeds, n_max, DEFAULT_ENUMERATION_CAP)))
     if isinstance(family, Longitudinal):
-        if n_max > cap:
-            raise CapacityError(f"horizon {n_max} exceeds cap {cap}")
+        if n_max > DEFAULT_ENUMERATION_CAP:
+            raise CapacityError(f"horizon {n_max} exceeds cap {DEFAULT_ENUMERATION_CAP}")
         reachable = _reachable_lengths(family.lengths, n_max)
         empty: frozenset[Term] = frozenset()
         return tuple(
-            frozenset(enumerate_terms(k, cap=cap)) if k >= 1 and reachable[k] else empty
+            frozenset(enumerate_terms(k)) if k >= 1 and reachable[k] else empty
             for k in range(n_max + 1)
         )
     raise UnsupportedVariantError(
@@ -237,25 +232,12 @@ def minimal_generators(gens: Iterable[Term]) -> frozenset[Term]:
     )
 
 
-def minimal_generating_up_to(
-    family: GenFamily, n_max: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Levels:
+def minimal_generating_up_to(family: GenFamily, n_max: int) -> Levels:
     """Per-length slices of the minimal generating set G = N \\ (N+N),
     computed up to ``n_max``."""
-    levels = family_levels(family, n_max, cap=cap)
-    member: set[Term] = set()
-    for lvl in levels:
-        member.update(lvl)
-    out: list[frozenset[Term]] = []
-    for lvl in levels:
-        out.append(
-            frozenset(
-                t
-                for t in lvl
-                if t.is_leaf or not (t.left in member and t.right in member)
-            )
-        )
-    return tuple(out)
+    levels = family_levels(family, n_max)
+    minimal = minimal_generators(t for lvl in levels for t in lvl)
+    return tuple(lvl & minimal for lvl in levels)
 
 
 def rank_lambda(gens: Iterable[Term]) -> tuple[int, int]:

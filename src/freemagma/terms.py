@@ -135,30 +135,12 @@ def right_comb(n: int) -> Term:
 def product(x: Term, y: Term) -> Term:
     """Substitute a copy of ``x`` for every leaf of ``y``.
 
-    This is the monoid product: associative, with ``1`` as two-sided unit,
+    On text this replaces every ``1`` of ``y`` by the text of ``x``; the
+    iterative parser keeps recursion depth independent of ``y``.  This is
+    the monoid product: associative, with ``1`` as two-sided unit,
     and distributes over sums appearing in the right operand only.
     """
-    if y.is_leaf:
-        return x
-    if x.is_leaf:
-        return y
-    # Iterative postorder rebuild; keeps recursion depth independent of y.
-    out: list[Term] = []
-    stack: list[tuple[Term, bool]] = [(y, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if node.is_leaf:
-            out.append(x)
-        elif expanded:
-            r = out.pop()
-            l = out.pop()
-            out.append(sum_terms(l, r))
-        else:
-            stack.append((node, True))
-            assert node.left is not None and node.right is not None
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-    return out[0]
+    return parse_term(y.text.replace("1", x.text))
 
 
 def encode(t: Term) -> str:
@@ -304,7 +286,7 @@ def enumerate_terms(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Level:
     return levels[n]
 
 
-def iter_terms_up_to(n_max: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Term]:
+def iter_terms_up_to(n_max: int) -> Iterator[Term]:
     """Terms of length 1..n_max in (length, encoding) order."""
     for k in range(1, n_max + 1):
-        yield from enumerate_terms(k, cap=cap)
+        yield from enumerate_terms(k)

@@ -1,11 +1,12 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
 import json
+import os
 import sys
 
 import pytest
 
-from freemagma import catalan_numbers, cli, terms
+from freemagma import catalan_c, catalan_numbers, cli, terms, write_sequence_csv
 from freemagma.cli import main
 from freemagma.errors import ExactDivisionError
 from freemagma.sequences import unlimited_int_digits
@@ -111,6 +112,15 @@ class TestCount:
         assert run_cli(capsys, *args)[0] == 0
         assert target.read_bytes() == first
 
+    def test_csv_bytes_equal_library_writer(self, capsys, tmp_path):
+        cli_file, lib_file = tmp_path / "cli.csv", tmp_path / "lib.csv"
+        code, _, _ = run_cli(
+            capsys, "count", "--family", "full", "--n", "30", "--out", str(cli_file)
+        )
+        assert code == 0
+        write_sequence_csv(lib_file, catalan_c(30))
+        assert lib_file.read_bytes() == cli_file.read_bytes()
+
 
 class TestTransform:
     def test_values_inline(self, capsys):
@@ -129,6 +139,13 @@ class TestTransform:
         assert code == 0
         values = [int(line.split(",")[1]) for line in out.splitlines()[1:]]
         assert values == [0, 1, 1, 1, 2, 3, 6, 11, 22, 44]
+
+    def test_negative_horizon_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "transform", "--values", "1,0,0", "--n", "-2"
+        )
+        assert code == 2
+        assert out == "" and "horizon" in err
 
 
 class TestDensity:
@@ -310,6 +327,19 @@ class TestOutputProbe:
         )
         assert code == 0
         assert probed == [tmp_path / "out"]
+
+    def test_failed_rename_leaves_no_density_files(self, capsys, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(
+            capsys, "density", "--n", "shifted:1", "--m", "full", "--nmax", "50",
+            "--precision", "6", "--out", str(out_dir),
+        )
+        assert code == 2
+        assert list(out_dir.iterdir()) == []
 
 
 class TestExitCodes:

@@ -65,6 +65,9 @@ class TestBigSeq:
         s = BigSeq([1, 2])
         assert s.padded(4).entries == (1, 2, 0, 0)
         assert s.padded(1).entries == (1,)
+        assert s.padded(0).entries == ()
+        with pytest.raises(ValueError):
+            s.padded(-1)
 
 
 class TestCatalan:
@@ -189,6 +192,19 @@ class TestSignedTransform:
 
     def test_zero_sequence(self):
         assert cat_transform_signed([0] * 8) == [Fraction(0)] * 8
+
+    @pytest.mark.parametrize(
+        "hist",
+        [
+            indicator(60, {1}).entries,
+            indicator(17, {2, 3}).entries,
+            [0, 1, 2] + [0] * 12,
+            [0, 0, 2] + [0] * 18,
+            [],
+        ],
+    )
+    def test_matches_integer_transform(self, hist):
+        assert cat_transform_signed(hist) == [Fraction(v) for v in cat_transform(BigSeq(hist))]
 
 
 class TestMotzkin:

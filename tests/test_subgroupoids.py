@@ -355,6 +355,28 @@ class TestMinimalGeneratingUpTo:
         with pytest.raises(UnsupportedVariantError):
             minimal_generating_up_to(ExplicitSeq(BigSeq([1])), 4)
 
+    @pytest.mark.parametrize(
+        "family",
+        [
+            Longitudinal({2, 3}),
+            Longitudinal({3}),
+            ShiftedFull(TWO),
+            FiniteSet({TWO, TWO + TWO, THREE_PLUS}),
+        ],
+    )
+    def test_matches_per_level_filter(self, family):
+        # G = N \ (N+N): a member is a generator iff it is a leaf or one of
+        # its root children lies outside N.
+        levels = family_levels(family, 7)
+        members = set().union(*levels)
+        expected = tuple(
+            frozenset(
+                t for t in lvl if t.is_leaf or not (t.left in members and t.right in members)
+            )
+            for lvl in levels
+        )
+        assert minimal_generating_up_to(family, 7) == expected
+
 
 GEN_POOL = tuple(t for k in range(1, 5) for t in enumerate_terms(k))
 gen_sets_st = st.frozensets(st.sampled_from(GEN_POOL), min_size=1, max_size=3)

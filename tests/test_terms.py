@@ -51,6 +51,13 @@ def reference_encode(t):
     return "1" + reference_encode(t.left) + reference_encode(t.right)
 
 
+def reference_product(x, y):
+    """Recursive tree substitution, kept as the reference for ``product``."""
+    if y.is_leaf:
+        return x
+    return sum_terms(reference_product(x, y.left), reference_product(x, y.right))
+
+
 terms_st = st.recursive(
     st.just(ONE),
     lambda children: st.builds(sum_terms, children, children),
@@ -102,6 +109,13 @@ class TestProduct:
 
     def test_length_multiplicative(self):
         assert length(product(TWO, THREE_PLUS)) == 6
+
+    def test_matches_tree_substitution(self):
+        pool = list(iter_terms_up_to(5))
+        for x, y in iproduct(pool, repeat=2):
+            got, expected = product(x, y), reference_product(x, y)
+            assert got == expected
+            assert reference_encode(got) == reference_encode(expected)
 
     def test_power_associates(self):
         two_cubed = product(TWO, product(TWO, TWO))
