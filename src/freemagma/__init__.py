@@ -69,6 +69,7 @@ from .terms import (
     encode,
     enumerate_terms,
     format_term,
+    iter_level_texts,
     iter_terms_up_to,
     leaf,
     left_comb,

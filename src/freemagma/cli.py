@@ -15,7 +15,9 @@ import os
 import sys
 import tempfile
 import time
+from itertools import chain
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 from .density import density_report, estimate_density, longitudinal_asymptote, write_trace_csv
@@ -27,11 +29,12 @@ from .sequences import (
     _csv_text,
     _write_lines,
     cat_transform,
+    catalan_numbers,
     read_sequence_csv,
     unlimited_int_digits,
 )
 from .subgroupoids import counting_sequence, longitudinal_counting, parse_family, semigroup_info
-from .terms import DEFAULT_ENUMERATION_CAP, enumerate_terms, format_term
+from .terms import DEFAULT_ENUMERATION_CAP, iter_level_texts
 from .verify import verify_all
 
 EXIT_OK = 0
@@ -50,7 +53,7 @@ def _ensure_writable_dir(path: Path) -> None:
     os.unlink(probe)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
     if out:
         _atomic_write(Path(out), text)
     else:
@@ -69,18 +72,18 @@ def _sequence_text(seq: BigSeq, fmt: str, meta: dict) -> str:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    terms = enumerate_terms(args.n, cap=args.cap)
+    texts = iter_level_texts(args.n, cap=args.cap)
+    pieces: Iterable[str]
     if args.format == "json":
-        text = json.dumps(
-            {"length": args.n, "count": len(terms), "terms": [format_term(t) for t in terms]},
-            indent=2,
-        )
+        # The bytes of json.dumps(..., indent=2); term texts need no escaping.
+        count, first = catalan_numbers(args.n)[-1], next(texts)
+        head = f'{{\n  "length": {args.n},\n  "count": {count},\n  "terms": [\n    "{first}"'
+        pieces = chain((head,), (f',\n    "{t}"' for t in texts), ("\n  ]\n}",))
     elif args.format == "csv":
-        lines = ["index,term"] + [f"{i},{format_term(t)}" for i, t in enumerate(terms, start=1)]
-        text = "\n".join(lines)
+        pieces = chain(("index,term\n",), (f"{i},{t}\n" for i, t in enumerate(texts, start=1)))
     else:
-        text = "\n".join(format_term(t) for t in terms)
-    _emit(text, args.out)
+        pieces = (f"{t}\n" for t in texts)
+    _emit(pieces, args.out)
     return EXIT_OK
 
 

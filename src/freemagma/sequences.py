@@ -19,7 +19,7 @@ import sys
 import tempfile
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from math import comb, factorial, prod
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO, Union
@@ -250,15 +250,11 @@ def cat_transform_signed(a: Sequence[Rational]) -> list[Fraction]:
 
 
 def motzkin_numbers(count: int) -> list[int]:
-    """[M_0, M_1, ..., M_{count-1}] via M_{n+1} = M_n + sum M_k M_{n-1-k}."""
-    if count <= 0:
-        return []
-    out = [1]
-    for n in range(count - 1):
-        s = out[n]
-        for k in range(n):
-            s += out[k] * out[n - 1 - k]
-        out.append(s)
+    """[M_0, M_1, ..., M_{count-1}] via the exact recurrence
+    (n+2) M_n = (2n+1) M_{n-1} + 3(n-1) M_{n-2}."""
+    out = [1, 1][: max(count, 0)]
+    for n in range(2, count):
+        out.append(_exact_div((2 * n + 1) * out[-1] + 3 * (n - 1) * out[-2], n + 2))
     return out
 
 
@@ -479,26 +475,54 @@ def unlimited_int_digits() -> Iterator[None]:
         sys.set_int_max_str_digits(previous)
 
 
-def _write_lines(fh: TextIO, text: str) -> None:
-    """Write ``text`` newline-terminated, without copying it to append one."""
-    fh.write(text)
-    if not text.endswith("\n"):
+# Pieces of a streamed text joined into one write.
+_PIECES_PER_WRITE = 1 << 16
+
+
+def _write_lines(fh: TextIO, text: str | Iterable[str]) -> None:
+    """Write ``text`` newline-terminated, without copying it to append one.
+
+    ``text`` is one string, written in one call, or an iterable of string
+    pieces, joined and written ``_PIECES_PER_WRITE`` at a time so that a
+    long stream is never held whole.
+    """
+    if isinstance(text, str):
+        fh.write(text)
+        end = text[-1:]
+    else:
+        pieces = iter(text)
+        end = ""
+        while chunk := list(islice(pieces, _PIECES_PER_WRITE)):
+            block = "".join(chunk)
+            fh.write(block)
+            end = block[-1:] or end
+    if end != "\n":
         fh.write("\n")
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write ``text`` newline-terminated to ``path`` through a temp file in
-    the same directory and a rename, so readers never see a partial file."""
+def _atomic_write(path: Path, text: str | Iterable[str]) -> None:
+    """Write ``text`` (as for :func:`_write_lines`) newline-terminated to
+    ``path`` through a temp file in the same directory and a rename, so
+    readers never see a partial file.  The file gets the mode a plain
+    ``open`` would give it, 0666 less the umask, not ``mkstemp``'s 0600."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~_umask())
             _write_lines(fh, text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _umask() -> int:
+    """The process umask; reading it means setting it, so it is put back."""
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
 
 
 def _csv_text(rows: Iterable[tuple[int, object]]) -> str:

@@ -158,23 +158,24 @@ def brute_count(gens: Iterable[Term], n_max: int) -> BigSeq:
     """Ground-truth counting oracle: enumerate every term of each length
     and count the members of <gens>.
 
-    Deliberately independent of the transform-based counting path; shares
-    one membership memo across the whole enumeration.
+    Deliberately independent of the transform-based counting path.  One set
+    of member texts serves the whole enumeration: a term is a member iff its
+    text is a generator's or both root children are members, and shorter
+    terms are decided first.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    genset = frozenset(gens)
-    memo: dict[Term, bool] = {}
+    gentexts = {g.text for g in gens}
+    members: set[str] = set()
     counts = []
     for k in range(1, n_max + 1):
         cnt = 0
         for t in enumerate_terms(k):
-            if t.is_leaf:
-                m = t in genset
-            else:
-                m = t in genset or (memo[t.left] and memo[t.right])
-            memo[t] = m
-            cnt += m
+            if t.text in gentexts or (
+                t.left is not None and t.left.text in members and t.right.text in members
+            ):
+                members.add(t.text)
+                cnt += 1
         counts.append(cnt)
     return BigSeq(counts)
 

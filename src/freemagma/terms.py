@@ -25,17 +25,29 @@ tuples that is never mutated, only replaced by a longer one with a single
 global rebinding (concurrent first calls may duplicate work but observe
 equal values).  The cache lives for the whole process: lengths 1..14 hold
 about 1.0M terms.
+
+Listing one level of the whole magma needs only its texts, which
+:func:`iter_level_texts` streams without building a :class:`Term` or
+touching the cache.  The text of ``(x+y)`` compares first by the text of
+``x`` and then by that of ``y``, because texts are prefix-free, so a level
+in descending text order is every ``x`` of the shorter levels in
+descending text order, each followed by every ``y`` of the matching
+length in descending text order.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapacityError, TermParseError
 
-# Enumeration sizes are Catalan.  Enumerating up to length 15 peaks near
-# 0.7 GB RSS, and length 16 (~9.7M terms) above 2 GB, so callers must opt
-# in explicitly to go past 15.
+# Enumeration sizes are Catalan.  Building the Term levels up to length 15
+# (enumerate_terms) peaks near 0.7 GB RSS, and length 16 (~9.7M terms)
+# above 2 GB.  Streaming the texts of one level (iter_level_texts, the
+# enumerate command) keeps only the shorter levels as strings: the command
+# peaks at 160 MB for length 15 and 470 MB for length 16.  Callers must opt
+# in explicitly to go past 15 either way.
 DEFAULT_ENUMERATION_CAP = 15
 
 _TEXT_TO_CODE = str.maketrans({"(": "1", "1": "0", "+": None, ")": None})
@@ -257,8 +269,7 @@ def grow_levels(
     list extends a copy of them.  Horizons past ``cap`` are refused before
     anything is built.
     """
-    if n_max > cap:
-        raise CapacityError(f"length {n_max} exceeds cap {cap}; pass a larger cap explicitly")
+    _check_cap(n_max, cap)
     out = list(levels)
     for k in range(len(out), n_max + 1):
         level = [sum_terms(x, y) for i in range(1, k) for x in out[i] for y in out[k - i]]
@@ -266,6 +277,11 @@ def grow_levels(
         level.sort(key=lambda t: t.text, reverse=True)
         out.append(tuple(level))
     return out
+
+
+def _check_cap(n: int, cap: int) -> None:
+    if n > cap:
+        raise CapacityError(f"length {n} exceeds cap {cap}; pass a larger cap explicitly")
 
 
 _levels: list[Level] = [()]
@@ -290,3 +306,30 @@ def iter_terms_up_to(n_max: int) -> Iterator[Term]:
     """Terms of length 1..n_max in (length, encoding) order."""
     for k in range(1, n_max + 1):
         yield from enumerate_terms(k)
+
+
+def iter_level_texts(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[str]:
+    """Texts of all terms of length exactly ``n``, in the order of
+    :func:`enumerate_terms`, built without any :class:`Term`.
+
+    Levels 1..n-1 are held as lists of strings and level ``n`` is streamed
+    from them; lengths past ``cap`` are refused before anything is built.
+    """
+    if n < 1:
+        raise ValueError(f"length must be >= 1, got {n}")
+    _check_cap(n, cap)
+    levels: list[list[str]] = [[], ["1"]]
+    for k in range(2, n):
+        levels.append(list(_sum_texts(levels, k)))
+    return _sum_texts(levels, n) if n > 1 else iter(levels[1])
+
+
+def _sum_texts(levels: Sequence[Sequence[str]], k: int) -> Iterator[str]:
+    """Texts of level ``k`` in descending order from levels 1..k-1, each in
+    descending order (see the module docstring).  A term of length L prints
+    4L-3 characters, which gives the length of ``x`` back from its text."""
+    return (
+        f"({x}+{y})"
+        for x in heapq.merge(*levels[1:k], reverse=True)
+        for y in levels[k - (len(x) + 3) // 4]
+    )

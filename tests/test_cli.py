@@ -2,11 +2,20 @@
 
 import json
 import os
+import stat
 import sys
 
 import pytest
 
-from freemagma import catalan_c, catalan_numbers, cli, terms, write_sequence_csv
+from freemagma import (
+    catalan_c,
+    catalan_numbers,
+    cli,
+    enumerate_terms,
+    format_term,
+    terms,
+    write_sequence_csv,
+)
 from freemagma.cli import main
 from freemagma.errors import ExactDivisionError
 from freemagma.sequences import unlimited_int_digits
@@ -52,12 +61,70 @@ class TestEnumerate:
         def no_sums(left, right):
             raise AssertionError("a term was built past the cap")
 
+        def no_texts(levels, k):
+            raise AssertionError("a text level was built past the cap")
+
         monkeypatch.setattr(terms, "sum_terms", no_sums)
+        monkeypatch.setattr(terms, "_sum_texts", no_texts)
         cached = len(terms._levels)
         code, _, err = run_cli(capsys, "enumerate", "--n", "16")
         assert code == 2
         assert "cap 15" in err
         assert len(terms._levels) == cached
+
+    @staticmethod
+    def term_output(n, fmt):
+        """The output as built from Term objects: enumerate_terms and format_term."""
+        level = enumerate_terms(n)
+        if fmt == "json":
+            payload = {"length": n, "count": len(level), "terms": [format_term(t) for t in level]}
+            text = json.dumps(payload, indent=2)
+        elif fmt == "csv":
+            rows = [f"{i},{format_term(t)}" for i, t in enumerate(level, start=1)]
+            text = "\n".join(["index,term"] + rows)
+        else:
+            text = "\n".join(format_term(t) for t in level)
+        return text + "\n"
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_streamed_bytes_equal_term_output(self, capsys, tmp_path, fmt):
+        out_file = tmp_path / "terms.out"
+        for n in range(1, 11):
+            expected = self.term_output(n, fmt)
+            code, out, _ = run_cli(capsys, "enumerate", "--n", str(n), "--format", fmt)
+            assert code == 0
+            assert out == expected, n
+            code, _, _ = run_cli(
+                capsys, "enumerate", "--n", str(n), "--format", fmt, "--out", str(out_file)
+            )
+            assert code == 0
+            assert out_file.read_bytes() == expected.encode(), n
+
+
+class TestFileMode:
+    @pytest.mark.parametrize("umask", [0o022, 0o027])
+    def test_outputs_follow_umask(self, capsys, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            runs = [
+                ("count", "--family", "full", "--n", "5", "--out", str(tmp_path / "c.csv")),
+                ("enumerate", "--n", "4", "--out", str(tmp_path / "e.txt")),
+                (
+                    "density", "--n", "shifted:1", "--m", "full", "--nmax", "50",
+                    "--precision", "6", "--out", str(tmp_path / "d"),
+                ),
+            ]
+            for argv in runs:
+                assert run_cli(capsys, *argv)[0] == 0
+        finally:
+            os.umask(previous)
+        written = [tmp_path / "c.csv", tmp_path / "e.txt"]
+        written += [
+            tmp_path / "d" / name
+            for name in ("density_trace.csv", "density_accelerated.csv", "density_report.json")
+        ]
+        for path in written:
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path.name
 
 
 class TestCount:

@@ -233,6 +233,14 @@ class TestMotzkin:
         assert shifted[3] == 6
         assert motzkin_numbers(4)[3] == 4
 
+    def test_matches_convolution(self):
+        # The O(n^2) convolution M_{n+1} = M_n + sum_k M_k M_{n-1-k}.
+        conv = [1]
+        for n in range(299):
+            conv.append(conv[n] + sum(conv[k] * conv[n - 1 - k] for k in range(n)))
+        for count in (0, 1, 2, 3, 300):
+            assert motzkin_numbers(count) == conv[:count]
+
     def test_identities_hold(self):
         report = catalan_motzkin_identities(60)
         assert report.passed

@@ -326,6 +326,42 @@ class TestBruteCount:
         for gens in ({TWO}, {TWO, THREE_PLUS}, {THREE_MINUS, THREE_PLUS}, {ONE, TWO}):
             assert brute_count(gens, 12) == counting_sequence(FiniteSet(gens), 12)
 
+    @staticmethod
+    def term_memo_count(gens, n_max):
+        """The membership memo keyed by Term, as the oracle once kept it."""
+        genset = frozenset(gens)
+        memo = {}
+        counts = []
+        for k in range(1, n_max + 1):
+            cnt = 0
+            for t in enumerate_terms(k):
+                if t.is_leaf:
+                    m = t in genset
+                else:
+                    m = t in genset or (memo[t.left] and memo[t.right])
+                memo[t] = m
+                cnt += m
+            counts.append(cnt)
+        return BigSeq(counts)
+
+    def test_matches_term_memo_on_oracle_sets(self):
+        # The 60 sets of the full-scope oracle: every single term, every pair
+        # and the first 15 triples of the terms of length <= 4.
+        pool = [t for k in range(1, 5) for t in enumerate_terms(k)]
+        sets = [{t} for t in pool] + [set(c) for c in combinations(pool, 2)]
+        sets += [set(c) for c in list(combinations(pool, 3))[:15]]
+        assert len(sets) == 60
+        for gens in sets:
+            assert brute_count(gens, 9) == self.term_memo_count(gens, 9), gens
+
+    def test_non_minimal_generators(self):
+        # One generator is a sum of the others, so it adds no member.
+        four = sum_terms(TWO, TWO)
+        for gens in ({TWO, four}, {ONE, TWO}):
+            assert brute_count(gens, 9) == self.term_memo_count(gens, 9)
+        assert brute_count({TWO, four}, 9) == brute_count({TWO}, 9)
+        assert brute_count({ONE, TWO}, 9) == catalan_c(9)
+
 
 class TestMinimalGeneratingUpTo:
     def test_finite_levels(self):

@@ -13,6 +13,7 @@ from freemagma import (
     encode,
     enumerate_terms,
     format_term,
+    iter_level_texts,
     iter_terms_up_to,
     leaf,
     left_comb,
@@ -273,3 +274,16 @@ class TestEnumeration:
             enumerate_terms(17)
         with pytest.raises(ValueError):
             enumerate_terms(0)
+
+
+class TestLevelTexts:
+    def test_matches_term_enumeration(self):
+        for n in range(1, 13):
+            assert list(iter_level_texts(n)) == [t.text for t in enumerate_terms(n)]
+
+    def test_cap_and_length_checked_before_building(self):
+        with pytest.raises(CapacityError, match="cap 15"):
+            iter_level_texts(16)
+        assert len(list(iter_level_texts(6, cap=6))) == 42
+        with pytest.raises(ValueError):
+            iter_level_texts(0)
