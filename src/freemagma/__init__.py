@@ -32,7 +32,6 @@ from .sequences import (
     catalan_c,
     catalan_motzkin_identities,
     catalan_numbers,
-    free_magma_counting,
     motzkin,
     motzkin_numbers,
     multinomial_count,

@@ -24,7 +24,10 @@ from .subgroupoids import GenFamily, counting_sequence, format_family
 STEPS = ("U", "D", "F")
 _DELTA = {"U": 1, "D": -1, "F": 0}
 
+# The length cap keeps counting and the depth-first listing cheap; the count
+# cap bounds the list itself, at about 120 bytes per path (1.2 GB here).
 ENUMERATION_LENGTH_CAP = 20
+ENUMERATION_COUNT_CAP = 10**7
 
 BigramLike = Union[tuple[str, str], str]
 
@@ -79,43 +82,50 @@ class PathSpec:
 def count_paths(spec: PathSpec) -> int:
     """Weighted number of paths satisfying the spec.
 
-    Dynamic programming over (height, last step); forbidden bigrams prune
-    transitions and color multiplicities scale weights.  With no
-    constraints and unit colors this is the Motzkin number M_length.
+    Dynamic programming over one row of weighted counts per last step,
+    indexed by height; the empty prefix is the row with no last step.  Each
+    step adds up the rows of the steps it may follow, shifts the sum by its
+    height change, keeps the heights from which the path can still get back
+    to 0, and scales by its color multiplicity.  With no constraints and
+    unit colors this is the Motzkin number M_length.
     """
     n = spec.length
-    if n == 0:
-        return 1
-    mult = {s: spec.multiplicity(s) for s in STEPS}
-    # state: (height, last step) -> weighted count
-    states: dict[tuple[int, str | None], int] = {(0, None): 1}
+    rows: dict[str | None, list[int]] = {None: [1]}
     for pos in range(n):
-        remaining_after = n - pos - 1
-        new_states: dict[tuple[int, str | None], int] = {}
-        for (h, last), w in states.items():
-            for step in STEPS:
-                if last is not None and (last, step) in spec.forbidden_bigrams:
-                    continue
-                nh = h + _DELTA[step]
-                if nh < 0 or nh > remaining_after:
-                    continue
-                key = (nh, step)
-                new_states[key] = new_states.get(key, 0) + w * mult[step]
-        states = new_states
-    return sum(w for (h, _), w in states.items() if h == 0)
+        # Heights above n - pos - 1 cannot return to 0; above pos + 1 they
+        # are out of reach.
+        width = min(pos + 1, n - pos - 1) + 1
+        new_rows = {}
+        for step in STEPS:
+            preds = [row for last, row in rows.items() if (last, step) not in spec.forbidden_bigrams]
+            total = list(map(sum, zip(*preds)))
+            delta = _DELTA[step]
+            row = ([0] + total if delta > 0 else total[1:] if delta < 0 else total)[:width]
+            row += [0] * (width - len(row))
+            m = spec.multiplicity(step)
+            new_rows[step] = [m * w for w in row] if m > 1 else row
+        rows = new_rows
+    return sum(row[0] for row in rows.values())
 
 
-def enumerate_paths(spec: PathSpec, cap: int = ENUMERATION_LENGTH_CAP) -> list[str]:
+def enumerate_paths(spec: PathSpec) -> list[str]:
     """Explicit listing of all (colored) paths of the spec.
 
     Steps with multiplicity m > 1 render with a color suffix digit, e.g.
     ``UF2DF1``; unit-multiplicity steps render bare.  The list length
     equals :func:`count_paths`.  Deterministic order: depth-first over
-    steps U, D, F with ascending colors.
+    steps U, D, F with ascending colors.  Lengths past
+    ``ENUMERATION_LENGTH_CAP`` and listings of more than
+    ``ENUMERATION_COUNT_CAP`` paths are refused before any path is built.
     """
     n = spec.length
-    if n > cap:
-        raise CapacityError(f"enumeration of length {n} exceeds cap {cap}")
+    if n > ENUMERATION_LENGTH_CAP:
+        raise CapacityError(f"enumeration of length {n} exceeds cap {ENUMERATION_LENGTH_CAP}")
+    count = count_paths(spec)
+    if count > ENUMERATION_COUNT_CAP:
+        raise CapacityError(
+            f"listing {count} paths exceeds the cap of {ENUMERATION_COUNT_CAP} paths"
+        )
     mult = {s: spec.multiplicity(s) for s in STEPS}
     out: list[str] = []
     track: list[str] = []

@@ -109,19 +109,6 @@ def catalan_c(n_max: int) -> BigSeq:
     return BigSeq(catalan_numbers(n_max))
 
 
-def free_magma_counting(n_max: int, alphabet_size: int = 1) -> BigSeq:
-    """Counting sequence of the free magma on ``alphabet_size`` generators:
-    entry n is C_{n-1} * alphabet_size^n.
-
-    Alphabets beyond one generator exist here only through this formula;
-    their terms are never materialized.
-    """
-    if alphabet_size < 1:
-        raise ValueError(f"alphabet size must be >= 1, got {alphabet_size}")
-    cats = catalan_c(n_max)
-    return BigSeq(cats[n] * alphabet_size**n for n in range(1, n_max + 1))
-
-
 def cat_transform(a: BigSeq) -> BigSeq:
     """Quadratic transform b_1 = a_1, b_n = a_n + sum_{i+j=n, 0<i,j<n} b_i b_j.
 
@@ -210,7 +197,14 @@ def sqrt_series_counting(p0: Sequence[int], p1: Sequence[int], n_max: int) -> Bi
 
 
 def _poly_mul(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
-    return _series_mul(xs, ys, len(xs) + len(ys) - 2)
+    """Product of dense coefficient vectors (index = power)."""
+    out = [0] * (len(xs) + len(ys) - 1)
+    for i, xi in enumerate(xs):
+        if xi:
+            for j, yj in enumerate(ys):
+                if yj:
+                    out[i + j] += xi * yj
+    return out
 
 
 def _poly_sub(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
@@ -266,26 +260,9 @@ def motzkin(n_max: int) -> BigSeq:
 
 
 # The second binomial identity is printed in the literature with the Catalan
-# index off by two; the exact-table scan below pins the offset that actually
-# holds: C_{n+1} = sum_k binom(n, k) M_k.
+# index off by two; the offset that actually holds, C_{n+1} = sum_k
+# binom(n, k) M_k, is checked entry by entry in catalan_motzkin_identities.
 MOTZKIN_TO_CATALAN_OFFSET = 1
-
-
-def catalan_motzkin_offset_scan(n_max: int, offsets: Iterable[int] = (-1, 0, 1)) -> list[int]:
-    """Offsets o for which C_{n+o} = sum_{k<=n} binom(n,k) M_k holds for all
-    valid n <= n_max."""
-    cats = catalan_numbers(n_max + 2)
-    mots = motzkin_numbers(n_max + 1)
-    good = []
-    for o in offsets:
-        ok = True
-        for n in range(max(0, -o), n_max + 1):
-            if sum(comb(n, k) * mots[k] for k in range(n + 1)) != cats[n + o]:
-                ok = False
-                break
-        if ok:
-            good.append(o)
-    return good
 
 
 def catalan_motzkin_identities(n_max: int) -> CheckReport:
@@ -369,19 +346,6 @@ def multinomial_count(alphas: Sequence[int], n: int) -> int:
     return total
 
 
-def _series_mul(xs: Sequence[int], ys: Sequence[int], order: int) -> list[int]:
-    """Truncated product of dense coefficient vectors (index = power)."""
-    out = [0] * (order + 1)
-    for i, xi in enumerate(xs[: order + 1]):
-        if xi == 0:
-            continue
-        for j in range(min(len(ys), order + 1 - i)):
-            yj = ys[j]
-            if yj:
-                out[i + j] += xi * yj
-    return out
-
-
 def series_identity_check(a: BigSeq, order: int = 64) -> CheckReport:
     """Verify Psi = Psi^2 + Phi coefficient-wise, where Phi is the ordinary
     generating function of ``a`` (constant term 0) and Psi that of its
@@ -393,7 +357,7 @@ def series_identity_check(a: BigSeq, order: int = 64) -> CheckReport:
     eff = min(order, len(a))
     phi = [0] + list(a.entries[:eff])
     psi = [0] + list(cat_transform(a.prefix(eff)).entries)
-    psi_sq = _series_mul(psi, psi, eff)
+    psi_sq = _poly_mul(psi, psi)[: eff + 1]
     for n in range(eff + 1):
         if psi[n] != psi_sq[n] + phi[n]:
             return CheckReport(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Union
 
-from .errors import CapacityError, UnsupportedVariantError
+from .errors import UnsupportedVariantError
 from .sequences import (
     BigSeq,
     cat_transform,
@@ -31,12 +31,13 @@ from .sequences import (
 from .terms import (
     DEFAULT_ENUMERATION_CAP,
     Term,
-    enumerate_terms,
+    _check_cap,
     format_term,
     grow_levels,
     leaf,
     parse_term,
     sum_terms,
+    whole_levels,
 )
 
 
@@ -155,29 +156,45 @@ def contains(gens: Iterable[Term], t: Term) -> bool:
 
 
 def brute_count(gens: Iterable[Term], n_max: int) -> BigSeq:
-    """Ground-truth counting oracle: enumerate every term of each length
-    and count the members of <gens>.
+    """Ground-truth counting oracle: look at every term of each length and
+    count the members of <gens>.
 
-    Deliberately independent of the transform-based counting path.  One set
-    of member texts serves the whole enumeration: a term is a member iff its
-    text is a generator's or both root children are members, and shorter
-    terms are decided first.
+    Deliberately independent of the transform-based counting path, and it
+    builds no term.  Level k is listed implicitly as the pairs (x, y) with
+    |x| + |y| = k, ordered by |x|, then by the rank of x, then by the rank of
+    y; the oracle keeps one membership flag per term at that rank.  The sum
+    x+y is a member iff both x and y are, and a generator's flag is set at
+    its rank (:func:`_rank`).
     """
+    _check_cap(n_max, DEFAULT_ENUMERATION_CAP)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    gentexts = {g.text for g in gens}
-    members: set[str] = set()
-    counts = []
+    size = [0] + catalan_numbers(n_max)
+    ranks: dict[int, list[int]] = {}
+    for g in gens:
+        if g.length <= n_max:
+            ranks.setdefault(g.length, []).append(_rank(g, size))
+    member: list[list[bool]] = [[]]
     for k in range(1, n_max + 1):
-        cnt = 0
-        for t in enumerate_terms(k):
-            if t.text in gentexts or (
-                t.left is not None and t.left.text in members and t.right.text in members
-            ):
-                members.add(t.text)
-                cnt += 1
-        counts.append(cnt)
-    return BigSeq(counts)
+        # Level 1 has no pairs: its one term is the leaf.
+        flags = [a and b for i in range(1, k) for a in member[i] for b in member[k - i]] or [False]
+        for r in ranks.get(k, ()):
+            flags[r] = True
+        member.append(flags)
+    return BigSeq(sum(flags) for flags in member[1:])
+
+
+def _rank(t: Term, size: list[int]) -> int:
+    """Position of ``t`` in the pair order of :func:`brute_count`, where
+    ``size[k]`` is the number of terms of length k.  Recurses once per
+    level of ``t``, so at most ``t.length`` deep."""
+    if t.left is None:
+        return 0
+    x, y = t.left, t.right
+    assert y is not None
+    k = t.length
+    before = sum(size[i] * size[k - i] for i in range(1, x.length))
+    return before + _rank(x, size) * size[y.length] + _rank(y, size)
 
 
 # ---------------------------------------------------------------------------
@@ -192,22 +209,23 @@ def family_levels(family: GenFamily, n_max: int) -> Levels:
         return closure_up_to(family.terms, n_max)
     if isinstance(family, ShiftedFull):
         # M+a is its own minimal generating set, so it seeds the level DP.
+        # The horizon is checked before the whole magma below it is built.
+        _check_cap(n_max, DEFAULT_ENUMERATION_CAP)
         a = family.a
+        whole = whole_levels(n_max - a.length)
 
         def seeds(k: int) -> list[Term]:
             if k <= a.length:
                 return []
-            return [sum_terms(y, a) for y in enumerate_terms(k - a.length)]
+            return [sum_terms(y, a) for y in whole[k - a.length]]
 
         return tuple(map(frozenset, grow_levels(seeds, n_max, DEFAULT_ENUMERATION_CAP)))
     if isinstance(family, Longitudinal):
-        if n_max > DEFAULT_ENUMERATION_CAP:
-            raise CapacityError(f"horizon {n_max} exceeds cap {DEFAULT_ENUMERATION_CAP}")
+        whole = whole_levels(n_max)
         reachable = _reachable_lengths(family.lengths, n_max)
         empty: frozenset[Term] = frozenset()
         return tuple(
-            frozenset(enumerate_terms(k)) if k >= 1 and reachable[k] else empty
-            for k in range(n_max + 1)
+            frozenset(level) if reachable[k] else empty for k, level in enumerate(whole)
         )
     raise UnsupportedVariantError(
         f"{type(family).__name__} has no term-level representation"

@@ -19,20 +19,17 @@ descending, and no code needs to be kept.
 
 Every term-level construction (the whole magma, closures of generator
 sets, the shifted family M+a) runs through one level DP,
-:func:`grow_levels`.  All operations are pure; the only shared state is the
-enumeration cache of the whole magma, a list of immutable sorted level
-tuples that is never mutated, only replaced by a longer one with a single
-global rebinding (concurrent first calls may duplicate work but observe
-equal values).  The cache lives for the whole process: lengths 1..14 hold
-about 1.0M terms.
+:func:`grow_levels`.  All operations are pure and the module keeps no
+state: each call builds the levels it needs and drops them with its
+result, so a caller that needs several lengths of the whole magma takes
+them from one :func:`whole_levels` call.
 
 Listing one level of the whole magma needs only its texts, which
-:func:`iter_level_texts` streams without building a :class:`Term` or
-touching the cache.  The text of ``(x+y)`` compares first by the text of
-``x`` and then by that of ``y``, because texts are prefix-free, so a level
-in descending text order is every ``x`` of the shorter levels in
-descending text order, each followed by every ``y`` of the matching
-length in descending text order.
+:func:`iter_level_texts` streams without building a :class:`Term`.  The
+text of ``(x+y)`` compares first by the text of ``x`` and then by that of
+``y``, because texts are prefix-free, so a level in descending text order
+is every ``x`` of the shorter levels in descending text order, each
+followed by every ``y`` of the matching length in descending text order.
 """
 
 from __future__ import annotations
@@ -257,21 +254,18 @@ def grow_levels(
     seeds: Callable[[int], Iterable[Term]],
     n_max: int,
     cap: int,
-    levels: Sequence[Level] = ((),),
 ) -> list[Level]:
     """The level DP: slices 0..n_max of the subgroupoid generated by ``seeds``.
 
     Level k is ``seeds(k)`` together with every sum x+y of members whose
-    lengths add up to k, sorted by encoding.  ``seeds`` must describe a
-    minimal generating set: then no seed is such a sum, and a sum splits
-    uniquely at its root, so no term is built twice.  Levels already in
-    ``levels`` (entry 0 is the empty level) are reused, and the returned
-    list extends a copy of them.  Horizons past ``cap`` are refused before
-    anything is built.
+    lengths add up to k, sorted by encoding; entry 0 is the empty level.
+    ``seeds`` must describe a minimal generating set: then no seed is such a
+    sum, and a sum splits uniquely at its root, so no term is built twice.
+    Horizons past ``cap`` are refused before anything is built.
     """
     _check_cap(n_max, cap)
-    out = list(levels)
-    for k in range(len(out), n_max + 1):
+    out: list[Level] = [()]
+    for k in range(1, n_max + 1):
         level = [sum_terms(x, y) for i in range(1, k) for x in out[i] for y in out[k - i]]
         level.extend(seeds(k))
         level.sort(key=lambda t: t.text, reverse=True)
@@ -284,28 +278,28 @@ def _check_cap(n: int, cap: int) -> None:
         raise CapacityError(f"length {n} exceeds cap {cap}; pass a larger cap explicitly")
 
 
-_levels: list[Level] = [()]
+def whole_levels(n_max: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Level]:
+    """Levels 0..n_max of the whole magma: :func:`grow_levels` seeded with
+    the leaf.  Entry k holds the C_{k-1} terms of length k."""
+    return grow_levels(lambda k: (_LEAF,) if k == 1 else (), n_max, cap)
 
 
 def enumerate_terms(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Level:
     """All terms of length exactly ``n``, sorted by canonical encoding.
 
     The list has Catalan size C_{n-1}; lengths past ``cap`` are refused.
-    Results are cached per length, so repeated calls share term objects.
+    Each call builds levels 1..n afresh; a caller that needs several
+    lengths should take them from one :func:`whole_levels` call.
     """
-    global _levels
     if n < 1:
         raise ValueError(f"length must be >= 1, got {n}")
-    levels = grow_levels(lambda k: (_LEAF,) if k == 1 else (), n, cap, _levels)
-    if len(levels) > len(_levels):
-        _levels = levels
-    return levels[n]
+    return whole_levels(n, cap)[n]
 
 
 def iter_terms_up_to(n_max: int) -> Iterator[Term]:
     """Terms of length 1..n_max in (length, encoding) order."""
-    for k in range(1, n_max + 1):
-        yield from enumerate_terms(k)
+    for level in whole_levels(n_max):
+        yield from level
 
 
 def iter_level_texts(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[str]:

@@ -66,11 +66,9 @@ class TestEnumerate:
 
         monkeypatch.setattr(terms, "sum_terms", no_sums)
         monkeypatch.setattr(terms, "_sum_texts", no_texts)
-        cached = len(terms._levels)
         code, _, err = run_cli(capsys, "enumerate", "--n", "16")
         assert code == 2
         assert "cap 15" in err
-        assert len(terms._levels) == cached
 
     @staticmethod
     def term_output(n, fmt):
@@ -332,6 +330,15 @@ class TestMotzkin:
     def test_bad_bigram(self, capsys):
         code, _, err = run_cli(capsys, "motzkin", "--length", "4", "--forbid", "XY")
         assert code == 2
+
+    def test_listing_past_count_cap_is_usage_error(self, capsys):
+        # 9^12 * M_12 colored paths: refused from the count, before listing.
+        code, out, err = run_cli(
+            capsys, "motzkin", "--length", "12", "--colors", "U=9,D=9,F=9", "--list"
+        )
+        assert code == 2
+        assert out == ""
+        assert "exceeds the cap of 10000000 paths" in err
 
 
 class TestVerify:

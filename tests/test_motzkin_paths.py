@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from freemagma import motzkin_paths
 from freemagma import (
     CapacityError,
     FiniteSet,
@@ -25,6 +26,31 @@ def motzkin_via_binomials(n):
     # Independent oracle: M_n = sum_k binom(n, 2k) C_k.
     cats = catalan_numbers(n // 2 + 1)
     return sum(math.comb(n, 2 * k) * cats[k] for k in range(n // 2 + 1))
+
+
+def dict_count_paths(spec):
+    """Reference DP over (height, last step) -> weighted count, as
+    count_paths once ran it."""
+    n = spec.length
+    if n == 0:
+        return 1
+    mult = {s: spec.multiplicity(s) for s in "UDF"}
+    delta = {"U": 1, "D": -1, "F": 0}
+    states = {(0, None): 1}
+    for pos in range(n):
+        remaining_after = n - pos - 1
+        new_states = {}
+        for (h, last), w in states.items():
+            for step in "UDF":
+                if last is not None and (last, step) in spec.forbidden_bigrams:
+                    continue
+                nh = h + delta[step]
+                if nh < 0 or nh > remaining_after:
+                    continue
+                key = (nh, step)
+                new_states[key] = new_states.get(key, 0) + w * mult[step]
+        states = new_states
+    return sum(w for (h, _), w in states.items() if h == 0)
 
 
 def replay_heights(path):
@@ -55,6 +81,24 @@ class TestCountPaths:
     @pytest.mark.parametrize("n", range(26))
     def test_plain_counts_are_motzkin(self, n):
         assert count_paths(PathSpec(n)) == motzkin_via_binomials(n)
+
+    @pytest.mark.parametrize(
+        "forbid, colors",
+        [
+            ((), {}),
+            (PRUNED, {}),
+            (PRUNED, {"F": 2}),
+            (("UU", "DU"), {"U": 2, "D": 3}),
+        ],
+    )
+    def test_matches_dict_dp(self, forbid, colors):
+        for n in range(61):
+            spec = PathSpec(n, forbidden_bigrams=forbid, color_multiplicity=colors)
+            assert count_paths(spec) == dict_count_paths(spec), n
+
+    def test_matches_dict_dp_at_length_1000(self):
+        spec = PathSpec(1000, forbidden_bigrams=PRUNED, color_multiplicity={"F": 2})
+        assert count_paths(spec) == dict_count_paths(spec)
 
     def test_bicolored_flats_length_two(self):
         # FF in four colorings plus UD.
@@ -103,6 +147,12 @@ class TestEnumeratePaths:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             enumerate_paths(PathSpec(21))
+
+    def test_count_cap_checked_before_listing(self, monkeypatch):
+        monkeypatch.setattr(motzkin_paths, "ENUMERATION_COUNT_CAP", 100)
+        with pytest.raises(CapacityError, match="2188 paths exceeds the cap of 100"):
+            enumerate_paths(PathSpec(10))
+        assert len(enumerate_paths(PathSpec(6))) == 51
 
 
 class TestPathSpecValidation:

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freemagma import subgroupoids
+from freemagma import subgroupoids, terms
 from freemagma import (
     BigSeq,
     CapacityError,
@@ -82,6 +82,17 @@ class TestClosure:
     def test_cap(self):
         with pytest.raises(CapacityError):
             closure_up_to({TWO}, 17)
+
+    @pytest.mark.parametrize("family", [ShiftedFull(ONE), Longitudinal({2})], ids=repr)
+    def test_family_cap_checked_before_building(self, family, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("levels were built past the cap")
+
+        monkeypatch.setattr(terms, "sum_terms", refuse)
+        monkeypatch.setattr(subgroupoids, "sum_terms", refuse)
+        monkeypatch.setattr(subgroupoids, "_reachable_lengths", refuse)
+        with pytest.raises(CapacityError, match="cap 15"):
+            family_levels(family, 16)
 
 
 class TestContains:
@@ -353,6 +364,34 @@ class TestBruteCount:
         assert len(sets) == 60
         for gens in sets:
             assert brute_count(gens, 9) == self.term_memo_count(gens, 9), gens
+
+    def test_rank_is_a_bijection_on_each_level(self):
+        size = [0] + catalan_numbers(9)
+        for k in range(1, 10):
+            ranks = sorted(subgroupoids._rank(t, size) for t in enumerate_terms(k))
+            assert ranks == list(range(size[k])), k
+
+    def test_builds_no_term(self, monkeypatch):
+        gens = {TWO, THREE_PLUS}
+        expected = counting_sequence(FiniteSet(gens), 12)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle built a term level")
+
+        monkeypatch.setattr(subgroupoids, "grow_levels", refuse)
+        monkeypatch.setattr(subgroupoids, "whole_levels", refuse)
+        monkeypatch.setattr(terms, "grow_levels", refuse)
+        monkeypatch.setattr(terms, "enumerate_terms", refuse)
+        monkeypatch.setattr(terms.Term, "__init__", refuse)
+        assert brute_count(gens, 12) == expected
+
+    def test_cap_checked_before_building(self, monkeypatch):
+        def refuse(count):
+            raise AssertionError("the oracle sized its levels past the cap")
+
+        monkeypatch.setattr(subgroupoids, "catalan_numbers", refuse)
+        with pytest.raises(CapacityError, match="cap 15"):
+            brute_count({TWO}, 16)
 
     def test_non_minimal_generators(self):
         # One generator is a sum of the others, so it adds no member.
