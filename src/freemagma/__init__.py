@@ -51,6 +51,7 @@ from .subgroupoids import (
     closure_up_to,
     contains,
     counting_sequence,
+    counting_texts,
     family_levels,
     format_family,
     generator_counting_sequence,

@@ -33,7 +33,7 @@ from .sequences import (
     read_sequence_csv,
     unlimited_int_digits,
 )
-from .subgroupoids import counting_sequence, longitudinal_counting, parse_family, semigroup_info
+from .subgroupoids import Longitudinal, counting_texts, parse_family, semigroup_info
 from .terms import DEFAULT_ENUMERATION_CAP, iter_level_texts
 from .verify import verify_all
 
@@ -60,15 +60,16 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
         _write_lines(sys.stdout, text)
 
 
-def _sequence_text(seq: BigSeq, fmt: str, meta: dict) -> str:
-    with unlimited_int_digits():
-        if fmt == "csv":
-            return _csv_text(enumerate(seq, start=1))
-        if fmt == "json":
-            payload = dict(meta)
-            payload["values"] = {str(n): str(v) for n, v in enumerate(seq, start=1)}
-            return json.dumps(payload, indent=2)
-        return "\n".join(f"n={n} {v}" for n, v in enumerate(seq, start=1))
+def _sequence_text(texts: Iterable[str], fmt: str, meta: dict) -> str:
+    """One sequence, given as the decimal texts of its entries 1, 2, ..."""
+    rows = enumerate(texts, start=1)
+    if fmt == "csv":
+        return _csv_text(rows)
+    if fmt == "json":
+        payload = dict(meta)
+        payload["values"] = {str(n): v for n, v in rows}
+        return json.dumps(payload, indent=2)
+    return "\n".join(f"n={n} {v}" for n, v in rows)
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -89,8 +90,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     family = parse_family(args.family)
-    seq = counting_sequence(family, args.n)
-    text = _sequence_text(seq, args.format, {"family": args.family, "n_max": args.n})
+    texts = counting_texts(family, args.n)
+    text = _sequence_text(texts, args.format, {"family": args.family, "n_max": args.n})
     _emit(text, args.out)
     return EXIT_OK
 
@@ -104,7 +105,9 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     if args.n:
         seq = seq.padded(args.n)
     out = cat_transform(seq)
-    text = _sequence_text(out, args.format, {"n_max": len(out)})
+    with unlimited_int_digits():
+        texts = [str(v) for v in out]
+    text = _sequence_text(texts, args.format, {"n_max": len(out)})
     _emit(text, args.out)
     return EXIT_OK
 
@@ -158,9 +161,8 @@ def _cmd_longitudinal(args: argparse.Namespace) -> int:
         "per_residue": [str(v) for v in asym.per_residue],
     }
     if args.nmax:
-        counting = longitudinal_counting(lengths, args.nmax)
-        with unlimited_int_digits():
-            payload["counting"] = {str(n): str(v) for n, v in enumerate(counting, start=1)}
+        texts = counting_texts(Longitudinal(lengths), args.nmax)
+        payload["counting"] = {str(n): v for n, v in enumerate(texts, start=1)}
     if args.format == "plain":
         lines = [
             f"lengths: {lengths}",

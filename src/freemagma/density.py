@@ -34,6 +34,7 @@ from .subgroupoids import (
 from .terms import Term, product
 
 DEFAULT_DECIMAL_DIGITS = 30
+LOG10_2 = math.log10(2)
 
 
 def growth(a: BigSeq) -> BigSeq:
@@ -64,15 +65,51 @@ def ratio_trace(
     """
     samples: list[tuple[int, Decimal]] = []
     skipped: list[int] = []
-    with localcontext() as ctx:
-        ctx.prec = precision
-        ctx.rounding = ROUND_HALF_EVEN
-        for n, gn, gm in zip(range(1, len(numer) + 1), accumulate(numer), accumulate(denom)):
-            if gm == 0:
-                skipped.append(n)
-                continue
-            samples.append((n, Decimal(gn) / Decimal(gm)))
+    for n, gn, gm in zip(range(1, len(numer) + 1), accumulate(numer), accumulate(denom)):
+        if gm == 0:
+            skipped.append(n)
+            continue
+        samples.append((n, _rounded_quotient(gn, gm, precision)))
     return RatioTrace(tuple(samples), tuple(skipped))
+
+
+def _rounded_quotient(num: int, den: int, precision: int) -> Decimal:
+    """``Decimal(num) / Decimal(den)`` at ``precision`` digits, half-even,
+    from one integer divmod: ``Decimal(int)`` is quadratic in the digit
+    count, the divmod is linear when the quotient is short.
+
+    The quotient is scaled to exactly ``precision`` digits and rounded; an
+    exact quotient takes the exponent closest to the ideal exponent 0, as
+    Decimal division does.
+    """
+    sign = "-" if (num < 0) != (den < 0) else ""
+    if num == 0:
+        return Decimal(f"{sign}0")
+    num, den = abs(num), abs(den)
+    top = 10**precision
+    # floor(log10(num/den)), estimated from bit lengths and corrected below.
+    magnitude = math.floor((num.bit_length() - den.bit_length()) * LOG10_2)
+    while True:
+        exp = magnitude - precision + 1
+        scaled_num = num * 10**-exp if exp < 0 else num
+        scaled_den = den * 10**exp if exp > 0 else den
+        q, r = divmod(scaled_num, scaled_den)
+        if q >= top:
+            magnitude += 1
+        elif q < top // 10:
+            magnitude -= 1
+        else:
+            break
+    if r:
+        twice = 2 * r
+        if twice > scaled_den or (twice == scaled_den and q % 2):
+            q += 1
+            if q == top:
+                q, exp = q // 10, exp + 1
+    else:
+        while exp < 0 and q % 10 == 0:
+            q, exp = q // 10, exp + 1
+    return Decimal(f"{sign}{q}E{exp}")
 
 
 def aitken(xs: Sequence[Decimal], precision: int = DEFAULT_DECIMAL_DIGITS) -> list[Decimal | None]:

@@ -18,6 +18,17 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    Inexact,
+    InvalidOperation,
+    Rounded,
+)
 from fractions import Fraction
 from itertools import chain, islice
 from math import comb, factorial, prod
@@ -28,6 +39,17 @@ from .errors import ExactDivisionError
 from .reporting import CheckReport
 
 Rational = Union[int, Fraction]
+
+# Exact decimal arithmetic for counts that are printed: no precision limit,
+# and any rounding, invalid operation or division by zero raises.  Python's
+# int->str conversion is quadratic in the digit count, str(Decimal) is linear,
+# so a recurrence run on Decimal values yields its texts without conversion.
+EXACT_DECIMAL = Context(
+    prec=MAX_PREC,
+    Emax=MAX_EMAX,
+    Emin=MIN_EMIN,
+    traps=[Inexact, Rounded, InvalidOperation, DivisionByZero],
+)
 
 
 class BigSeq:
@@ -83,20 +105,25 @@ class BigSeq:
 
 
 def _exact_div(num: int, den: int) -> int:
+    """num / den for an int or (under EXACT_DECIMAL) integral Decimal ``num``."""
     q, r = divmod(num, den)
     if r:
         # The numerator may be past the int->str digit limit; report its size.
-        raise ExactDivisionError(
-            f"a {num.bit_length()}-bit integer is not divisible by {den} (remainder {r})"
-        )
+        if isinstance(num, Decimal):
+            size = f"{num.adjusted() + 1}-digit decimal"
+        else:
+            size = f"{num.bit_length()}-bit integer"
+        raise ExactDivisionError(f"a {size} is not divisible by {den} (remainder {r})")
     return q
 
 
-def catalan_numbers(count: int) -> list[int]:
-    """[C_0, C_1, ..., C_{count-1}] via the exact ratio recurrence."""
+def catalan_numbers(count: int, one: int = 1) -> list[int]:
+    """[C_0, C_1, ..., C_{count-1}] via the exact ratio recurrence, started
+    from ``one`` (``Decimal(1)`` under EXACT_DECIMAL gives the values in
+    base 10)."""
     if count <= 0:
         return []
-    out = [1]
+    out = [one]
     for n in range(count - 1):
         out.append(_exact_div(out[-1] * 2 * (2 * n + 1), n + 2))
     return out
@@ -158,6 +185,12 @@ def sqrt_series_counting(p0: Sequence[int], p1: Sequence[int], n_max: int) -> Bi
     small-by-bigint products and one exact division per step.  T is only
     carried when p1 != 0.
     """
+    return BigSeq(_sqrt_series(p0, p1, n_max))
+
+
+def _sqrt_series(p0: Sequence[int], p1: Sequence[int], n_max: int, one: int = 1) -> list[int]:
+    """The values of :func:`sqrt_series_counting`, with Q and T started from
+    ``one``; ``Decimal(1)`` under EXACT_DECIMAL runs the same steps in base 10."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     p0, p1 = list(p0) or [0], list(p1) or [0]
@@ -178,8 +211,8 @@ def sqrt_series_counting(p0: Sequence[int], p1: Sequence[int], n_max: int) -> Bi
     t_from_q = _recurrence_terms(_poly_mul(v, w), [0])
     t_from_t = _recurrence_terms(_poly_sub(uw, [4 * c for c in norm]), d)
     with_t = any(p1)
-    q = [1] + [0] * n_max
-    t = [1] + [0] * n_max if with_t else []
+    q = [one] + [0] * n_max
+    t = [one] + [0] * n_max if with_t else []
     for n in range(1, n_max + 1):
         acc = _recurrence_step(q_from_q, q, n)
         if with_t:
@@ -193,7 +226,7 @@ def sqrt_series_counting(p0: Sequence[int], p1: Sequence[int], n_max: int) -> Bi
     del t
     for n in range(1, n_max + 1):
         q[n] = _exact_div(-q[n], 2)
-    return BigSeq(q[1:])
+    return q[1:]
 
 
 def _poly_mul(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
@@ -441,17 +474,22 @@ def unlimited_int_digits() -> Iterator[None]:
 
 # Pieces of a streamed text joined into one write.
 _PIECES_PER_WRITE = 1 << 16
+# Characters of one string per write: the text layer encodes each write into
+# a bytes copy, which then stays this small next to a long text.
+_CHARS_PER_WRITE = 1 << 20
 
 
 def _write_lines(fh: TextIO, text: str | Iterable[str]) -> None:
     """Write ``text`` newline-terminated, without copying it to append one.
 
-    ``text`` is one string, written in one call, or an iterable of string
-    pieces, joined and written ``_PIECES_PER_WRITE`` at a time so that a
-    long stream is never held whole.
+    ``text`` is one string, written ``_CHARS_PER_WRITE`` characters at a
+    time, or an iterable of string pieces, joined and written
+    ``_PIECES_PER_WRITE`` at a time so that a long stream is never held
+    whole.
     """
     if isinstance(text, str):
-        fh.write(text)
+        for start in range(0, len(text), _CHARS_PER_WRITE):
+            fh.write(text[start : start + _CHARS_PER_WRITE])
         end = text[-1:]
     else:
         pieces = iter(text)

@@ -15,17 +15,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import UnsupportedVariantError
 from .sequences import (
+    EXACT_DECIMAL,
     BigSeq,
+    _sqrt_series,
     cat_transform,
-    catalan_c,
     catalan_numbers,
     read_sequence_csv,
-    sqrt_series_counting,
     unlimited_int_digits,
 )
 from .terms import (
@@ -298,28 +299,53 @@ def generator_counting_sequence(family: GenFamily, n_max: int) -> BigSeq:
 
 
 def counting_sequence(family: GenFamily, n_max: int) -> BigSeq:
-    """|N|_n for the subgroupoid N generated by ``family``.
+    """|N|_n for the subgroupoid N generated by ``family``."""
+    return BigSeq(_counts(family, n_max, 1))
 
-    The one place that decides how a family is counted.  Psi = Psi^2 + Phi
-    gives Q = 1 - 2*Psi = sqrt(1 - 4*Phi), which is algebraic for finite and
-    shifted families, so those run the linear-time recurrence of
-    :func:`sqrt_series_counting`.  Longitudinal families have a closed form;
-    an explicit generator sequence goes through the schoolbook
-    :func:`cat_transform`.
+
+def counting_texts(family: GenFamily, n_max: int) -> Iterator[str]:
+    """The decimal texts of :func:`counting_sequence`, without converting a
+    binary integer to decimal: the recurrences run on ``Decimal`` values
+    under EXACT_DECIMAL, whose ``str`` is linear in the digit count.  An
+    explicit generator sequence keeps the int schoolbook transform."""
+    if isinstance(family, ExplicitSeq):
+        with unlimited_int_digits():
+            return iter([str(v) for v in counting_sequence(family, n_max)])
+    with localcontext(EXACT_DECIMAL):
+        values = _counts(family, n_max, Decimal(1))
+    return _drain_texts(values)
+
+
+def _drain_texts(values: list) -> Iterator[str]:
+    """The texts of ``values`` in order, each value dropped once printed."""
+    values.reverse()
+    while values:
+        yield str(values.pop())
+
+
+def _counts(family: GenFamily, n_max: int, one: int) -> list[int]:
+    """The one place that decides how a family is counted, with every
+    recurrence started from ``one`` (int or Decimal).
+
+    Psi = Psi^2 + Phi gives Q = 1 - 2*Psi = sqrt(1 - 4*Phi), which is
+    algebraic for finite and shifted families, so those run the linear-time
+    recurrence of :func:`sqrt_series_counting`.  Longitudinal families have
+    a closed form; an explicit generator sequence goes through the
+    schoolbook :func:`cat_transform`, in ints.
     """
     if isinstance(family, Longitudinal):
-        return longitudinal_counting(family.lengths, n_max)
+        return _longitudinal_counts(family, n_max, one)
     if isinstance(family, ShiftedFull):
         # Phi = x^k * (1 - S)/2, so 1 - 4*Phi = (1 - 2x^k) + 2x^k * S.
         k = family.a.length
-        return sqrt_series_counting([1] + [0] * (k - 1) + [-2], [0] * k + [2], n_max)
+        return _sqrt_series([1] + [0] * (k - 1) + [-2], [0] * k + [2], n_max, one)
     hist = generator_counting_sequence(family, n_max)
     if isinstance(family, ExplicitSeq):
-        return cat_transform(hist)
+        return list(cat_transform(hist))
     if hist[1] == 1:
         # The leaf generates the whole magma.
-        return catalan_c(n_max)
-    return sqrt_series_counting([1] + [-4 * c for c in hist], [0], n_max)
+        return catalan_numbers(n_max, one)
+    return _sqrt_series([1] + [-4 * c for c in hist], [0], n_max, one)
 
 
 def _reachable_lengths(lengths: Iterable[int], n_max: int) -> list[bool]:
@@ -335,12 +361,15 @@ def _reachable_lengths(lengths: Iterable[int], n_max: int) -> list[bool]:
 def longitudinal_counting(lengths: Iterable[int], n_max: int) -> BigSeq:
     """Counting sequence of the longitudinal subgroupoid: the full Catalan
     count at lengths inside the subsemigroup, zero elsewhere."""
-    fam = Longitudinal(lengths)
+    return BigSeq(_longitudinal_counts(Longitudinal(lengths), n_max, 1))
+
+
+def _longitudinal_counts(family: Longitudinal, n_max: int, one: int) -> list[int]:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    reach = _reachable_lengths(fam.lengths, n_max)
-    cats = catalan_numbers(n_max)
-    return BigSeq(cats[n - 1] if reach[n] else 0 for n in range(1, n_max + 1))
+    reach = _reachable_lengths(family.lengths, n_max)
+    cats = catalan_numbers(n_max, one)
+    return [cats[n - 1] if reach[n] else 0 for n in range(1, n_max + 1)]
 
 
 def semigroup_info(lengths: Iterable[int]) -> NumericalSemigroupInfo:

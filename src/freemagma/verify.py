@@ -37,15 +37,19 @@ from .sequences import (
     motzkin_numbers,
     multinomial_count,
     series_identity_check,
+    unlimited_int_digits,
 )
 from .subgroupoids import (
     FiniteSet,
+    GenFamily,
     Longitudinal,
     ShiftedFull,
     brute_count,
     counting_sequence,
+    counting_texts,
     format_family,
     generator_counting_sequence,
+    longitudinal_counting,
     minimal_generating_up_to,
     semigroup_info,
 )
@@ -234,24 +238,47 @@ def check_oracle_equivalence(scope: str) -> CheckReport:
 
 def check_recurrence_vs_schoolbook(scope: str) -> CheckReport:
     horizon = 300 if scope == "fast" else 1000
-    families = [ShiftedFull(_shift_term(k)) for k in (1, 2, 3)]
+    families: list[GenFamily] = [ShiftedFull(_shift_term(k)) for k in (1, 2, 3)]
     families.append(FiniteSet({_two(), left_comb(3), right_comb(3)}))
+    families += [Longitudinal({2, 3}), FiniteSet({leaf()})]
     for family in families:
+        schoolbook = cat_transform(_generator_counts(family, horizon))
         fast = counting_sequence(family, horizon)
-        schoolbook = cat_transform(generator_counting_sequence(family, horizon))
-        if fast != schoolbook:
-            first = next(n for n in range(1, horizon + 1) if fast[n] != schoolbook[n])
+        texts = list(counting_texts(family, horizon))
+        with unlimited_int_digits():
+            expected = [str(v) for v in schoolbook]
+        first = next(
+            (
+                n
+                for n in range(1, horizon + 1)
+                if fast[n] != schoolbook[n] or texts[n - 1] != expected[n - 1]
+            ),
+            None,
+        )
+        if first is not None:
             return CheckReport(
                 "recurrence-vs-schoolbook",
                 False,
-                f"{format_family(family)}: recurrence and schoolbook transform differ at n={first}",
+                f"{format_family(family)}: recurrence or its decimal texts and the "
+                f"schoolbook transform differ at n={first}",
                 first_failure=first,
             )
     return CheckReport(
         "recurrence-vs-schoolbook",
         True,
-        f"{len(families)} families: recurrence equals the schoolbook transform to n={horizon}",
+        f"{len(families)} families: recurrence and its decimal texts equal the schoolbook "
+        f"transform to n={horizon}",
     )
+
+
+def _generator_counts(family: GenFamily, horizon: int) -> BigSeq:
+    """|G|_n of the minimal generating set.  A longitudinal family's
+    generators are its members that are not a sum of two members: |N|_n
+    less the pairs (x, y) of members with |x| + |y| = n."""
+    if not isinstance(family, Longitudinal):
+        return generator_counting_sequence(family, horizon)
+    b = (0,) + longitudinal_counting(family.lengths, horizon).entries
+    return BigSeq(b[n] - sum(b[i] * b[n - i] for i in range(1, n)) for n in range(1, horizon + 1))
 
 
 def check_multinomial_formula(scope: str) -> CheckReport:

@@ -1,6 +1,7 @@
 """Density pipeline: growth, ratio traces, Aitken, asymptotes, verdicts."""
 
-from decimal import Decimal
+import random
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from freemagma import (
     ratio_trace,
     right_comb,
 )
-from freemagma.density import write_trace_csv
+from freemagma.density import _rounded_quotient, write_trace_csv
 
 ONE = leaf()
 TWO = ONE + ONE
@@ -85,6 +86,69 @@ class TestRatioTrace:
         denom = catalan_c(40)
         trace = ratio_trace(numer, denom)
         assert all(0 <= v <= 1 for _, v in trace.samples)
+
+
+def decimal_quotient(num, den, precision):
+    """The reference rounding: Decimal division at ``precision`` digits."""
+    with localcontext() as ctx:
+        ctx.prec = precision
+        ctx.rounding = ROUND_HALF_EVEN
+        return Decimal(num) / Decimal(den)
+
+
+def same_decimal(x, y):
+    """Equal digits, exponent and sign, so equal printed text."""
+    return x.as_tuple() == y.as_tuple() and str(x) == str(y)
+
+
+class TestRoundedQuotient:
+    """The integer-divmod rounding of ratio_trace against Decimal division."""
+
+    @pytest.mark.parametrize("precision", [1, 2, 3, 8, 30])
+    def test_small_grid(self, precision):
+        for num in range(-40, 41):
+            for den in range(-40, 41):
+                if den:
+                    expected = decimal_quotient(num, den, precision)
+                    assert same_decimal(_rounded_quotient(num, den, precision), expected)
+
+    @pytest.mark.parametrize("precision", [1, 6, 8, 30])
+    def test_random_big_operands(self, precision):
+        rng = random.Random(precision)
+        for _ in range(500):
+            num = rng.randrange(10 ** rng.randrange(1, 120))
+            den = rng.randrange(1, 10 ** rng.randrange(1, 120))
+            assert same_decimal(
+                _rounded_quotient(num, den, precision), decimal_quotient(num, den, precision)
+            )
+
+    @pytest.mark.parametrize("precision", [1, 6, 8, 30])
+    def test_exact_ties_and_carries(self, precision):
+        top = 10**precision
+        cases = [
+            (10**40, 1),  # exact, more digits than the precision
+            (10**40, 2**20 * 5**7),
+            (3 * 10**12, 8),  # exact with trailing zeros: ideal exponent 0
+            (1, 2**30),  # exact, 30 digits after the point
+            ((top - 1) * 10 + 5, 10),  # tie on an odd digit, carry to 10^precision
+            ((top - 2) * 10 + 5, 10),  # tie on an even digit stays
+            ((top - 1) * 100 + 51, 100),  # above half, carry
+            (2 * top + 1, 2),
+        ]
+        for num, den in cases:
+            expected = decimal_quotient(num, den, precision)
+            assert same_decimal(_rounded_quotient(num, den, precision), expected)
+
+    def test_trace_of_density_families(self):
+        denom = catalan_c(400)
+        for family in (ShiftedFull(ONE), ShiftedFull(THREE_PLUS), FiniteSet({TWO, THREE_PLUS})):
+            numer = counting_sequence(family, 400)
+            expected = [
+                decimal_quotient(gn, gm, 30)
+                for gn, gm in zip(growth(numer), growth(denom))
+            ]
+            got = ratio_trace(numer, denom, precision=30).values()
+            assert all(same_decimal(x, y) for x, y in zip(got, expected, strict=True))
 
 
 class TestAitken:

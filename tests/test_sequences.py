@@ -3,6 +3,7 @@ identities, bounds, CSV round-trips."""
 
 import math
 import sys
+from decimal import Decimal, DivisionByZero, Inexact, InvalidOperation, Rounded, localcontext
 from fractions import Fraction
 
 import pytest
@@ -23,9 +24,14 @@ from freemagma import (
     sqrt_series_counting,
     write_sequence_csv,
 )
+from freemagma import sequences
+from freemagma.errors import ExactDivisionError
 from freemagma.sequences import (
+    EXACT_DECIMAL,
     PI_LOWER,
     PI_UPPER,
+    _exact_div,
+    _sqrt_series,
     unlimited_int_digits,
 )
 
@@ -150,6 +156,35 @@ class TestSqrtSeriesCounting:
             sqrt_series_counting([2, -4], [0], 5)
         with pytest.raises(ValueError):
             sqrt_series_counting([1, -2], [1, 2], 5)
+
+
+class TestDecimalRoute:
+    """The recurrences started from Decimal(1) under EXACT_DECIMAL; their
+    texts are compared with the int route in test_subgroupoids."""
+
+    def test_inexact_division_raises(self):
+        # Q^2 = 1 + x has q_1 = 1/2: the first step divides 1 by 2.
+        with pytest.raises(ExactDivisionError, match="1-bit integer"):
+            _sqrt_series([1, 1], [0], 3)
+        with localcontext(EXACT_DECIMAL), pytest.raises(ExactDivisionError, match="1-digit decimal"):
+            _sqrt_series([1, 1], [0], 3, Decimal(1))
+
+    def test_exact_div_reports_decimal_digits(self):
+        with localcontext(EXACT_DECIMAL):
+            assert _exact_div(Decimal(10) ** 40, 5) == 2 * Decimal(10) ** 39
+            with pytest.raises(ExactDivisionError, match="41-digit decimal .* by 3"):
+                _exact_div(Decimal(10) ** 40, 3)
+
+    def test_context_traps_rounding(self):
+        with localcontext(EXACT_DECIMAL):
+            with pytest.raises(Inexact):
+                Decimal("0.5").to_integral_exact()
+            with pytest.raises(Rounded):
+                Decimal("1.00").to_integral_exact()  # drops two zeros: exact
+            with pytest.raises(DivisionByZero):
+                Decimal(1) // 0
+            with pytest.raises(InvalidOperation):
+                Decimal(0) // 0
 
 
 class TestSignedTransform:
@@ -333,6 +368,19 @@ class TestCsvRoundTrip:
             assert len(str(10**6000)) == 6001
             raise RuntimeError
         assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("text", ["", "abcdefg", "abcdef\n", "abc\ndef\n\n", "ab"])
+    def test_long_string_written_in_slices(self, tmp_path, monkeypatch, text):
+        writes = []
+        monkeypatch.setattr(sequences, "_CHARS_PER_WRITE", 3)
+        path = tmp_path / "out.txt"
+        with open(path, "w") as fh:
+            real = fh.write
+            monkeypatch.setattr(fh, "write", lambda piece: writes.append(piece) or real(piece))
+            sequences._write_lines(fh, text)
+        expected = text if text.endswith("\n") else text + "\n"
+        assert path.read_text() == expected
+        assert max(map(len, writes)) <= 3
 
     def test_accepts_index_header(self, tmp_path):
         path = tmp_path / "seq.csv"

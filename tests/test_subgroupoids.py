@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freemagma import subgroupoids, terms
+from freemagma.sequences import unlimited_int_digits
 from freemagma import (
     BigSeq,
     CapacityError,
@@ -23,11 +24,13 @@ from freemagma import (
     closure_up_to,
     contains,
     counting_sequence,
+    counting_texts,
     enumerate_terms,
     family_levels,
     format_family,
     format_term,
     generator_counting_sequence,
+    iter_terms_up_to,
     leaf,
     left_comb,
     longitudinal_counting,
@@ -239,6 +242,89 @@ class TestCountingRecurrence:
             0, 1, 1, 1, 2, 3, 6, 11, 22, 44, 90, 187, 392, 832, 1778, 3831, 8304
         )
         assert calls == [17]
+
+
+def _oracle_generator_sets():
+    """All single terms, all pairs and the first 15 triples of terms of
+    length <= 4: 60 generator sets."""
+    pool = list(iter_terms_up_to(4))
+    sets = [frozenset({t}) for t in pool]
+    sets += [frozenset(c) for c in combinations(pool, 2)]
+    sets += [frozenset(c) for c in list(combinations(pool, 3))[:15]]
+    return sets
+
+
+def _int_texts(family, n_max):
+    with unlimited_int_digits():
+        return [str(v) for v in counting_sequence(family, n_max)]
+
+
+# Counts generated by the explicit sequence [0, 1, 1] (OEIS A007477).
+A007477_PREFIX = (0, 1, 1, 1, 2, 3, 6, 11, 22, 44, 90, 187, 392, 832, 1778, 3831, 8304)
+
+# Shifts of length 1-4, three longitudinal families and zero-heavy finite
+# families, whose entries are mostly 0, where a Decimal route could
+# print "-0".
+TEXT_FAMILIES = (
+    [ShiftedFull(a) for a in (ONE, TWO, THREE_PLUS, right_comb(4))]
+    + [Longitudinal(ls) for ls in ({1}, {2, 3}, {4, 6})]
+    + [
+        FiniteSet({TWO}),
+        FiniteSet({TWO + TWO}),
+        FiniteSet({THREE_MINUS, THREE_PLUS}),
+        FiniteSet({left_comb(5), right_comb(7)}),
+        FiniteSet(()),
+        ExplicitSeq(BigSeq([0, 1, 1, 0, 2])),
+    ]
+)
+
+
+class TestCountingTexts:
+    """The printed route runs the recurrences in base 10; its texts must be
+    the decimal strings of the int route."""
+
+    def test_oracle_sets_to_300(self):
+        sets = _oracle_generator_sets()
+        assert len(sets) == 60
+        for gens in sets:
+            family = FiniteSet(gens)
+            assert list(counting_texts(family, 300)) == _int_texts(family, 300)
+
+    @pytest.mark.parametrize("family", TEXT_FAMILIES, ids=format_family)
+    def test_families_to_300(self, family):
+        texts = list(counting_texts(family, 300))
+        assert all(type(t) is str for t in texts)
+        assert texts == _int_texts(family, 300)
+        assert not any(t.startswith("-") for t in texts)
+
+    @pytest.mark.parametrize("n_max", range(1, 6))
+    def test_small_horizons(self, n_max):
+        for family in TEXT_FAMILIES:
+            assert list(counting_texts(family, n_max)) == _int_texts(family, n_max)
+
+    def test_full_past_digit_limit(self):
+        # C_7299 has 4389 digits, past Python's default int->str limit.
+        texts = list(counting_texts(FiniteSet({ONE}), 7300))
+        assert len(texts[-1]) > 4300
+        assert texts == _int_texts(FiniteSet({ONE}), 7300)
+
+    def test_explicit_sequence_uses_int_schoolbook(self, monkeypatch):
+        calls = []
+
+        def spy(seq):
+            calls.append(len(seq))
+            return cat_transform(seq)
+
+        monkeypatch.setattr(subgroupoids, "cat_transform", spy)
+        texts = list(counting_texts(ExplicitSeq(BigSeq([0, 1, 1])), 17))
+        assert texts == [str(v) for v in A007477_PREFIX]
+        assert calls == [17]
+
+    def test_rejects_bad_horizon(self):
+        with pytest.raises(ValueError):
+            counting_texts(ShiftedFull(ONE), 0)
+        with pytest.raises(ValueError):
+            counting_texts(Longitudinal({2}), 0)
 
 
 class TestLongitudinal:

@@ -23,6 +23,7 @@ from freemagma import (
     right_comb,
     sum_terms,
 )
+from freemagma import terms
 
 ONE = leaf()
 TWO = sum_terms(ONE, ONE)
@@ -241,12 +242,22 @@ class TestTextFormat:
 
 
 class TestEnumeration:
-    def test_counts_match_binomial_catalan(self):
-        # Independent size oracle: C_{n-1} = binom(2n-2, n-1) / n.
-        # Level 15 alone has ~2.7M terms; this is the suite's memory peak.
-        for n in range(1, 16):
-            expected = math.comb(2 * n - 2, n - 1) // n
-            assert len(enumerate_terms(n)) == expected
+    def test_counts_match_binomial_catalan(self, monkeypatch):
+        # Independent size oracle: C_{n-1} = binom(2n-2, n-1) / n, checked on
+        # enumerate_terms(15) and on the levels 1..14 of the one build it
+        # makes.  Level 15 alone has ~2.7M terms; this is the suite's memory
+        # peak.
+        real, builds = terms.whole_levels, []
+
+        def keep(n_max, cap):
+            builds.append(real(n_max, cap))
+            return builds[-1]
+
+        monkeypatch.setattr(terms, "whole_levels", keep)
+        assert len(enumerate_terms(15)) == math.comb(28, 14) // 15
+        (levels,) = builds
+        sizes = [math.comb(2 * n - 2, n - 1) // n for n in range(1, 16)]
+        assert [len(level) for level in levels[1:]] == sizes
 
     def test_level_three(self):
         assert set(enumerate_terms(3)) == {THREE_MINUS, THREE_PLUS}
