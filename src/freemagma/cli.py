@@ -17,7 +17,7 @@ import tempfile
 import time
 from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import __version__
 from .density import density_report, estimate_density, longitudinal_asymptote, write_trace_csv
@@ -60,26 +60,41 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
         _write_lines(sys.stdout, text)
 
 
-def _sequence_text(texts: Iterable[str], fmt: str, meta: dict) -> str:
-    """One sequence, given as the decimal texts of its entries 1, 2, ..."""
+def _json_pieces(meta: dict, key: str, empty: list | dict, entries: Iterable[str]) -> Iterator[str]:
+    """The bytes of ``json.dumps({**meta, key: value}, indent=2)``, where
+    ``value`` is a list or dict like ``empty`` given as its encoded
+    ``entries`` (``"text"`` or ``"key": "text"``).  Only the head goes
+    through ``json.dumps``; the entries are streamed, never held at once.
+    Term texts and decimal texts need no escaping."""
+    text = json.dumps({**meta, key: empty}, indent=2)
+    pieces = iter(entries)
+    first = next(pieces, None)
+    if first is None:
+        yield text
+        return
+    yield f"{text[:-3]}\n    {first}"
+    for entry in pieces:
+        yield f",\n    {entry}"
+    yield f"\n  {text[-3:]}"
+
+
+def _sequence_text(texts: Iterable[str], fmt: str, meta: dict) -> Iterable[str]:
+    """One sequence, given as the decimal texts of its entries 1, 2, ...,
+    as streamed pieces."""
     rows = enumerate(texts, start=1)
+    if fmt == "json":
+        return _json_pieces(meta, "values", {}, (f'"{n}": "{v}"' for n, v in rows))
     if fmt == "csv":
         return _csv_text(rows)
-    if fmt == "json":
-        payload = dict(meta)
-        payload["values"] = {str(n): v for n, v in rows}
-        return json.dumps(payload, indent=2)
-    return "\n".join(f"n={n} {v}" for n, v in rows)
+    return (f"n={n} {v}\n" for n, v in rows)
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     texts = iter_level_texts(args.n, cap=args.cap)
     pieces: Iterable[str]
     if args.format == "json":
-        # The bytes of json.dumps(..., indent=2); term texts need no escaping.
-        count, first = catalan_numbers(args.n)[-1], next(texts)
-        head = f'{{\n  "length": {args.n},\n  "count": {count},\n  "terms": [\n    "{first}"'
-        pieces = chain((head,), (f',\n    "{t}"' for t in texts), ("\n  ]\n}",))
+        meta = {"length": args.n, "count": catalan_numbers(args.n)[-1]}
+        pieces = _json_pieces(meta, "terms", [], (f'"{t}"' for t in texts))
     elif args.format == "csv":
         pieces = chain(("index,term\n",), (f"{i},{t}\n" for i, t in enumerate(texts, start=1)))
     else:
@@ -160,9 +175,8 @@ def _cmd_longitudinal(args: argparse.Namespace) -> int:
         "period": asym.p,
         "per_residue": [str(v) for v in asym.per_residue],
     }
-    if args.nmax:
-        texts = counting_texts(Longitudinal(lengths), args.nmax)
-        payload["counting"] = {str(n): v for n, v in enumerate(texts, start=1)}
+    texts = counting_texts(Longitudinal(lengths), args.nmax) if args.nmax else None
+    text: str | Iterable[str]
     if args.format == "plain":
         lines = [
             f"lengths: {lengths}",
@@ -171,6 +185,9 @@ def _cmd_longitudinal(args: argparse.Namespace) -> int:
         ]
         lines += [f"residue {r}: {v}" for r, v in enumerate(asym.per_residue)]
         text = "\n".join(lines)
+    elif texts is not None:
+        rows = enumerate(texts, start=1)
+        text = _json_pieces(payload, "counting", {}, (f'"{n}": "{v}"' for n, v in rows))
     else:
         text = json.dumps(payload, indent=2)
     _emit(text, args.out)

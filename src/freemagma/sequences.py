@@ -30,7 +30,7 @@ from decimal import (
     Rounded,
 )
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from math import comb, factorial, prod
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO, Union
@@ -472,8 +472,6 @@ def unlimited_int_digits() -> Iterator[None]:
         sys.set_int_max_str_digits(previous)
 
 
-# Pieces of a streamed text joined into one write.
-_PIECES_PER_WRITE = 1 << 16
 # Characters of one string per write: the text layer encodes each write into
 # a bytes copy, which then stays this small next to a long text.
 _CHARS_PER_WRITE = 1 << 20
@@ -483,21 +481,19 @@ def _write_lines(fh: TextIO, text: str | Iterable[str]) -> None:
     """Write ``text`` newline-terminated, without copying it to append one.
 
     ``text`` is one string, written ``_CHARS_PER_WRITE`` characters at a
-    time, or an iterable of string pieces, joined and written
-    ``_PIECES_PER_WRITE`` at a time so that a long stream is never held
-    whole.
+    time, or an iterable of nonempty string pieces, each written as it
+    comes: the text layer buffers small writes, and a long stream is never
+    held whole.
     """
     if isinstance(text, str):
         for start in range(0, len(text), _CHARS_PER_WRITE):
             fh.write(text[start : start + _CHARS_PER_WRITE])
         end = text[-1:]
     else:
-        pieces = iter(text)
-        end = ""
-        while chunk := list(islice(pieces, _PIECES_PER_WRITE)):
-            block = "".join(chunk)
-            fh.write(block)
-            end = block[-1:] or end
+        piece = ""
+        for piece in text:
+            fh.write(piece)
+        end = piece[-1:]
     if end != "\n":
         fh.write("\n")
 
@@ -527,9 +523,10 @@ def _umask() -> int:
     return mask
 
 
-def _csv_text(rows: Iterable[tuple[int, object]]) -> str:
-    """The ``n,value`` header and one ``n,value`` line per row."""
-    return "\n".join(chain(("n,value",), (f"{n},{v}" for n, v in rows)))
+def _csv_text(rows: Iterable[tuple[int, object]]) -> Iterator[str]:
+    """The ``n,value`` header and one ``n,value`` line per row, as pieces
+    that are formatted only as they are written."""
+    return chain(("n,value\n",), (f"{n},{v}\n" for n, v in rows))
 
 
 def write_sequence_csv(path: str | Path, seq: BigSeq) -> None:

@@ -33,11 +33,11 @@ from .terms import (
     DEFAULT_ENUMERATION_CAP,
     Term,
     _check_cap,
+    _fold_text,
     format_term,
     grow_levels,
     leaf,
     parse_term,
-    sum_terms,
     whole_levels,
 )
 
@@ -120,40 +120,32 @@ def closure_up_to(gens: Iterable[Term], n_max: int) -> Levels:
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    by_len: dict[int, list[Term]] = {}
+    by_len: dict[int, list[str]] = {}
     for g in minimal_generators(gens):
-        by_len.setdefault(g.length, []).append(g)
-    levels = grow_levels(lambda k: by_len.get(k, ()), n_max, DEFAULT_ENUMERATION_CAP)
-    return tuple(map(frozenset, levels))
+        by_len.setdefault(g.length, []).append(g.text)
+    return tuple(map(frozenset, grow_levels(lambda k: by_len.get(k, ()), n_max)))
 
 
-def _member(genset: frozenset[Term], t: Term, memo: dict[Term, bool]) -> bool:
-    """Memoized membership recursion: t is in N iff t is a generator or both
-    root children are in N."""
-    stack = [t]
-    while stack:
-        node = stack[-1]
-        if node in memo:
-            stack.pop()
-            continue
-        if node.is_leaf:
-            memo[node] = node in genset
-            stack.pop()
-            continue
-        l, r = node.left, node.right
-        assert l is not None and r is not None
-        pending = [c for c in (l, r) if c not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        memo[node] = node in genset or (memo[l] and memo[r])
-        stack.pop()
-    return memo[t]
+def _children_in(texts: frozenset[str], text: str) -> bool:
+    """Whether both root children of the term printed as ``text`` lie in
+    the subgroupoid generated by ``texts`` (False for the leaf).  A subterm
+    is a member iff its text is a generator or both its children are
+    members; the right child is not read when the left one is no member."""
+    if text == "1":
+        return False
+
+    def node(i: int, j: int, a: bool, b: bool) -> bool:
+        return (a and b) or text[i:j] in texts
+
+    leaf_in = "1" in texts
+    left, end = _fold_text(text, 1, leaf_in, node)
+    return left and _fold_text(text, end + 1, leaf_in, node)[0]
 
 
 def contains(gens: Iterable[Term], t: Term) -> bool:
     """Membership t in <gens>; terminates structurally, no horizon needed."""
-    return _member(frozenset(gens), t, {})
+    texts = frozenset(g.text for g in gens)
+    return t.text in texts or _children_in(texts, t.text)
 
 
 def brute_count(gens: Iterable[Term], n_max: int) -> BigSeq:
@@ -187,15 +179,15 @@ def brute_count(gens: Iterable[Term], n_max: int) -> BigSeq:
 
 def _rank(t: Term, size: list[int]) -> int:
     """Position of ``t`` in the pair order of :func:`brute_count`, where
-    ``size[k]`` is the number of terms of length k.  Recurses once per
-    level of ``t``, so at most ``t.length`` deep."""
-    if t.left is None:
-        return 0
-    x, y = t.left, t.right
-    assert y is not None
-    k = t.length
-    before = sum(size[i] * size[k - i] for i in range(1, x.length))
-    return before + _rank(x, size) * size[y.length] + _rank(y, size)
+    ``size[k]`` is the number of terms of length k; one pass over the text,
+    folding (rank, length) pairs."""
+
+    def node(i: int, j: int, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+        k = x[1] + y[1]
+        before = sum(size[m] * size[k - m] for m in range(1, x[1]))
+        return before + x[0] * size[y[1]] + y[0], k
+
+    return _fold_text(t.text, 0, (0, 1), node)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -209,25 +201,18 @@ def family_levels(family: GenFamily, n_max: int) -> Levels:
     if isinstance(family, FiniteSet):
         return closure_up_to(family.terms, n_max)
     if isinstance(family, ShiftedFull):
-        # M+a is its own minimal generating set, so it seeds the level DP.
-        # The horizon is checked before the whole magma below it is built.
+        # M+a is its own minimal generating set, so it seeds the level DP
+        # from below[k], level k - |a| of the whole magma.  The horizon is
+        # checked before that is built.
         _check_cap(n_max, DEFAULT_ENUMERATION_CAP)
         a = family.a
-        whole = whole_levels(n_max - a.length)
-
-        def seeds(k: int) -> list[Term]:
-            if k <= a.length:
-                return []
-            return [sum_terms(y, a) for y in whole[k - a.length]]
-
-        return tuple(map(frozenset, grow_levels(seeds, n_max, DEFAULT_ENUMERATION_CAP)))
+        below = [()] * a.length + whole_levels(n_max - a.length)
+        levels = grow_levels(lambda k: [f"({y.text}+{a.text})" for y in below[k]], n_max)
+        return tuple(map(frozenset, levels))
     if isinstance(family, Longitudinal):
         whole = whole_levels(n_max)
         reachable = _reachable_lengths(family.lengths, n_max)
-        empty: frozenset[Term] = frozenset()
-        return tuple(
-            frozenset(level) if reachable[k] else empty for k, level in enumerate(whole)
-        )
+        return tuple(frozenset(lvl if r else ()) for lvl, r in zip(whole, reachable))
     raise UnsupportedVariantError(
         f"{type(family).__name__} has no term-level representation"
     )
@@ -237,19 +222,12 @@ def minimal_generators(gens: Iterable[Term]) -> frozenset[Term]:
     """The unique minimal generating set of <gens>; always a subset of gens.
 
     A generator is redundant iff both its root children are members, which
-    the membership recursion decides on subterms alone; no closure
+    one pass over its text decides on subterms alone; no closure
     enumeration (and hence no size cap) is involved.
     """
     genset = frozenset(gens)
-    if not genset:
-        return frozenset()
-    memo: dict[Term, bool] = {}
-    return frozenset(
-        g
-        for g in genset
-        if g.is_leaf
-        or not (_member(genset, g.left, memo) and _member(genset, g.right, memo))
-    )
+    texts = frozenset(g.text for g in genset)
+    return frozenset(g for g in genset if not _children_in(texts, g.text))
 
 
 def minimal_generating_up_to(family: GenFamily, n_max: int) -> Levels:

@@ -1,9 +1,11 @@
 """Term algebra of the free magma on a single generator.
 
 A term is a finite binary tree: every leaf is the generator ``1`` and every
-internal node is an ordered, non-associative sum of its two children.  Terms
-are immutable values that carry one string, their fully parenthesised text
-such as ``(1+(1+1))``; equality, hashing and order all go through it.
+internal node is an ordered, non-associative sum of its two children.  A
+term is its fully parenthesised text, such as ``(1+(1+1))``: a
+:class:`Term` keeps that one string and nothing else.  Equality, hashing,
+order and output go through it, a term of length L prints 4L-3
+characters, and the root children are read back from it on demand.
 
 The canonical encoding is the preorder Lukasiewicz word over ``{'1', '0'}``
 (internal node = ``1``, leaf = ``0``).  It is derived from the text by
@@ -14,64 +16,70 @@ lexicographically) that the enumeration below follows.  For two terms of
 the same length that order is the reverse of text order: up to the first
 preorder node where the trees differ the texts agree, and there the
 internal node prints ``(``, which sorts below ``1``, while it encodes as
-``1``, which sorts above ``0``.  Levels are therefore sorted by text,
-descending, and no code needs to be kept.
+``1``, which sorts above ``0``.  Levels are therefore in descending text
+order, and no code needs to be kept.
 
 Every term-level construction (the whole magma, closures of generator
-sets, the shifted family M+a) runs through one level DP,
-:func:`grow_levels`.  All operations are pure and the module keeps no
-state: each call builds the levels it needs and drops them with its
-result, so a caller that needs several lengths of the whole magma takes
-them from one :func:`whole_levels` call.
-
-Listing one level of the whole magma needs only its texts, which
-:func:`iter_level_texts` streams without building a :class:`Term`.  The
-text of ``(x+y)`` compares first by the text of ``x`` and then by that of
-``y``, because texts are prefix-free, so a level in descending text order
-is every ``x`` of the shorter levels in descending text order, each
-followed by every ``y`` of the matching length in descending text order.
+sets, the shifted family M+a, the listing of one level) runs through one
+level DP on texts, :func:`_grow_texts`, and :func:`grow_levels` wraps its
+levels into terms.  The text of ``(x+y)`` compares first by the text of
+``x`` and then by that of ``y``, because texts are prefix-free, so the sums
+of one level in descending text order are every ``x`` of the shorter
+levels in descending text order, each followed by every ``y`` of the
+matching length in descending text order.  The DP streams them in that
+order and merges in the seeds of the level, so no level is sorted.
+:func:`iter_level_texts` streams the last level without building a
+:class:`Term`.  All operations are pure and the module keeps no state.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import CapacityError, TermParseError
 
-# Enumeration sizes are Catalan.  Building the Term levels up to length 15
-# (enumerate_terms) peaks near 0.7 GB RSS, and length 16 (~9.7M terms)
-# above 2 GB.  Streaming the texts of one level (iter_level_texts, the
-# enumerate command) keeps only the shorter levels as strings: the command
-# peaks at 160 MB for length 15 and 470 MB for length 16.  Callers must opt
-# in explicitly to go past 15 either way.
+# Enumeration sizes are Catalan.  The Terms of length 15 (enumerate_terms)
+# peak near 0.57 GB RSS, and those of length 16 (~9.7M terms) would need
+# about 2 GB.  The enumerate command streams the texts of one level from the
+# shorter ones (iter_level_texts) and peaks at 135 MB for length 15 and
+# 444 MB for 16.  Going past 15 needs an explicit cap either way.
 DEFAULT_ENUMERATION_CAP = 15
 
 _TEXT_TO_CODE = str.maketrans({"(": "1", "1": "0", "+": None, ")": None})
+V = TypeVar("V")
 
 
 class Term:
-    """An element of the free magma on one generator. Use :func:`leaf` and
-    :func:`sum_terms` (or the ``+`` operator) to build instances."""
+    """An element of the free magma on one generator, kept as its text.
+    Use :func:`leaf`, :func:`sum_terms` (or the ``+`` operator) and
+    :func:`parse_term` to build instances; the constructor trusts its text."""
 
-    __slots__ = ("left", "right", "length", "text")
+    __slots__ = ("text",)
 
-    def __init__(self, left: Term | None, right: Term | None):
-        if (left is None) != (right is None):
-            raise ValueError("internal node needs both children")
-        self.left = left
-        self.right = right
-        if left is None:
-            self.length = 1
-            self.text = "1"
-        else:
-            assert right is not None
-            self.length = left.length + right.length
-            self.text = f"({left.text}+{right.text})"
+    def __init__(self, text: str):
+        self.text = text
+
+    @property
+    def length(self) -> int:
+        return (len(self.text) + 3) // 4
 
     @property
     def is_leaf(self) -> bool:
-        return self.left is None
+        return self.text == "1"
+
+    @property
+    def left(self) -> Term | None:
+        """The left root child, read from the text in one pass; walking a
+        tree through ``left``/``right`` is therefore quadratic in its length."""
+        return None if self.is_leaf else Term(self.text[1 : self._left_end()])
+
+    @property
+    def right(self) -> Term | None:
+        return None if self.is_leaf else Term(self.text[self._left_end() + 1 : -1])
+
+    def _left_end(self) -> int:
+        return _fold_text(self.text, 1, None, lambda i, j, a, b: None)[1]
 
     def __add__(self, other: Term) -> Term:
         if not isinstance(other, Term):
@@ -84,8 +92,6 @@ class Term:
         return product(self, other)
 
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
         if not isinstance(other, Term):
             return NotImplemented
         return self.text == other.text
@@ -96,14 +102,40 @@ class Term:
     def __lt__(self, other: Term) -> bool:
         if not isinstance(other, Term):
             return NotImplemented
-        # Same-length code order is reverse text order (module docstring).
-        return (self.length, other.text) < (other.length, self.text)
+        # Length, then code order, which for equal lengths is reverse text
+        # order (module docstring); the text length grows with the length.
+        return (len(self.text), other.text) < (len(other.text), self.text)
 
     def __repr__(self) -> str:
         return f"Term({self.text})"
 
 
-_LEAF = Term(None, None)
+def _fold_text(
+    text: str, start: int, leaf_value: V, node: Callable[[int, int, V, V], V]
+) -> tuple[V, int]:
+    """Fold the subterm printed from ``text[start]`` bottom-up in one pass,
+    and return its value and the index just past it.  The leaf gets
+    ``leaf_value``, and the sum printed as ``text[i:j]``, whose children got
+    ``a`` and ``b``, gets ``node(i, j, a, b)``.  A stack holds the positions
+    of the open parentheses, another the values of finished subterms."""
+    opens: list[int] = []
+    values: list[V] = []
+    for j in range(start, len(text)):
+        ch = text[j]
+        if ch == "(":
+            opens.append(j)
+            continue
+        if ch == "1":
+            values.append(leaf_value)
+        elif ch == ")":
+            b = values.pop()
+            values[-1] = node(opens.pop(), j + 1, values[-1], b)
+        if not opens:
+            return values[0], j + 1
+    raise ValueError(f"no complete term at {start} in {text!r}")
+
+
+_LEAF = Term("1")
 
 
 def leaf() -> Term:
@@ -113,7 +145,7 @@ def leaf() -> Term:
 
 def sum_terms(left: Term, right: Term) -> Term:
     """The ordered sum ``left + right`` (non-commutative, non-associative)."""
-    return Term(left, right)
+    return Term(f"({left.text}+{right.text})")
 
 
 def length(t: Term) -> int:
@@ -125,31 +157,24 @@ def left_comb(n: int) -> Term:
     """The left comb of length ``n``: ``(..((1+1)+1)..)+1``."""
     if n < 1:
         raise ValueError(f"comb length must be >= 1, got {n}")
-    t = _LEAF
-    for _ in range(n - 1):
-        t = sum_terms(t, _LEAF)
-    return t
+    return Term("(" * (n - 1) + "1" + "+1)" * (n - 1))
 
 
 def right_comb(n: int) -> Term:
     """The right comb of length ``n``: ``1+(1+(..(1+1)..))``."""
     if n < 1:
         raise ValueError(f"comb length must be >= 1, got {n}")
-    t = _LEAF
-    for _ in range(n - 1):
-        t = sum_terms(_LEAF, t)
-    return t
+    return Term("(1+" * (n - 1) + "1" + ")" * (n - 1))
 
 
 def product(x: Term, y: Term) -> Term:
     """Substitute a copy of ``x`` for every leaf of ``y``.
 
-    On text this replaces every ``1`` of ``y`` by the text of ``x``; the
-    iterative parser keeps recursion depth independent of ``y``.  This is
-    the monoid product: associative, with ``1`` as two-sided unit,
-    and distributes over sums appearing in the right operand only.
+    On text this replaces every ``1`` of ``y`` by the text of ``x``.  This
+    is the monoid product: associative, with ``1`` as two-sided unit, and
+    distributes over sums appearing in the right operand only.
     """
-    return parse_term(y.text.replace("1", x.text))
+    return Term(y.text.replace("1", x.text))
 
 
 def encode(t: Term) -> str:
@@ -159,35 +184,29 @@ def encode(t: Term) -> str:
 
 def decode(bits: str) -> Term:
     """Inverse of :func:`encode`; rejects malformed input."""
-    # Frames hold fully decoded left children of internal nodes still
-    # waiting for their right child.
-    frames: list[list[Term]] = []
-    i = 0
-    n = len(bits)
-    while True:
-        if i >= n:
-            raise TermParseError(bits, i, "truncated encoding")
-        ch = bits[i]
+    # One entry per internal node still open: whether its left child is done.
+    frames: list[bool] = []
+    out: list[str] = []
+    for i, ch in enumerate(bits):
+        if out and not frames:
+            raise TermParseError(bits, i, "trailing input after complete term")
         if ch == "1":
-            frames.append([])
-            i += 1
+            frames.append(False)
+            out.append("(")
             continue
         if ch != "0":
             raise TermParseError(bits, i, f"invalid character {ch!r}")
-        i += 1
-        cur = _LEAF
-        while frames:
-            top = frames[-1]
-            top.append(cur)
-            if len(top) == 1:
-                break
+        out.append("1")
+        # Close every node whose right child this leaf completes.
+        while frames and frames[-1]:
             frames.pop()
-            cur = sum_terms(top[0], top[1])
-        else:
-            if i != n:
-                raise TermParseError(bits, i, "trailing input after complete term")
-            return cur
-        # cur consumed as a left child; continue scanning for the right one.
+            out.append(")")
+        if frames:
+            frames[-1] = True
+            out.append("+")
+    if frames or not out:
+        raise TermParseError(bits, len(bits), "truncated encoding")
+    return Term("".join(out))
 
 
 def format_term(t: Term) -> str:
@@ -197,80 +216,75 @@ def format_term(t: Term) -> str:
 
 def parse_term(text: str) -> Term:
     """Parse the fully parenthesized additive notation; inverse of
-    :func:`format_term`."""
-    n = len(text)
-    i = 0
-
-    def skip_ws(j: int) -> int:
-        while j < n and text[j].isspace():
-            j += 1
-        return j
-
-    # Frames: [] right after '(', [left] after 'left +'.
-    frames: list[list[Term]] = []
-    cur: Term | None = None
-    while True:
-        i = skip_ws(i)
-        if i >= n:
-            raise TermParseError(text, i, "unexpected end of input")
-        ch = text[i]
-        if ch == "1":
-            cur = _LEAF
-            i += 1
-        elif ch == "(":
-            frames.append([])
-            i += 1
+    :func:`format_term`.  Whitespace between tokens is allowed."""
+    # One entry per '(' still open: whether its '+' has been read.
+    frames: list[bool] = []
+    operand = True  # whether '1' or '(' comes next
+    for i, ch in enumerate(text):
+        if ch.isspace():
             continue
-        else:
-            raise TermParseError(text, i, f"expected '1' or '(', found {ch!r}")
-        # Reduce: attach cur to pending frames until more input is needed.
-        while True:
-            i = skip_ws(i)
-            if not frames:
-                if i != n:
-                    raise TermParseError(text, i, "trailing input after complete term")
-                assert cur is not None
-                return cur
-            top = frames[-1]
-            if not top:
-                if i >= n or text[i] != "+":
-                    raise TermParseError(text, i, "expected '+'")
-                assert cur is not None
-                top.append(cur)
-                i += 1
-                break  # parse the right operand
-            if i >= n or text[i] != ")":
+        if operand:
+            if ch == "(":
+                frames.append(False)
+                continue
+            if ch != "1":
+                raise TermParseError(text, i, f"expected '1' or '(', found {ch!r}")
+            operand = False
+        elif not frames:
+            raise TermParseError(text, i, "trailing input after complete term")
+        elif frames[-1]:
+            if ch != ")":
                 raise TermParseError(text, i, "expected ')'")
-            assert cur is not None
-            cur = sum_terms(top[0], cur)
             frames.pop()
-            i += 1
+        elif ch == "+":
+            frames[-1] = operand = True
+        else:
+            raise TermParseError(text, i, "expected '+'")
+    if operand:
+        raise TermParseError(text, len(text), "unexpected end of input")
+    if frames:
+        raise TermParseError(text, len(text), f"expected {')' if frames[-1] else '+'!r}")
+    return Term("".join(text.split()))
 
 
 Level = tuple[Term, ...]
+Seeds = Callable[[int], Iterable[str]]
 
 
-def grow_levels(
-    seeds: Callable[[int], Iterable[Term]],
-    n_max: int,
-    cap: int,
-) -> list[Level]:
-    """The level DP: slices 0..n_max of the subgroupoid generated by ``seeds``.
+def grow_levels(seeds: Seeds, n_max: int) -> list[Level]:
+    """The level DP as terms: levels 0..n_max of the subgroupoid generated
+    by the texts ``seeds(k)``, each in encoding order (:func:`_grow_texts`).
+    Horizons past the default cap are refused before anything is built."""
+    _check_cap(n_max, DEFAULT_ENUMERATION_CAP)
+    return [tuple(map(Term, level)) for level in _grow_texts(seeds, n_max)]
 
-    Level k is ``seeds(k)`` together with every sum x+y of members whose
-    lengths add up to k, sorted by encoding; entry 0 is the empty level.
-    ``seeds`` must describe a minimal generating set: then no seed is such a
-    sum, and a sum splits uniquely at its root, so no term is built twice.
-    Horizons past ``cap`` are refused before anything is built.
+
+def _grow_texts(seeds: Seeds, n_max: int) -> list[list[str]]:
+    """The level DP: text levels 0..n_max, entry 0 empty.
+
+    Level k, in descending text order, is the stream of sums x+y of members
+    whose lengths add up to k (:func:`_sum_texts`) merged with the sorted
+    texts ``seeds(k)``.  ``seeds`` must describe a minimal generating set:
+    then no seed is such a sum, and a sum splits uniquely at its root, so no
+    text is built twice.
     """
-    _check_cap(n_max, cap)
-    out: list[Level] = [()]
+    levels: list[list[str]] = [[]]
     for k in range(1, n_max + 1):
-        level = [sum_terms(x, y) for i in range(1, k) for x in out[i] for y in out[k - i]]
-        level.extend(seeds(k))
-        level.sort(key=lambda t: t.text, reverse=True)
-        out.append(tuple(level))
-    return out
+        sums, seeded = _sum_texts(levels, k), sorted(seeds(k), reverse=True)
+        levels.append(list(heapq.merge(sums, seeded, reverse=True) if seeded else sums))
+    return levels
+
+
+def _sum_texts(levels: Sequence[Sequence[str]], k: int) -> Iterator[str]:
+    """Texts of the sums of length ``k`` in descending order, from levels
+    1..k-1, each in descending order (see the module docstring).  A term of
+    length L prints 4L-3 characters, which gives the length of ``x`` back
+    from its text."""
+    return (
+        f"({x}+{y})"
+        for x in heapq.merge(*levels[1:k], reverse=True)
+        for y in levels[k - (len(x) + 3) // 4]
+    )
 
 
 def _check_cap(n: int, cap: int) -> None:
@@ -278,22 +292,24 @@ def _check_cap(n: int, cap: int) -> None:
         raise CapacityError(f"length {n} exceeds cap {cap}; pass a larger cap explicitly")
 
 
-def whole_levels(n_max: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Level]:
+def _whole_seeds(k: int) -> tuple[str, ...]:
+    """The whole magma is generated by the leaf."""
+    return ("1",) if k == 1 else ()
+
+
+def whole_levels(n_max: int) -> list[Level]:
     """Levels 0..n_max of the whole magma: :func:`grow_levels` seeded with
     the leaf.  Entry k holds the C_{k-1} terms of length k."""
-    return grow_levels(lambda k: (_LEAF,) if k == 1 else (), n_max, cap)
+    return grow_levels(_whole_seeds, n_max)
 
 
-def enumerate_terms(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Level:
-    """All terms of length exactly ``n``, sorted by canonical encoding.
-
-    The list has Catalan size C_{n-1}; lengths past ``cap`` are refused.
-    Each call builds levels 1..n afresh; a caller that needs several
-    lengths should take them from one :func:`whole_levels` call.
-    """
-    if n < 1:
-        raise ValueError(f"length must be >= 1, got {n}")
-    return whole_levels(n, cap)[n]
+def enumerate_terms(n: int) -> Level:
+    """All terms of length exactly ``n``, sorted by canonical encoding: the
+    texts of :func:`iter_level_texts` as terms, so only level ``n`` is
+    wrapped.  The list has Catalan size C_{n-1}; lengths past the default
+    cap are refused.  A caller that needs several lengths should take them
+    from one :func:`whole_levels` call."""
+    return tuple(map(Term, iter_level_texts(n)))
 
 
 def iter_terms_up_to(n_max: int) -> Iterator[Term]:
@@ -306,24 +322,11 @@ def iter_level_texts(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[str
     """Texts of all terms of length exactly ``n``, in the order of
     :func:`enumerate_terms`, built without any :class:`Term`.
 
-    Levels 1..n-1 are held as lists of strings and level ``n`` is streamed
-    from them; lengths past ``cap`` are refused before anything is built.
+    Levels 1..n-1 come from the level DP as lists of strings and level ``n``
+    is streamed from them; lengths past ``cap`` are refused before anything
+    is built.
     """
     if n < 1:
         raise ValueError(f"length must be >= 1, got {n}")
     _check_cap(n, cap)
-    levels: list[list[str]] = [[], ["1"]]
-    for k in range(2, n):
-        levels.append(list(_sum_texts(levels, k)))
-    return _sum_texts(levels, n) if n > 1 else iter(levels[1])
-
-
-def _sum_texts(levels: Sequence[Sequence[str]], k: int) -> Iterator[str]:
-    """Texts of level ``k`` in descending order from levels 1..k-1, each in
-    descending order (see the module docstring).  A term of length L prints
-    4L-3 characters, which gives the length of ``x`` back from its text."""
-    return (
-        f"({x}+{y})"
-        for x in heapq.merge(*levels[1:k], reverse=True)
-        for y in levels[k - (len(x) + 3) // 4]
-    )
+    return _sum_texts(_grow_texts(_whole_seeds, n - 1), n) if n > 1 else iter(["1"])

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import stat
@@ -8,11 +9,15 @@ import sys
 import pytest
 
 from freemagma import (
+    BigSeq,
     catalan_c,
     catalan_numbers,
     cli,
+    counting_sequence,
     enumerate_terms,
     format_term,
+    longitudinal_counting,
+    parse_family,
     terms,
     write_sequence_csv,
 )
@@ -58,13 +63,9 @@ class TestEnumerate:
         assert "cap" in err
 
     def test_default_cap_refuses_16_before_building(self, capsys, monkeypatch):
-        def no_sums(left, right):
-            raise AssertionError("a term was built past the cap")
-
         def no_texts(levels, k):
             raise AssertionError("a text level was built past the cap")
 
-        monkeypatch.setattr(terms, "sum_terms", no_sums)
         monkeypatch.setattr(terms, "_sum_texts", no_texts)
         code, _, err = run_cli(capsys, "enumerate", "--n", "16")
         assert code == 2
@@ -97,6 +98,82 @@ class TestEnumerate:
             )
             assert code == 0
             assert out_file.read_bytes() == expected.encode(), n
+
+    # Digests of the stdout of enumerate --n 12: any change to the order or
+    # the format of a listing shows here.
+    PINNED_12 = {
+        "plain": "81bd8e0993651dbb60aed3323e0a6ce851c93ea3176b422a806452eff71bcdb9",
+        "csv": "2df6c094f0104021efd7f92cdddcf556c1ba229c50157e0d7a3b713800e4a4d7",
+        "json": "17302900bcbf35477868a8d65774e39cfb9c3b28f6e4c521fbba7d4a0665aaea",
+    }
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_length_12_bytes_pinned(self, capsys, fmt):
+        code, out, _ = run_cli(capsys, "enumerate", "--n", "12", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_12[fmt]
+
+
+class TestStreamedJson:
+    """count, longitudinal --nmax and enumerate stream their JSON; the bytes
+    must be those of json.dumps(..., indent=2) on the same payload, which
+    keeps the key order of the stream when loaded back."""
+
+    @staticmethod
+    def assert_dumps_bytes(out):
+        payload = json.loads(out)
+        assert out == json.dumps(payload, indent=2) + "\n"
+        return payload
+
+    @pytest.mark.parametrize("n", [1, 300])
+    def test_count(self, capsys, n):
+        for family in ("full", "shifted:(1+1)", "longitudinal:[2,3]", "seq:[0,\t1, 1]"):
+            code, out, err = run_cli(
+                capsys, "count", "--family", family, "--n", str(n), "--format", "json"
+            )
+            assert code == 0, err
+            payload = self.assert_dumps_bytes(out)
+            assert list(payload) == ["family", "n_max", "values"]
+            assert payload["family"] == family
+            expected = counting_sequence(parse_family(family), n)
+            assert payload["values"] == {str(k): str(v) for k, v in enumerate(expected, 1)}
+
+    def test_count_label_needing_escapes(self, capsys, tmp_path):
+        seqfile = tmp_path / 'gen "é" \\.csv'
+        write_sequence_csv(seqfile, BigSeq([0, 1, 1]))
+        family = f"seqfile:{seqfile}"
+        code, out, err = run_cli(
+            capsys, "count", "--family", family, "--n", "5", "--format", "json"
+        )
+        assert code == 0, err
+        assert '\\"\\u00e9\\" \\\\.csv' in out
+        assert self.assert_dumps_bytes(out)["family"] == family
+
+    @pytest.mark.parametrize("n", [1, 300])
+    def test_longitudinal(self, capsys, n):
+        code, out, err = run_cli(capsys, "longitudinal", "--lengths", "4,6", "--nmax", str(n))
+        assert code == 0, err
+        payload = self.assert_dumps_bytes(out)
+        assert list(payload)[-1] == "counting"
+        expected = longitudinal_counting({4, 6}, n)
+        assert payload["counting"] == {str(k): str(v) for k, v in enumerate(expected, 1)}
+
+    def test_transform_of_empty_and_short_files(self, capsys, tmp_path):
+        for values in ([], [0, 1, 1]):
+            seqfile = tmp_path / "seq.csv"
+            write_sequence_csv(seqfile, BigSeq(values))
+            code, out, err = run_cli(
+                capsys, "transform", "--seqfile", str(seqfile), "--format", "json"
+            )
+            assert code == 0, err
+            assert len(self.assert_dumps_bytes(out)["values"]) == len(values)
+
+    @pytest.mark.parametrize("n", [1, 11])
+    def test_enumerate(self, capsys, n):
+        code, out, err = run_cli(capsys, "enumerate", "--n", str(n), "--format", "json")
+        assert code == 0, err
+        payload = self.assert_dumps_bytes(out)
+        assert payload["terms"] == [t.text for t in enumerate_terms(n)]
 
 
 class TestFileMode:

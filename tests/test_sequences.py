@@ -382,6 +382,18 @@ class TestCsvRoundTrip:
         assert path.read_text() == expected
         assert max(map(len, writes)) <= 3
 
+    @pytest.mark.parametrize("pieces", [[], ["ab", "c\n"], ["ab", "cd"], ["a\n", "b"]])
+    def test_pieces_written_as_they_come(self, tmp_path, monkeypatch, pieces):
+        writes = []
+        path = tmp_path / "out.txt"
+        with open(path, "w") as fh:
+            real = fh.write
+            monkeypatch.setattr(fh, "write", lambda piece: writes.append(piece) or real(piece))
+            sequences._write_lines(fh, iter(pieces))
+        text = "".join(pieces)
+        assert path.read_text() == (text if text.endswith("\n") else text + "\n")
+        assert writes[: len(pieces)] == pieces
+
     def test_accepts_index_header(self, tmp_path):
         path = tmp_path / "seq.csv"
         path.write_text("index,value\n1,7\n2,9\n")

@@ -91,8 +91,7 @@ class TestClosure:
         def refuse(*args):
             raise AssertionError("levels were built past the cap")
 
-        monkeypatch.setattr(terms, "sum_terms", refuse)
-        monkeypatch.setattr(subgroupoids, "sum_terms", refuse)
+        monkeypatch.setattr(terms, "_sum_texts", refuse)
         monkeypatch.setattr(subgroupoids, "_reachable_lengths", refuse)
         with pytest.raises(CapacityError, match="cap 15"):
             family_levels(family, 16)
@@ -468,6 +467,7 @@ class TestBruteCount:
         monkeypatch.setattr(subgroupoids, "whole_levels", refuse)
         monkeypatch.setattr(terms, "grow_levels", refuse)
         monkeypatch.setattr(terms, "enumerate_terms", refuse)
+        monkeypatch.setattr(terms, "_sum_texts", refuse)
         monkeypatch.setattr(terms.Term, "__init__", refuse)
         assert brute_count(gens, 12) == expected
 
@@ -638,3 +638,43 @@ class TestFamilyValidation:
     def test_explicit_rejects_negative(self):
         with pytest.raises(ValueError):
             ExplicitSeq(BigSeq([0, -1]))
+
+
+class TestReadsTextOnly:
+    """Membership, minimal generators, closures and counts read each term's
+    text in one pass and never walk the derived root children, which would
+    make them quadratic in the length of a term."""
+
+    COMB_SET = frozenset({left_comb(3000), TWO})
+
+    @staticmethod
+    def answers(gens):
+        probes = [t for k in range(1, 6) for t in enumerate_terms(k)] + [left_comb(3000)]
+        return (
+            [contains(gens, t) for t in probes],
+            minimal_generators(gens),
+            closure_up_to(gens, 8),
+            brute_count(gens, 8),
+            counting_sequence(FiniteSet(gens), 8),
+        )
+
+    def test_answers_unchanged_without_children(self, monkeypatch):
+        sets = _oracle_generator_sets() + [self.COMB_SET]
+        expected = [self.answers(gens) for gens in sets]
+
+        def refuse(self):
+            raise AssertionError("a root child was read")
+
+        monkeypatch.setattr(terms.Term, "left", property(refuse))
+        monkeypatch.setattr(terms.Term, "right", property(refuse))
+        for gens, answer in zip(sets, expected):
+            assert self.answers(gens) == answer, gens
+
+    def test_comb_set(self):
+        comb = left_comb(3000)
+        assert minimal_generators(self.COMB_SET) == self.COMB_SET
+        assert contains(self.COMB_SET, comb)
+        assert contains(self.COMB_SET, comb + TWO)
+        assert not contains({TWO}, comb)
+        assert not contains(self.COMB_SET, TWO + comb + ONE)
+        assert closure_up_to(self.COMB_SET, 8) == closure_up_to({TWO}, 8)

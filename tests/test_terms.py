@@ -1,5 +1,6 @@
 """Term algebra: constructors, encodings, enumeration, algebraic laws."""
 
+import functools
 import math
 from itertools import product as iproduct
 
@@ -23,7 +24,7 @@ from freemagma import (
     right_comb,
     sum_terms,
 )
-from freemagma import terms
+from freemagma import closure_up_to, terms
 
 ONE = leaf()
 TWO = sum_terms(ONE, ONE)
@@ -244,20 +245,20 @@ class TestTextFormat:
 class TestEnumeration:
     def test_counts_match_binomial_catalan(self, monkeypatch):
         # Independent size oracle: C_{n-1} = binom(2n-2, n-1) / n, checked on
-        # enumerate_terms(15) and on the levels 1..14 of the one build it
-        # makes.  Level 15 alone has ~2.7M terms; this is the suite's memory
-        # peak.
-        real, builds = terms.whole_levels, []
+        # enumerate_terms(15) and on the text levels 1..14 of the one build
+        # it makes.  Level 15 alone has ~2.7M terms; this is the suite's
+        # memory peak.
+        real, builds = terms._grow_texts, []
 
-        def keep(n_max, cap):
-            builds.append(real(n_max, cap))
+        def keep(seeds, n_max):
+            builds.append(real(seeds, n_max))
             return builds[-1]
 
-        monkeypatch.setattr(terms, "whole_levels", keep)
-        assert len(enumerate_terms(15)) == math.comb(28, 14) // 15
+        monkeypatch.setattr(terms, "_grow_texts", keep)
+        top = enumerate_terms(15)
         (levels,) = builds
         sizes = [math.comb(2 * n - 2, n - 1) // n for n in range(1, 16)]
-        assert [len(level) for level in levels[1:]] == sizes
+        assert [len(level) for level in levels[1:]] + [len(top)] == sizes
 
     def test_level_three(self):
         assert set(enumerate_terms(3)) == {THREE_MINUS, THREE_PLUS}
@@ -298,3 +299,59 @@ class TestLevelTexts:
         assert len(list(iter_level_texts(6, cap=6))) == 42
         with pytest.raises(ValueError):
             iter_level_texts(0)
+
+
+# An oracle for the level DP that shares no code with it: trees are nested
+# tuples, () is the leaf and (x, y) the sum x+y, printed and encoded here.
+@functools.cache
+def tuple_trees(n):
+    if n == 1:
+        return [()]
+    return [(x, y) for i in range(1, n) for x in tuple_trees(i) for y in tuple_trees(n - i)]
+
+
+def tuple_text(t):
+    return "1" if t == () else f"({tuple_text(t[0])}+{tuple_text(t[1])})"
+
+
+def tuple_code(t):
+    return "0" if t == () else "1" + tuple_code(t[0]) + tuple_code(t[1])
+
+
+def tuple_member(gens, t):
+    return t in gens or (t != () and tuple_member(gens, t[0]) and tuple_member(gens, t[1]))
+
+
+class TestLevelDPOracle:
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_whole_levels_in_code_order(self, n):
+        expected = [tuple_text(t) for t in sorted(tuple_trees(n), key=tuple_code)]
+        assert list(iter_level_texts(n)) == expected
+        assert [t.text for t in enumerate_terms(n)] == expected
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            {((), ())},
+            {((), ()), ((), ((), ()))},
+            {(((), ()), ()), ((), ((), ())), ((), ()), (((), ()), ((), ()))},
+        ],
+        ids=["two", "two-three", "with-redundant"],
+    )
+    def test_closure_matches_tuple_filter(self, gens):
+        levels = closure_up_to([parse_term(tuple_text(g)) for g in gens], 9)
+        for n in range(1, 10):
+            members = sorted((t for t in tuple_trees(n) if tuple_member(gens, t)), key=tuple_code)
+            assert levels[n] == {parse_term(tuple_text(t)) for t in members}, n
+
+    def test_seeded_levels_in_code_order(self):
+        # The closure of {2, 4+, 4-}: both length-4 seeds are minimal and lie
+        # between the sums of their level in code order, and they are handed
+        # to the DP in ascending text order, which it must not keep.
+        two = ((), ())
+        gens = {two, ((), ((), two)), ((two, ()), ())}
+        seeds = {2: ["(1+1)"], 4: ["(((1+1)+1)+1)", "(1+(1+(1+1)))"]}
+        levels = terms.grow_levels(lambda k: seeds.get(k, ()), 9)
+        for n in range(1, 10):
+            members = sorted((t for t in tuple_trees(n) if tuple_member(gens, t)), key=tuple_code)
+            assert [t.text for t in levels[n]] == [tuple_text(t) for t in members], n
