@@ -63,7 +63,6 @@ from .subgroupoids import (
     semigroup_info,
 )
 from .terms import (
-    DEFAULT_ENUMERATION_CAP,
     Term,
     decode,
     encode,

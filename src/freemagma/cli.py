@@ -34,7 +34,7 @@ from .sequences import (
     unlimited_int_digits,
 )
 from .subgroupoids import Longitudinal, counting_texts, parse_family, semigroup_info
-from .terms import DEFAULT_ENUMERATION_CAP, iter_level_texts
+from .terms import iter_level_texts
 from .verify import verify_all
 
 EXIT_OK = 0
@@ -90,7 +90,7 @@ def _sequence_text(texts: Iterable[str], fmt: str, meta: dict) -> Iterable[str]:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    texts = iter_level_texts(args.n, cap=args.cap)
+    texts = iter_level_texts(args.n)
     pieces: Iterable[str]
     if args.format == "json":
         meta = {"length": args.n, "count": catalan_numbers(args.n)[-1]}
@@ -184,10 +184,9 @@ def _cmd_longitudinal(args: argparse.Namespace) -> int:
             f"period: {asym.p}",
         ]
         lines += [f"residue {r}: {v}" for r, v in enumerate(asym.per_residue)]
-        text = "\n".join(lines)
+        text = chain((f"{line}\n" for line in lines), _sequence_text(texts or (), "plain", {}))
     elif texts is not None:
-        rows = enumerate(texts, start=1)
-        text = _json_pieces(payload, "counting", {}, (f'"{n}": "{v}"' for n, v in rows))
+        text = _json_pieces(payload, "counting", {}, (f'"{n}": "{v}"' for n, v in enumerate(texts, 1)))
     else:
         text = json.dumps(payload, indent=2)
     _emit(text, args.out)
@@ -256,12 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list all terms of a given length")
     p.add_argument("--n", type=int, required=True, help="term length (>= 1)")
-    p.add_argument(
-        "--cap",
-        type=int,
-        default=DEFAULT_ENUMERATION_CAP,
-        help=f"enumeration size cap (default {DEFAULT_ENUMERATION_CAP})",
-    )
     p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(fn=_cmd_enumerate)

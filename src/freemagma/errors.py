@@ -8,7 +8,19 @@ class FreeMagmaError(Exception):
 
 
 class CapacityError(FreeMagmaError):
-    """A requested enumeration exceeds the configured size cap."""
+    """A requested construction would need more memory than MEMORY_BUDGET."""
+
+
+# Every construction that holds terms, flags or paths prices them from exact
+# sizes and is refused, before it builds any, above this many bytes.
+MEMORY_BUDGET = 1 << 30
+
+
+def check_memory(what: str, estimate: int) -> None:
+    """Refuse ``what`` when its estimate exceeds MEMORY_BUDGET bytes."""
+    if estimate > MEMORY_BUDGET:
+        over = f"over the memory budget of {MEMORY_BUDGET / 2**20:.1f} MiB"
+        raise CapacityError(f"{what} would take an estimated {estimate / 2**20:.1f} MiB, {over}")
 
 
 class TermParseError(FreeMagmaError, ValueError):

@@ -17,17 +17,17 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Union
 
-from .errors import CapacityError
+from .errors import CapacityError, check_memory
 from .reporting import CheckReport
 from .subgroupoids import GenFamily, counting_sequence, format_family
 
 STEPS = ("U", "D", "F")
 _DELTA = {"U": 1, "D": -1, "F": 0}
 
-# The length cap keeps counting and the depth-first listing cheap; the count
-# cap bounds the list itself, at about 120 bytes per path (1.2 GB here).
+# The length cap bounds the time of the depth-first listing.  A path of at most
+# 40 characters (96 bytes) and its list slot: tracemalloc measures 74-78 bytes.
 ENUMERATION_LENGTH_CAP = 20
-ENUMERATION_COUNT_CAP = 10**7
+PATH_BYTES = 120
 
 BigramLike = Union[tuple[str, str], str]
 
@@ -115,17 +115,14 @@ def enumerate_paths(spec: PathSpec) -> list[str]:
     ``UF2DF1``; unit-multiplicity steps render bare.  The list length
     equals :func:`count_paths`.  Deterministic order: depth-first over
     steps U, D, F with ascending colors.  Lengths past
-    ``ENUMERATION_LENGTH_CAP`` and listings of more than
-    ``ENUMERATION_COUNT_CAP`` paths are refused before any path is built.
+    ``ENUMERATION_LENGTH_CAP`` and listings over the memory budget are
+    refused before any path is built.
     """
     n = spec.length
     if n > ENUMERATION_LENGTH_CAP:
         raise CapacityError(f"enumeration of length {n} exceeds cap {ENUMERATION_LENGTH_CAP}")
     count = count_paths(spec)
-    if count > ENUMERATION_COUNT_CAP:
-        raise CapacityError(
-            f"listing {count} paths exceeds the cap of {ENUMERATION_COUNT_CAP} paths"
-        )
+    check_memory(f"listing {count:,} paths", count * PATH_BYTES)
     mult = {s: spec.multiplicity(s) for s in STEPS}
     out: list[str] = []
     track: list[str] = []

@@ -19,7 +19,7 @@ from decimal import Decimal, localcontext
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
-from .errors import UnsupportedVariantError
+from .errors import UnsupportedVariantError, check_memory
 from .sequences import (
     EXACT_DECIMAL,
     BigSeq,
@@ -30,10 +30,10 @@ from .sequences import (
     unlimited_int_digits,
 )
 from .terms import (
-    DEFAULT_ENUMERATION_CAP,
     Term,
-    _check_cap,
     _fold_text,
+    _grow_texts,
+    _whole_seeds,
     format_term,
     grow_levels,
     leaf,
@@ -157,12 +157,13 @@ def brute_count(gens: Iterable[Term], n_max: int) -> BigSeq:
     |x| + |y| = k, ordered by |x|, then by the rank of x, then by the rank of
     y; the oracle keeps one membership flag per term at that rank.  The sum
     x+y is a member iff both x and y are, and a generator's flag is set at
-    its rank (:func:`_rank`).
+    its rank (:func:`_rank`).  A flag is priced at 10 bytes, its list slot
+    and the growing list's slack (tracemalloc measures 8.9 bytes).
     """
-    _check_cap(n_max, DEFAULT_ENUMERATION_CAP)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     size = [0] + catalan_numbers(n_max)
+    check_memory(f"brute_count to length {n_max} ({sum(size):,} flags)", 10 * sum(size))
     ranks: dict[int, list[int]] = {}
     for g in gens:
         if g.length <= n_max:
@@ -202,12 +203,10 @@ def family_levels(family: GenFamily, n_max: int) -> Levels:
         return closure_up_to(family.terms, n_max)
     if isinstance(family, ShiftedFull):
         # M+a is its own minimal generating set, so it seeds the level DP
-        # from below[k], level k - |a| of the whole magma.  The horizon is
-        # checked before that is built.
-        _check_cap(n_max, DEFAULT_ENUMERATION_CAP)
+        # from below[k], the texts of level k - |a| of the whole magma.
         a = family.a
-        below = [()] * a.length + whole_levels(n_max - a.length)
-        levels = grow_levels(lambda k: [f"({y.text}+{a.text})" for y in below[k]], n_max)
+        below = [[]] * a.length + _grow_texts(_whole_seeds, n_max - a.length)
+        levels = grow_levels(lambda k: [f"({y}+{a.text})" for y in below[k]], n_max)
         return tuple(map(frozenset, levels))
     if isinstance(family, Longitudinal):
         whole = whole_levels(n_max)
@@ -223,7 +222,7 @@ def minimal_generators(gens: Iterable[Term]) -> frozenset[Term]:
 
     A generator is redundant iff both its root children are members, which
     one pass over its text decides on subterms alone; no closure
-    enumeration (and hence no size cap) is involved.
+    enumeration is involved.
     """
     genset = frozenset(gens)
     texts = frozenset(g.text for g in genset)

@@ -37,14 +37,8 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .errors import CapacityError, TermParseError
-
-# Enumeration sizes are Catalan.  The Terms of length 15 (enumerate_terms)
-# peak near 0.57 GB RSS, and those of length 16 (~9.7M terms) would need
-# about 2 GB.  The enumerate command streams the texts of one level from the
-# shorter ones (iter_level_texts) and peaks at 135 MB for length 15 and
-# 444 MB for 16.  Going past 15 needs an explicit cap either way.
-DEFAULT_ENUMERATION_CAP = 15
+from .errors import TermParseError, check_memory
+from .sequences import BigSeq, cat_transform, catalan_numbers
 
 _TEXT_TO_CODE = str.maketrans({"(": "1", "1": "0", "+": None, ")": None})
 V = TypeVar("V")
@@ -253,9 +247,8 @@ Seeds = Callable[[int], Iterable[str]]
 
 def grow_levels(seeds: Seeds, n_max: int) -> list[Level]:
     """The level DP as terms: levels 0..n_max of the subgroupoid generated
-    by the texts ``seeds(k)``, each in encoding order (:func:`_grow_texts`).
-    Horizons past the default cap are refused before anything is built."""
-    _check_cap(n_max, DEFAULT_ENUMERATION_CAP)
+    by the texts ``seeds(k)``, each in encoding order (:func:`_grow_texts`,
+    which refuses levels over the memory budget before building any)."""
     return [tuple(map(Term, level)) for level in _grow_texts(seeds, n_max)]
 
 
@@ -265,14 +258,27 @@ def _grow_texts(seeds: Seeds, n_max: int) -> list[list[str]]:
     Level k, in descending text order, is the stream of sums x+y of members
     whose lengths add up to k (:func:`_sum_texts`) merged with the sorted
     texts ``seeds(k)``.  ``seeds`` must describe a minimal generating set:
-    then no seed is such a sum, and a sum splits uniquely at its root, so no
-    text is built twice.
+    then no seed is such a sum, and a sum splits uniquely at its root.  So no
+    text is built twice, and the counting transform of the seed counts gives
+    the size of every level, priced (:func:`_check_levels`) before level 1.
     """
+    seeded = [sorted(seeds(k), reverse=True) for k in range(1, n_max + 1)]
+    _check_levels(cat_transform(BigSeq(map(len, seeded))))
     levels: list[list[str]] = [[]]
-    for k in range(1, n_max + 1):
-        sums, seeded = _sum_texts(levels, k), sorted(seeds(k), reverse=True)
-        levels.append(list(heapq.merge(sums, seeded, reverse=True) if seeded else sums))
+    for k, seeds_k in enumerate(seeded, start=1):
+        sums = _sum_texts(levels, k)
+        levels.append(list(heapq.merge(sums, seeds_k, reverse=True) if seeds_k else sums))
     return levels
+
+
+def _check_levels(sizes: Sequence[int]) -> None:
+    """Price levels of ``sizes[k-1]`` terms of length k for the costliest
+    caller, closure_up_to: a str of 4k-3 characters (46 + 4k bytes, rounded
+    to 8) and its list slot, which tracemalloc puts at 1.02-1.04 times the
+    text-only DP's peak; a Term (40) and its tuple slot (8); a 16-byte set
+    entry in a table at least 1/4 full, beside the one it replaces (64 + 32)."""
+    estimate = sum(c * ((46 + 4 * k + 7) // 8 * 8 + 8 + 144) for k, c in enumerate(sizes, 1))
+    check_memory(f"levels 1..{len(sizes)} ({sum(sizes):,} terms)", estimate)
 
 
 def _sum_texts(levels: Sequence[Sequence[str]], k: int) -> Iterator[str]:
@@ -285,11 +291,6 @@ def _sum_texts(levels: Sequence[Sequence[str]], k: int) -> Iterator[str]:
         for x in heapq.merge(*levels[1:k], reverse=True)
         for y in levels[k - (len(x) + 3) // 4]
     )
-
-
-def _check_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise CapacityError(f"length {n} exceeds cap {cap}; pass a larger cap explicitly")
 
 
 def _whole_seeds(k: int) -> tuple[str, ...]:
@@ -305,10 +306,10 @@ def whole_levels(n_max: int) -> list[Level]:
 
 def enumerate_terms(n: int) -> Level:
     """All terms of length exactly ``n``, sorted by canonical encoding: the
-    texts of :func:`iter_level_texts` as terms, so only level ``n`` is
-    wrapped.  The list has Catalan size C_{n-1}; lengths past the default
-    cap are refused.  A caller that needs several lengths should take them
-    from one :func:`whole_levels` call."""
+    texts of :func:`iter_level_texts` as terms, so only level ``n`` (C_{n-1}
+    terms, priced with the shorter levels) is wrapped.  A caller that needs
+    several lengths should take them from one :func:`whole_levels` call."""
+    _check_levels(catalan_numbers(n))
     return tuple(map(Term, iter_level_texts(n)))
 
 
@@ -318,15 +319,13 @@ def iter_terms_up_to(n_max: int) -> Iterator[Term]:
         yield from level
 
 
-def iter_level_texts(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[str]:
+def iter_level_texts(n: int) -> Iterator[str]:
     """Texts of all terms of length exactly ``n``, in the order of
     :func:`enumerate_terms`, built without any :class:`Term`.
 
     Levels 1..n-1 come from the level DP as lists of strings and level ``n``
-    is streamed from them; lengths past ``cap`` are refused before anything
-    is built.
+    is streamed from them.
     """
     if n < 1:
         raise ValueError(f"length must be >= 1, got {n}")
-    _check_cap(n, cap)
     return _sum_texts(_grow_texts(_whole_seeds, n - 1), n) if n > 1 else iter(["1"])

@@ -15,6 +15,7 @@ from freemagma import (
     cli,
     counting_sequence,
     enumerate_terms,
+    errors,
     format_term,
     longitudinal_counting,
     parse_family,
@@ -58,18 +59,31 @@ class TestEnumerate:
         assert data.endswith(b"\n") and not data.endswith(b"\n\n")
 
     def test_cap_exceeded_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "enumerate", "--n", "17")
+        code, out, err = run_cli(capsys, "enumerate", "--n", "17")
         assert code == 2
-        assert "cap" in err
+        assert out == ""
+        assert "estimated 3365.8 MiB, over the memory budget of 1024.0 MiB" in err
 
-    def test_default_cap_refuses_16_before_building(self, capsys, monkeypatch):
+    def test_budget_refuses_17_before_building(self, capsys, monkeypatch):
         def no_texts(levels, k):
-            raise AssertionError("a text level was built past the cap")
+            raise AssertionError("a text level was built over the budget")
 
         monkeypatch.setattr(terms, "_sum_texts", no_texts)
-        code, _, err = run_cli(capsys, "enumerate", "--n", "16")
+        code, _, err = run_cli(capsys, "enumerate", "--n", "17")
         assert code == 2
-        assert "cap 15" in err
+        assert "levels 1..16 (13,402,697 terms)" in err
+
+    def test_small_budget_refuses_before_building(self, capsys, monkeypatch):
+        def no_texts(levels, k):
+            raise AssertionError("a text level was built over the budget")
+
+        monkeypatch.setattr(terms, "_sum_texts", no_texts)
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", 2**20)
+        code, out, err = run_cli(capsys, "enumerate", "--n", "11")
+        assert code == 2
+        assert out == ""
+        assert "levels 1..10 (6,918 terms) would take an estimated 1.6 MiB" in err
+        assert "memory budget of 1.0 MiB" in err
 
     @staticmethod
     def term_output(n, fmt):
@@ -384,6 +398,18 @@ class TestLongitudinal:
         payload = json.loads(out)
         assert payload["counting"]["6"] == "42"
 
+    def test_plain_counting_follows_asymptotes(self, capsys):
+        _, head, _ = run_cli(capsys, "longitudinal", "--lengths", "2,3", "--format", "plain")
+        code, out, _ = run_cli(
+            capsys, "longitudinal", "--lengths", "2,3", "--nmax", "10", "--format", "plain"
+        )
+        _, counts, _ = run_cli(
+            capsys, "count", "--family", "longitudinal:[2,3]", "--n", "10", "--format", "plain"
+        )
+        assert code == 0
+        assert out == head + counts
+        assert counts.splitlines()[-1] == "n=10 4862"
+
 
 class TestMotzkin:
     def test_count(self, capsys):
@@ -415,7 +441,8 @@ class TestMotzkin:
         )
         assert code == 2
         assert out == ""
-        assert "exceeds the cap of 10000000 paths" in err
+        assert "listing 4,380,764,540,356,791 paths would take an estimated" in err
+        assert "over the memory budget of 1024.0 MiB" in err
 
 
 class TestVerify:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from freemagma import motzkin_paths
+from freemagma import errors, motzkin_paths
 from freemagma import (
     CapacityError,
     FiniteSet,
@@ -149,10 +149,22 @@ class TestEnumeratePaths:
             enumerate_paths(PathSpec(21))
 
     def test_count_cap_checked_before_listing(self, monkeypatch):
-        monkeypatch.setattr(motzkin_paths, "ENUMERATION_COUNT_CAP", 100)
-        with pytest.raises(CapacityError, match="2188 paths exceeds the cap of 100"):
-            enumerate_paths(PathSpec(10))
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", 100 * motzkin_paths.PATH_BYTES)
         assert len(enumerate_paths(PathSpec(6))) == 51
+        real_count = motzkin_paths.count_paths
+
+        def refuse(*args):
+            raise AssertionError("paths were listed over the budget")
+
+        def count_then_refuse_listing(spec):
+            count = real_count(spec)
+            # The listing reads the step colours first.
+            monkeypatch.setattr(PathSpec, "multiplicity", refuse)
+            return count
+
+        monkeypatch.setattr(motzkin_paths, "count_paths", count_then_refuse_listing)
+        with pytest.raises(CapacityError, match="listing 2,188 paths would take an estimated"):
+            enumerate_paths(PathSpec(10))
 
 
 class TestPathSpecValidation:

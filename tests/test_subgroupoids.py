@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freemagma import subgroupoids, terms
+from freemagma import errors, subgroupoids, terms
 from freemagma.sequences import unlimited_int_digits
 from freemagma import (
     BigSeq,
@@ -83,18 +83,44 @@ class TestClosure:
         assert family_levels(ShiftedFull(shift), 9) == closure_up_to(truncation, 9)
 
     def test_cap(self):
-        with pytest.raises(CapacityError):
-            closure_up_to({TWO}, 17)
+        with pytest.raises(CapacityError, match="over the memory budget of 1024.0 MiB"):
+            closure_up_to({ONE}, 16)
+
+    def test_level_sizes_are_the_counting_sequence(self):
+        # The level DP prices its levels from these sizes before it builds them.
+        levels = closure_up_to({TWO}, 24)
+        sizes = BigSeq(len(level) for level in levels[1:])
+        assert sizes == counting_sequence(FiniteSet({TWO}), 24)
 
     @pytest.mark.parametrize("family", [ShiftedFull(ONE), Longitudinal({2})], ids=repr)
     def test_family_cap_checked_before_building(self, family, monkeypatch):
         def refuse(*args):
-            raise AssertionError("levels were built past the cap")
+            raise AssertionError("levels were built over the budget")
 
         monkeypatch.setattr(terms, "_sum_texts", refuse)
         monkeypatch.setattr(subgroupoids, "_reachable_lengths", refuse)
-        with pytest.raises(CapacityError, match="cap 15"):
-            family_levels(family, 16)
+        with pytest.raises(CapacityError, match="over the memory budget of 1024.0 MiB"):
+            family_levels(family, 17)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: closure_up_to({TWO}, 20),
+            lambda: family_levels(ShiftedFull(ONE), 12),
+            lambda: family_levels(Longitudinal({2}), 11),
+            lambda: brute_count({TWO}, 14),
+        ],
+        ids=["closure", "shifted", "longitudinal", "brute_count"],
+    )
+    def test_small_budget_refuses_before_building(self, build, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("levels were built over the budget")
+
+        monkeypatch.setattr(terms, "_sum_texts", refuse)
+        monkeypatch.setattr(subgroupoids, "_rank", refuse)
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", 2**20)
+        with pytest.raises(CapacityError, match=r"estimated \d+\.\d MiB, over the memory budget of 1\.0 MiB"):
+            build()
 
 
 class TestContains:
@@ -472,12 +498,12 @@ class TestBruteCount:
         assert brute_count(gens, 12) == expected
 
     def test_cap_checked_before_building(self, monkeypatch):
-        def refuse(count):
-            raise AssertionError("the oracle sized its levels past the cap")
+        def refuse(*args):
+            raise AssertionError("the oracle ranked its generators over the budget")
 
-        monkeypatch.setattr(subgroupoids, "catalan_numbers", refuse)
-        with pytest.raises(CapacityError, match="cap 15"):
-            brute_count({TWO}, 16)
+        monkeypatch.setattr(subgroupoids, "_rank", refuse)
+        with pytest.raises(CapacityError, match="178,405,157 flags"):
+            brute_count({TWO}, 18)
 
     def test_non_minimal_generators(self):
         # One generator is a sum of the others, so it adds no member.

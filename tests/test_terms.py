@@ -1,7 +1,10 @@
 """Term algebra: constructors, encodings, enumeration, algebraic laws."""
 
 import functools
+import gc
 import math
+import tracemalloc
+from collections import deque
 from itertools import product as iproduct
 
 import pytest
@@ -24,7 +27,8 @@ from freemagma import (
     right_comb,
     sum_terms,
 )
-from freemagma import closure_up_to, terms
+from freemagma import brute_count, closure_up_to, subgroupoids, terms
+from freemagma.terms import whole_levels
 
 ONE = leaf()
 TWO = sum_terms(ONE, ONE)
@@ -287,18 +291,76 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_terms(0)
 
+    def test_terms_of_length_16_refused_before_building(self, monkeypatch):
+        # iter_level_texts(16) fits the budget; the 9.7M terms of level 16 do not.
+        def refuse(*args):
+            raise AssertionError("a text level was built over the budget")
+
+        monkeypatch.setattr(terms, "_sum_texts", refuse)
+        for build in (enumerate_terms, whole_levels):
+            with pytest.raises(CapacityError, match=r"levels 1\.\.16 \(13,402,697 terms\)"):
+                build(16)
+
 
 class TestLevelTexts:
     def test_matches_term_enumeration(self):
         for n in range(1, 13):
             assert list(iter_level_texts(n)) == [t.text for t in enumerate_terms(n)]
 
-    def test_cap_and_length_checked_before_building(self):
-        with pytest.raises(CapacityError, match="cap 15"):
-            iter_level_texts(16)
-        assert len(list(iter_level_texts(6, cap=6))) == 42
+    def test_cap_and_length_checked_before_building(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a text level was built over the budget")
+
+        monkeypatch.setattr(terms, "_sum_texts", refuse)
+        with pytest.raises(CapacityError, match="over the memory budget of 1024.0 MiB"):
+            iter_level_texts(17)
         with pytest.raises(ValueError):
             iter_level_texts(0)
+
+
+class TestMemoryPrice:
+    """The price checked against the memory budget, against the tracemalloc
+    peak of the build it admits: never below it, and for the text-only DP
+    not far above it."""
+
+    @staticmethod
+    def price_and_peak(monkeypatch, module, build):
+        prices = []
+        real = module.check_memory
+
+        def spy(what, estimate):
+            prices.append(estimate)
+            real(what, estimate)
+
+        monkeypatch.setattr(module, "check_memory", spy)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (price,) = prices
+        return price, peak
+
+    @pytest.mark.parametrize(
+        "module, build",
+        [
+            (terms, lambda: whole_levels(13)),
+            (terms, lambda: closure_up_to({ONE}, 13)),
+            (subgroupoids, lambda: brute_count({TWO}, 14)),
+        ],
+        ids=["whole_levels", "closure", "brute_count"],
+    )
+    def test_price_covers_peak(self, monkeypatch, module, build):
+        price, peak = self.price_and_peak(monkeypatch, module, build)
+        assert price >= peak
+
+    def test_text_dp_price_is_close(self, monkeypatch):
+        price, peak = self.price_and_peak(
+            monkeypatch, terms, lambda: deque(iter_level_texts(14), maxlen=0)
+        )
+        assert peak <= price <= 2.5 * peak
 
 
 # An oracle for the level DP that shares no code with it: trees are nested
