@@ -13,29 +13,16 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 import time
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import __version__
-from .density import density_report, estimate_density, longitudinal_asymptote, write_trace_csv
 from .errors import ExactDivisionError, FreeMagmaError
-from .motzkin_paths import PathSpec, count_paths, enumerate_paths
-from .sequences import (
-    BigSeq,
-    _atomic_write,
-    _csv_text,
-    _write_lines,
-    cat_transform,
-    catalan_numbers,
-    read_sequence_csv,
-    unlimited_int_digits,
-)
-from .subgroupoids import Longitudinal, counting_texts, parse_family, semigroup_info
-from .terms import iter_level_texts
-from .verify import verify_all
+
+# Each subcommand imports the functions it runs, so that a run loads only the
+# modules it uses; `--version` loads none beyond this one and `errors`.
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -44,6 +31,8 @@ EXIT_INTERNAL = 3
 
 
 def _ensure_writable_dir(path: Path) -> None:
+    import tempfile
+
     path.mkdir(parents=True, exist_ok=True)
     try:
         fd, probe = tempfile.mkstemp(dir=path, prefix=".write-probe-")
@@ -54,6 +43,8 @@ def _ensure_writable_dir(path: Path) -> None:
 
 
 def _emit(text: str | Iterable[str], out: str | None) -> None:
+    from .sequences import _atomic_write, _write_lines
+
     if out:
         _atomic_write(Path(out), text)
     else:
@@ -85,11 +76,16 @@ def _sequence_text(texts: Iterable[str], fmt: str, meta: dict) -> Iterable[str]:
     if fmt == "json":
         return _json_pieces(meta, "values", {}, (f'"{n}": "{v}"' for n, v in rows))
     if fmt == "csv":
+        from .sequences import _csv_text
+
         return _csv_text(rows)
     return (f"n={n} {v}\n" for n, v in rows)
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from .sequences import catalan_numbers
+    from .terms import iter_level_texts
+
     texts = iter_level_texts(args.n)
     pieces: Iterable[str]
     if args.format == "json":
@@ -104,6 +100,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    from .subgroupoids import counting_texts, parse_family
+
     family = parse_family(args.family)
     texts = counting_texts(family, args.n)
     text = _sequence_text(texts, args.format, {"family": args.family, "n_max": args.n})
@@ -112,6 +110,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
+    from .sequences import BigSeq, cat_transform, read_sequence_csv, unlimited_int_digits
+
     if args.seqfile:
         seq = read_sequence_csv(args.seqfile)
     else:
@@ -128,6 +128,10 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
+    from .density import density_report, estimate_density, write_trace_csv
+    from .sequences import _atomic_write
+    from .subgroupoids import parse_family
+
     if args.precision < 6:
         raise FreeMagmaError(f"precision must be >= 6 significant digits, got {args.precision}")
     family_n = parse_family(args.n)
@@ -164,6 +168,9 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
 
 def _cmd_longitudinal(args: argparse.Namespace) -> int:
+    from .density import longitudinal_asymptote
+    from .subgroupoids import Longitudinal, counting_texts, semigroup_info
+
     lengths = sorted({int(v) for v in args.lengths.split(",")})
     asym = longitudinal_asymptote(lengths)
     info = semigroup_info(lengths)
@@ -194,6 +201,8 @@ def _cmd_longitudinal(args: argparse.Namespace) -> int:
 
 
 def _cmd_motzkin(args: argparse.Namespace) -> int:
+    from .motzkin_paths import PathSpec, count_paths, enumerate_paths
+
     bigrams = [b.strip() for b in args.forbid.split(",") if b.strip()] if args.forbid else []
     colors = {}
     if args.colors:
@@ -218,6 +227,8 @@ def _cmd_motzkin(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import verify_all
+
     if args.scope not in ("fast", "full"):
         raise FreeMagmaError(f"verify needs a scope of 'fast' or 'full', got {args.scope!r}")
     reports = verify_all(args.scope)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
@@ -31,6 +32,7 @@ from .sequences import (
 )
 from .terms import (
     Term,
+    _check_levels,
     _fold_text,
     _grow_texts,
     _whole_seeds,
@@ -203,8 +205,13 @@ def family_levels(family: GenFamily, n_max: int) -> Levels:
         return closure_up_to(family.terms, n_max)
     if isinstance(family, ShiftedFull):
         # M+a is its own minimal generating set, so it seeds the level DP
-        # from below[k], the texts of level k - |a| of the whole magma.
+        # from below[k], the texts of level k - |a| of the whole magma.  The
+        # whole levels and the shifted ones, whose seed counts are Catalan
+        # numbers, are priced together before either is built.
         a = family.a
+        whole = catalan_numbers(n_max - a.length)
+        shifted = cat_transform(BigSeq(([0] * a.length + whole)[:n_max]))
+        _check_levels([s + w for s, w in zip_longest(shifted, whole, fillvalue=0)])
         below = [[]] * a.length + _grow_texts(_whole_seeds, n_max - a.length)
         levels = grow_levels(lambda k: [f"({y}+{a.text})" for y in below[k]], n_max)
         return tuple(map(frozenset, levels))

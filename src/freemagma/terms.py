@@ -34,6 +34,7 @@ order and merges in the seeds of the level, so no level is sorted.
 
 from __future__ import annotations
 
+import gc
 import heapq
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -249,7 +250,22 @@ def grow_levels(seeds: Seeds, n_max: int) -> list[Level]:
     """The level DP as terms: levels 0..n_max of the subgroupoid generated
     by the texts ``seeds(k)``, each in encoding order (:func:`_grow_texts`,
     which refuses levels over the memory budget before building any)."""
-    return [tuple(map(Term, level)) for level in _grow_texts(seeds, n_max)]
+    return [_wrap_texts(level) for level in _grow_texts(seeds, n_max)]
+
+
+def _wrap_texts(texts: Iterable[str]) -> Level:
+    """``texts`` as terms, built with the cyclic garbage collector paused.
+    A Term holds one str and so cannot be part of a cycle, but it is
+    tracked, and with the collector on, wrapping a million of them spends
+    more time in generation scans over the live terms than in the wrapping.
+    The caller's collector state is restored."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return tuple(map(Term, texts))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _grow_texts(seeds: Seeds, n_max: int) -> list[list[str]]:
@@ -310,7 +326,7 @@ def enumerate_terms(n: int) -> Level:
     terms, priced with the shorter levels) is wrapped.  A caller that needs
     several lengths should take them from one :func:`whole_levels` call."""
     _check_levels(catalan_numbers(n))
-    return tuple(map(Term, iter_level_texts(n)))
+    return _wrap_texts(iter_level_texts(n))
 
 
 def iter_terms_up_to(n_max: int) -> Iterator[Term]:

@@ -525,7 +525,7 @@ class TestExitCodes:
         def broken(family, n_max):
             raise ExactDivisionError("a 12-bit integer is not divisible by 7 (remainder 3)")
 
-        monkeypatch.setattr(cli, "counting_texts", broken)
+        monkeypatch.setattr("freemagma.subgroupoids.counting_texts", broken)
         code, _, err = run_cli(capsys, "count", "--family", "shifted:1", "--n", "10")
         assert code == cli.EXIT_INTERNAL == 3
         assert "internal error" in err

@@ -102,6 +102,21 @@ class TestClosure:
         with pytest.raises(CapacityError, match="over the memory budget of 1024.0 MiB"):
             family_levels(family, 17)
 
+    def test_shifted_priced_before_any_text_level(self, monkeypatch):
+        # The whole magma's levels 1..15 and the shifted levels 1..16 are
+        # priced together from Catalan numbers before either is built.
+        def refuse(*args):
+            raise AssertionError("a text level was built before the price was checked")
+
+        monkeypatch.setattr(terms, "_grow_texts", refuse)
+        monkeypatch.setattr(subgroupoids, "_grow_texts", refuse)
+        with pytest.raises(
+            CapacityError,
+            match=r"^levels 1\.\.16 \(9,140,906 terms\) would take an estimated 2289\.3 MiB, "
+            r"over the memory budget of 1024\.0 MiB$",
+        ):
+            family_levels(ShiftedFull(ONE), 16)
+
     @pytest.mark.parametrize(
         "build",
         [

@@ -417,3 +417,45 @@ class TestLevelDPOracle:
         for n in range(1, 10):
             members = sorted((t for t in tuple_trees(n) if tuple_member(gens, t)), key=tuple_code)
             assert [t.text for t in levels[n]] == [tuple_text(t) for t in members], n
+
+
+class TestCollectorPause:
+    """Terms are wrapped with the cyclic garbage collector paused, and the
+    caller gets back the collector state it had."""
+
+    @pytest.fixture(autouse=True)
+    def keep_collector_state(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_state_restored(self, enabled, monkeypatch):
+        real, seen = terms.Term, []
+
+        def spy(text):
+            seen.append(gc.isenabled())
+            return real(text)
+
+        monkeypatch.setattr(terms, "Term", spy)
+        (gc.enable if enabled else gc.disable)()
+        assert len(whole_levels(6)[6]) == 42
+        assert gc.isenabled() is enabled
+        assert len(enumerate_terms(6)) == 42
+        assert gc.isenabled() is enabled
+        assert seen and not any(seen)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_state_restored_on_capacity_error(self, enabled, monkeypatch):
+        def refuse(text):
+            raise CapacityError("refused while wrapping")
+
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(CapacityError, match="over the memory budget"):
+            whole_levels(16)
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(terms, "Term", refuse)
+        for build in (whole_levels, enumerate_terms):
+            with pytest.raises(CapacityError, match="refused while wrapping"):
+                build(6)
+            assert gc.isenabled() is enabled
