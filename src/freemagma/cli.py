@@ -202,6 +202,7 @@ def _cmd_longitudinal(args: argparse.Namespace) -> int:
 
 def _cmd_motzkin(args: argparse.Namespace) -> int:
     from .motzkin_paths import PathSpec, count_paths, enumerate_paths
+    from .sequences import unlimited_int_digits
 
     bigrams = [b.strip() for b in args.forbid.split(",") if b.strip()] if args.forbid else []
     colors = {}
@@ -210,18 +211,18 @@ def _cmd_motzkin(args: argparse.Namespace) -> int:
             step, _, mult = part.partition("=")
             colors[step.strip()] = int(mult)
     spec = PathSpec(args.length, forbidden_bigrams=bigrams, color_multiplicity=colors)
+    text: str | Iterable[str]
     if args.list:
         paths = enumerate_paths(spec)
         if args.format == "json":
-            text = json.dumps({"length": args.length, "count": len(paths), "paths": paths}, indent=2)
+            meta = {"length": args.length, "count": len(paths)}
+            text = _json_pieces(meta, "paths", [], (f'"{p}"' for p in paths))
         else:
-            text = "\n".join(paths) if paths else ""
+            text = (f"{p}\n" for p in paths)
     else:
-        count = count_paths(spec)
-        if args.format == "json":
-            text = json.dumps({"length": args.length, "count": count}, indent=2)
-        else:
-            text = str(count)
+        payload = {"length": args.length, "count": count_paths(spec)}
+        with unlimited_int_digits():
+            text = json.dumps(payload, indent=2) if args.format == "json" else str(payload["count"])
     _emit(text, args.out)
     return EXIT_OK
 
@@ -229,8 +230,6 @@ def _cmd_motzkin(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .verify import verify_all
 
-    if args.scope not in ("fast", "full"):
-        raise FreeMagmaError(f"verify needs a scope of 'fast' or 'full', got {args.scope!r}")
     reports = verify_all(args.scope)
     ok = all(r.passed for r in reports)
     if args.format == "json":
@@ -312,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_motzkin)
 
     p = sub.add_parser("verify", help="run the self-verification suite")
-    p.add_argument("--scope", choices=("fast", "full"), default=None)
+    p.add_argument("--scope", choices=("fast", "full"), required=True)
     p.add_argument("--format", choices=("plain", "json"), default="plain")
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(fn=_cmd_verify)

@@ -12,6 +12,7 @@ residue class together with the exact closed-form asymptotes.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from enum import Enum
@@ -195,9 +196,9 @@ def longitudinal_convergence_check(
     counting = longitudinal_counting(lset, n_max)
     cats = catalan_numbers(n_max)
     tol = Fraction(str(tolerance))
-    latest: dict[int, Fraction] = {}
-    for n, gl, gm in zip(range(1, n_max + 1), accumulate(counting), accumulate(cats)):
-        latest[n % p] = Fraction(gl, gm)
+    # Only the last ratio of each residue class is read: keep the last p sums.
+    last = deque(zip(range(1, n_max + 1), accumulate(counting), accumulate(cats)), maxlen=p)
+    latest = {n % p: Fraction(gl, gm) for n, gl, gm in last}
     worst_err = Fraction(0)
     worst_residue = -1
     for r in range(p):

@@ -14,7 +14,7 @@ the constrained path count at length n - 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 from .errors import CapacityError, check_memory
@@ -79,18 +79,21 @@ class PathSpec:
         return 1
 
 
-def count_paths(spec: PathSpec) -> int:
-    """Weighted number of paths satisfying the spec.
+def _path_counts(spec: PathSpec) -> list[int]:
+    """Weighted numbers of paths satisfying the spec at lengths 0..length.
 
     Dynamic programming over one row of weighted counts per last step,
     indexed by height; the empty prefix is the row with no last step.  Each
     step adds up the rows of the steps it may follow, shifts the sum by its
     height change, keeps the heights from which the path can still get back
-    to 0, and scales by its color multiplicity.  With no constraints and
-    unit colors this is the Motzkin number M_length.
+    to 0 by length spec.length, and scales by its color multiplicity.  A
+    path of length m <= spec.length that ends at height 0 is never cut by
+    that bound (its height after j steps is at most m - j), so the height-0
+    entries after m steps count the paths of length m.
     """
     n = spec.length
     rows: dict[str | None, list[int]] = {None: [1]}
+    counts = [1]
     for pos in range(n):
         # Heights above n - pos - 1 cannot return to 0; above pos + 1 they
         # are out of reach.
@@ -105,7 +108,14 @@ def count_paths(spec: PathSpec) -> int:
             m = spec.multiplicity(step)
             new_rows[step] = [m * w for w in row] if m > 1 else row
         rows = new_rows
-    return sum(row[0] for row in rows.values())
+        counts.append(sum(row[0] for row in rows.values()))
+    return counts
+
+
+def count_paths(spec: PathSpec) -> int:
+    """Weighted number of paths satisfying the spec.  With no constraints
+    and unit colors this is the Motzkin number M_length."""
+    return _path_counts(spec)[-1]
 
 
 def enumerate_paths(spec: PathSpec) -> list[str]:
@@ -151,22 +161,24 @@ def enumerate_paths(spec: PathSpec) -> list[str]:
 def crosscheck_subgroupoid(
     spec: PathSpec, family: GenFamily, offset: int, n_max: int
 ) -> CheckReport:
-    """Assert count_paths(length = n - offset) equals the counting sequence
-    of the family at n, for 1 <= n <= n_max (negative lengths count 0)."""
+    """Assert the path counts at lengths n - offset, all from one DP pass,
+    equal the counting sequence of the family at 1 <= n <= n_max (negative
+    lengths count 0)."""
     seq = counting_sequence(family, n_max)
-    for n in range(1, n_max + 1):
-        length = n - offset
-        got = 0 if length < 0 else count_paths(replace(spec, length=length))
-        if got != seq[n]:
-            return CheckReport(
-                name="motzkin-crosscheck",
-                passed=False,
-                details=(
-                    f"{format_family(family)}: path count {got} != |N|_{n} = {seq[n]} "
-                    f"(offset {offset})"
-                ),
-                first_failure=n,
-            )
+    top = max(n_max - offset, 0)
+    paths = _path_counts(PathSpec(top, spec.forbidden_bigrams, spec.color_multiplicity))
+    got = [paths[n - offset] if n >= offset else 0 for n in range(1, n_max + 1)]
+    first = next((n for n, (g, e) in enumerate(zip(got, seq), 1) if g != e), None)
+    if first is not None:
+        return CheckReport(
+            name="motzkin-crosscheck",
+            passed=False,
+            details=(
+                f"{format_family(family)}: path count {got[first - 1]} != "
+                f"|N|_{first} = {seq[first]} (offset {offset})"
+            ),
+            first_failure=first,
+        )
     return CheckReport(
         name="motzkin-crosscheck",
         passed=True,

@@ -472,29 +472,17 @@ def unlimited_int_digits() -> Iterator[None]:
         sys.set_int_max_str_digits(previous)
 
 
-# Characters of one string per write: the text layer encodes each write into
-# a bytes copy, which then stays this small next to a long text.
-_CHARS_PER_WRITE = 1 << 20
-
-
 def _write_lines(fh: TextIO, text: str | Iterable[str]) -> None:
     """Write ``text`` newline-terminated, without copying it to append one.
 
-    ``text`` is one string, written ``_CHARS_PER_WRITE`` characters at a
-    time, or an iterable of nonempty string pieces, each written as it
-    comes: the text layer buffers small writes, and a long stream is never
-    held whole.
+    ``text`` is an iterable of nonempty string pieces, each written as it
+    comes (the text layer buffers small writes, and a long stream is never
+    held whole), or one short string, written as one piece.
     """
-    if isinstance(text, str):
-        for start in range(0, len(text), _CHARS_PER_WRITE):
-            fh.write(text[start : start + _CHARS_PER_WRITE])
-        end = text[-1:]
-    else:
-        piece = ""
-        for piece in text:
-            fh.write(piece)
-        end = piece[-1:]
-    if end != "\n":
+    piece = ""
+    for piece in (text,) if isinstance(text, str) else text:
+        fh.write(piece)
+    if piece[-1:] != "\n":
         fh.write("\n")
 
 

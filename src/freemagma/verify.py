@@ -24,7 +24,7 @@ from .density import (
     longitudinal_asymptote,
     longitudinal_convergence_check,
 )
-from .motzkin_paths import PathSpec, count_paths, crosscheck_subgroupoid, enumerate_paths
+from .motzkin_paths import PathSpec, _path_counts, crosscheck_subgroupoid, enumerate_paths
 from .reporting import CheckReport
 from .sequences import (
     BigSeq,
@@ -160,30 +160,25 @@ def check_series_identities(scope: str) -> CheckReport:
 
 
 def check_motzkin_paths(scope: str) -> CheckReport:
-    plain = count_paths(PathSpec(4))
-    pruned = count_paths(PathSpec(4, forbidden_bigrams=("FU", "FF")))
-    colored = count_paths(
-        PathSpec(4, forbidden_bigrams=("FU", "FF"), color_multiplicity={"F": 2})
-    )
-    if (plain, pruned, colored) != (9, 3, 6):
-        return CheckReport(
-            "motzkin-paths", False, f"length-4 counts (9,3,6) != {(plain, pruned, colored)}"
-        )
-    mots = motzkin_numbers(15)
-    for n in range(15):
-        if count_paths(PathSpec(n)) != mots[n]:
-            return CheckReport("motzkin-paths", False, f"plain count != M_{n}")
-    for n in range(11):
-        for spec in (
-            PathSpec(n),
-            PathSpec(n, forbidden_bigrams=("FU", "FF")),
-            PathSpec(n, forbidden_bigrams=("FU", "FF"), color_multiplicity={"F": 2}),
-        ):
-            if len(enumerate_paths(spec)) != count_paths(spec):
+    specs = [
+        PathSpec(14),
+        PathSpec(14, forbidden_bigrams=("FU", "FF")),
+        PathSpec(14, forbidden_bigrams=("FU", "FF"), color_multiplicity={"F": 2}),
+    ]
+    counts = [_path_counts(spec) for spec in specs]
+    at4 = tuple(c[4] for c in counts)
+    if at4 != (9, 3, 6):
+        return CheckReport("motzkin-paths", False, f"length-4 counts (9,3,6) != {at4}")
+    if counts[0] != motzkin_numbers(15):
+        return CheckReport("motzkin-paths", False, "plain counts != M_0..M_14")
+    for spec, row in zip(specs, counts):
+        for n in range(11):
+            listed = enumerate_paths(PathSpec(n, spec.forbidden_bigrams, spec.color_multiplicity))
+            if len(listed) != row[n]:
                 return CheckReport(
                     "motzkin-paths", False, f"enumeration count mismatch at length {n}"
                 )
-    n_max = 14
+    n_max = 14 if scope == "fast" else 1000
     r1 = crosscheck_subgroupoid(
         PathSpec(0, forbidden_bigrams=("FU", "FF")),
         FiniteSet({_two(), right_comb(3)}),
@@ -201,7 +196,7 @@ def check_motzkin_paths(scope: str) -> CheckReport:
     if not r2.passed:
         return r2
     return CheckReport(
-        "motzkin-paths", True, "counts 9/3/6 and both subgroupoid crosschecks to n=14"
+        "motzkin-paths", True, f"counts 9/3/6 and both subgroupoid crosschecks to n={n_max}"
     )
 
 
@@ -508,6 +503,8 @@ def verify_all(scope: str) -> list[CheckReport]:
             report = fn(scope)
         except Exception as exc:  # a crashing check is a failing check
             report = CheckReport(name, False, f"raised {type(exc).__name__}: {exc}")
+        # A check may return a library report under that report's own name.
+        report.name = name
         report.data.setdefault("elapsed_s", round(time.perf_counter() - start, 3))
         reports.append(report)
     return reports

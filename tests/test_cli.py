@@ -445,6 +445,57 @@ class TestMotzkin:
         assert "over the memory budget of 1024.0 MiB" in err
 
 
+class TestMotzkinOutput:
+    # Digests of the stdout of `motzkin --list` at lengths 0..12 and of the
+    # `--forbid FU,FF --colors F=2` listing at length 12, concatenated in
+    # that order: any change to the order or the format of a listing shows.
+    CASES = [["--length", str(n)] for n in range(13)] + [
+        ["--length", "12", "--forbid", "FU,FF", "--colors", "F=2"]
+    ]
+    PINNED = {
+        "plain": "5abf165669c17fbb7e25131a005d5dc8ef8f2cdcb4bf04f42823332f4ecc14d8",
+        "json": "2a4b27a5d01c28de7d8dbeefdeee51c25e1028b803cb26834b1ba61ab515615d",
+    }
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_listing_bytes_pinned(self, capsys, fmt):
+        digest = hashlib.sha256()
+        for case in self.CASES:
+            code, out, _ = run_cli(capsys, "motzkin", *case, "--list", "--format", fmt)
+            assert code == 0
+            digest.update(out.encode())
+        assert digest.hexdigest() == self.PINNED[fmt]
+
+    def test_json_listing_streams_within_its_price(self, tmp_path):
+        import tracemalloc
+
+        from freemagma.motzkin_paths import PATH_BYTES
+
+        out_file = tmp_path / "paths.json"
+        tracemalloc.start()
+        try:
+            argv = ["motzkin", "--length", "14", "--list", "--format", "json"]
+            code = main(argv + ["--out", str(out_file)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        count = json.loads(out_file.read_text())["count"]
+        assert count == 113_634  # M_14
+        assert peak <= count * PATH_BYTES, (peak, count * PATH_BYTES)
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_count_past_int_digit_limit(self, capsys, fmt):
+        code, out, _ = run_cli(
+            capsys, "motzkin", "--length", "700", "--colors", "U=1000000,D=1000000,F=1000000",
+            "--format", fmt,
+        )
+        assert code == 0
+        # The count is read as text: int() of it would pass the digit limit.
+        digits = json.loads(out, parse_int=str)["count"] if fmt == "json" else out.strip()
+        assert digits.isdigit() and len(digits) == 4530
+
+
 class TestVerify:
     def test_fast_scope_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--scope", "fast")
@@ -460,15 +511,48 @@ class TestVerify:
         names = {c["name"] for c in payload["checks"]}
         assert "oracle-equivalence" in names and "density-estimates" in names
 
+    def test_json_names_are_registry_names(self, capsys):
+        from freemagma.verify import CHECKS
+
+        code, out, _ = run_cli(capsys, "verify", "--scope", "fast", "--format", "json")
+        assert code == 0
+        assert [c["name"] for c in json.loads(out)["checks"]] == [n for n, _ in CHECKS]
+
+    def test_failing_delegated_check_keeps_registry_name(self, monkeypatch):
+        from freemagma import verify
+        from freemagma.reporting import CheckReport
+
+        def fail(name):
+            return lambda *args, **kwargs: CheckReport(name, False, "forced failure")
+
+        # Each library check reports under a name of its own.
+        for attr, name in [
+            ("longitudinal_convergence_check", "longitudinal-convergence-p2"),
+            ("crosscheck_subgroupoid", "motzkin-crosscheck"),
+            ("catalan_motzkin_identities", "catalan-motzkin-identities"),
+        ]:
+            monkeypatch.setattr(verify, attr, fail(name))
+        registry = [
+            entry
+            for entry in verify.CHECKS
+            if entry[0] in ("longitudinal-convergence", "motzkin-paths", "motzkin-identities")
+        ]
+        monkeypatch.setattr(verify, "CHECKS", registry)
+        reports = verify.verify_all("fast")
+        assert [r.name for r in reports] == [n for n, _ in registry]
+        assert not any(r.passed for r in reports)
+        assert all(r.details == "forced failure" for r in reports)
+
     def test_rejects_bad_scope(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--scope", "everything"])
         assert exc.value.code == 2
 
     def test_missing_scope_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "verify")
-        assert code == 2
-        assert "scope" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["verify"])
+        assert exc.value.code == 2
+        assert "scope" in capsys.readouterr().err
 
 
 class TestOutputProbe:

@@ -241,6 +241,26 @@ class TestLongitudinalConvergence:
         report = longitudinal_convergence_check({2}, 60, 1e-6)
         assert not report.passed
 
+    # The report data of the fast-scope and full-scope verify families, as
+    # computed when every ratio of the trace was built.
+    PINNED_DATA = [
+        ({2}, 300, 5e-3, 0.0008062775449096486, 0.0006310681414868092),
+        ({3}, 300, 5e-3, 0.001094043315825438, 0.00023757920192867698),
+        ({2}, 2000, 2e-3, 0.00012014018497004667, 9.388536079077245e-05),
+        ({3}, 2000, 2e-3, 0.00016355447191994756, 3.526287406728264e-05),
+        ({4}, 2000, 2e-3, 0.00017952865962375035, 1.1749680936638253e-05),
+        ({4, 6}, 2000, 2e-3, 0.00012014018497004667, 9.388536079077245e-05),
+    ]
+
+    @pytest.mark.parametrize("lengths, n_max, tol, worst, aux", PINNED_DATA)
+    def test_data_pinned(self, lengths, n_max, tol, worst, aux):
+        report = longitudinal_convergence_check(lengths, n_max, tol)
+        p = longitudinal_asymptote(lengths).p
+        assert report.passed
+        assert report.data == {
+            "p": p, "n_max": n_max, "worst_error": worst, "aux_error": aux, "tolerance": tol
+        }
+
     def test_horizon_must_clear_frobenius_bound(self):
         # {4,10} reduces to {2,5} with Frobenius 3: need n_max > 6.
         with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
 """Motzkin path counting, enumeration, and subgroupoid crosschecks."""
 
 import math
+from itertools import product
 
 import pytest
 
 from freemagma import errors, motzkin_paths
+from freemagma.motzkin_paths import _path_counts
 from freemagma import (
     CapacityError,
     FiniteSet,
@@ -99,6 +101,18 @@ class TestCountPaths:
     def test_matches_dict_dp_at_length_1000(self):
         spec = PathSpec(1000, forbidden_bigrams=PRUNED, color_multiplicity={"F": 2})
         assert count_paths(spec) == dict_count_paths(spec)
+
+    @pytest.mark.parametrize("colors", [{}, {"U": 2, "D": 3, "F": 1}])
+    def test_one_pass_counts_every_shorter_length(self, colors):
+        # Every set of forbidden bigrams: the length-30 pass yields the
+        # count of each length m <= 30 as a length-m DP would.
+        bigrams = [a + b for a, b in product("UDF", repeat=2)]
+        for mask in range(1 << len(bigrams)):
+            forbid = [bg for i, bg in enumerate(bigrams) if mask >> i & 1]
+            counts = _path_counts(PathSpec(30, forbid, colors))
+            assert len(counts) == 31
+            for m, got in enumerate(counts):
+                assert got == dict_count_paths(PathSpec(m, forbid, colors)), (forbid, m)
 
     def test_bicolored_flats_length_two(self):
         # FF in four colorings plus UD.
@@ -207,6 +221,26 @@ class TestCrosschecks:
             n_max=14,
         )
         assert report.passed, report.details
+
+    def test_one_path_count_pass(self, monkeypatch):
+        calls = []
+        real = motzkin_paths._path_counts
+        monkeypatch.setattr(
+            motzkin_paths, "_path_counts", lambda spec: calls.append(spec.length) or real(spec)
+        )
+        report = crosscheck_subgroupoid(
+            PathSpec(0, forbidden_bigrams=PRUNED), FiniteSet({TWO, right_comb(3)}), 2, 300
+        )
+        assert report.passed, report.details
+        assert calls == [298]
+
+    def test_horizon_below_offset_counts_zero(self):
+        # Every length n - 4 is negative, so every path count is 0.
+        assert crosscheck_subgroupoid(PathSpec(0), FiniteSet({right_comb(3)}), 4, 2).passed
+        report = crosscheck_subgroupoid(PathSpec(0), FiniteSet({TWO}), 4, 3)
+        assert not report.passed
+        assert report.first_failure == 2
+        assert report.details == "finite:[(1+1)]: path count 0 != |N|_2 = 1 (offset 4)"
 
     def test_mismatch_reports_first_divergence(self):
         report = crosscheck_subgroupoid(

@@ -369,30 +369,33 @@ class TestCsvRoundTrip:
             raise RuntimeError
         assert sys.get_int_max_str_digits() == limit
 
-    @pytest.mark.parametrize("text", ["", "abcdefg", "abcdef\n", "abc\ndef\n\n", "ab"])
-    def test_long_string_written_in_slices(self, tmp_path, monkeypatch, text):
-        writes = []
-        monkeypatch.setattr(sequences, "_CHARS_PER_WRITE", 3)
-        path = tmp_path / "out.txt"
-        with open(path, "w") as fh:
-            real = fh.write
-            monkeypatch.setattr(fh, "write", lambda piece: writes.append(piece) or real(piece))
-            sequences._write_lines(fh, text)
-        expected = text if text.endswith("\n") else text + "\n"
-        assert path.read_text() == expected
-        assert max(map(len, writes)) <= 3
-
-    @pytest.mark.parametrize("pieces", [[], ["ab", "c\n"], ["ab", "cd"], ["a\n", "b"]])
+    @pytest.mark.parametrize(
+        "pieces",
+        [
+            [],
+            ["ab", "c\n"],
+            ["ab", "cd"],
+            ["a\n", "b"],
+            ["abcdefg"],
+            ["abcdef\n"],
+            ["abc\ndef\n\n"],
+            "",
+            "abc\ndef\n\n",
+            "ab",
+        ],
+    )
     def test_pieces_written_as_they_come(self, tmp_path, monkeypatch, pieces):
+        # A list is streamed piece by piece; a string is written as one piece.
         writes = []
         path = tmp_path / "out.txt"
         with open(path, "w") as fh:
             real = fh.write
             monkeypatch.setattr(fh, "write", lambda piece: writes.append(piece) or real(piece))
-            sequences._write_lines(fh, iter(pieces))
+            sequences._write_lines(fh, pieces if isinstance(pieces, str) else iter(pieces))
         text = "".join(pieces)
         assert path.read_text() == (text if text.endswith("\n") else text + "\n")
-        assert writes[: len(pieces)] == pieces
+        expected = [pieces] if isinstance(pieces, str) else pieces
+        assert writes[: len(expected)] == expected
 
     def test_accepts_index_header(self, tmp_path):
         path = tmp_path / "seq.csv"
