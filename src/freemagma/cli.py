@@ -113,7 +113,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     from .sequences import BigSeq, cat_transform, read_sequence_csv, unlimited_int_digits
 
     if args.seqfile:
-        seq = read_sequence_csv(args.seqfile)
+        seq = read_sequence_csv(args.seqfile, args.n if args.n > 0 else None)
     else:
         with unlimited_int_digits():
             seq = BigSeq(int(v) for v in args.values.split(","))
@@ -280,7 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--seqfile", help="CSV file with header n,value")
     group.add_argument("--values", help="comma-separated entries, e.g. 0,1,1")
-    p.add_argument("--n", type=int, default=0, help="zero-pad/truncate input to this horizon")
+    p.add_argument(
+        "--n",
+        type=int,
+        default=0,
+        help="zero-pad/truncate input to this horizon; --seqfile rows past it are not read",
+    )
     p.add_argument("--format", choices=("plain", "csv", "json"), default="csv")
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(fn=_cmd_transform)

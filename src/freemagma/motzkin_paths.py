@@ -10,24 +10,37 @@ step letters only; colors multiply afterwards.
 These counts cross-validate subgroupoid counting sequences: for the
 families treated here the number of length-n subgroupoid elements equals
 the constrained path count at length n - 2.
+
+:func:`count_paths` solves a quadratic equation for the generating
+function, derived from the spec, in time linear in the length; the height
+DP :func:`_path_counts` is the reference it is tested against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from fractions import Fraction
+from functools import reduce
+from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
-from .errors import CapacityError, check_memory
+from .errors import ExactDivisionError, check_memory
 from .reporting import CheckReport
-from .subgroupoids import GenFamily, counting_sequence, format_family
+from .sequences import _exact_div, _poly_mul, _poly_sub, _sqrt_series
+
+if TYPE_CHECKING:
+    from .subgroupoids import GenFamily
 
 STEPS = ("U", "D", "F")
 _DELTA = {"U": 1, "D": -1, "F": 0}
 
-# The length cap bounds the time of the depth-first listing.  A path of at most
-# 40 characters (96 bytes) and its list slot: tracemalloc measures 74-78 bytes.
-ENUMERATION_LENGTH_CAP = 20
+# A listed path of at most PATH_CHARS characters (96 bytes) and its list slot:
+# tracemalloc measures 74-78 bytes.  Each character past PATH_CHARS adds one.
+PATH_CHARS = 40
 PATH_BYTES = 120
+# A completion table entry: its list slot with growth slack and its int
+# header (16 + 24 bytes), and 4 bytes per 30 heights.
+TABLE_ENTRY_BYTES = 40
 
 BigramLike = Union[tuple[str, str], str]
 
@@ -112,10 +125,223 @@ def _path_counts(spec: PathSpec) -> list[int]:
     return counts
 
 
+# Polynomials in the arch series a and in x: {(power of a, power of x): coefficient}.
+_Bivariate = dict[tuple[int, int], int]
+
+
+def _add(*terms: _Bivariate) -> _Bivariate:
+    out: _Bivariate = {}
+    for term in terms:
+        for key, c in term.items():
+            out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _mul(*factors: _Bivariate) -> _Bivariate:
+    out: _Bivariate = {(0, 0): 1}
+    for factor in factors:
+        prod: _Bivariate = {}
+        for (i, j), c in out.items():
+            for (k, m), d in factor.items():
+                prod[i + k, j + m] = prod.get((i + k, j + m), 0) + c * d
+        out = {key: c for key, c in prod.items() if c}
+    return out
+
+
+def _scaled(term: _Bivariate, c: int) -> _Bivariate:
+    return {key: c * v for key, v in term.items() if c}
+
+
+def _a_coefficient(term: _Bivariate, k: int) -> _Bivariate:
+    """The coefficient of a^k, a polynomial in x."""
+    return {(0, j): c for (i, j), c in term.items() if i == k}
+
+
+def _dense(term: _Bivariate) -> list[int]:
+    """A polynomial in x alone as a coefficient list (index = power), with
+    no trailing zeros."""
+    out = [0] * (max((j for _, j in term), default=-1) + 1)
+    for (_, j), c in term.items():
+        out[j] = c
+    return out
+
+
+def _trim(xs: list) -> list:
+    """``xs`` without trailing zero coefficients."""
+    top = len(xs)
+    while top and not xs[top - 1]:
+        top -= 1
+    return xs[:top]
+
+
+def _primitive_gcd(xs: list[int], ys: list[int]) -> list[int]:
+    """The primitive greatest common divisor of two integer polynomials,
+    with a positive leading coefficient: Euclid over the rationals, then
+    denominators and content cleared.  [] when both are 0."""
+    xs, ys = [Fraction(c) for c in _trim(xs)], [Fraction(c) for c in _trim(ys)]
+    while ys:
+        while len(xs) >= len(ys):
+            f = xs[-1] / ys[-1]
+            shift = len(xs) - len(ys)
+            for i, c in enumerate(ys):
+                xs[shift + i] -= f * c
+            xs = _trim(xs)
+        xs, ys = ys, xs
+    if not xs:
+        return []
+    scale = math.lcm(*(c.denominator for c in xs))
+    ints = [int(c * scale) for c in xs]
+    g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return [c // g for c in ints]
+
+
+def _poly_quotient(xs: list[int], ys: list[int]) -> list[int]:
+    """xs / ys for integer polynomials, ys with a nonzero leading
+    coefficient, by long division that must be exact."""
+    xs = list(xs)
+    out = [0] * max(len(xs) - len(ys) + 1, 0)
+    for shift in range(len(out) - 1, -1, -1):
+        f = _exact_div(xs[shift + len(ys) - 1], ys[-1])
+        out[shift] = f
+        for i, c in enumerate(ys):
+            xs[shift + i] -= f * c
+    if any(xs):
+        raise ExactDivisionError(f"polynomial {ys} does not divide {xs}")
+    return out
+
+
+def _path_equation(spec: PathSpec) -> tuple[list[int], list[int], list[int]]:
+    """(alpha, beta, gamma), integer polynomials in x without a common
+    factor, with alpha*M^2 + beta*M + gamma = 0 for the generating function
+    M = sum_n count_n x^n of the spec's paths (docs/counting.md).
+
+    A nonempty path is a sequence of primitives: a flat step F, or an arch
+    U X D around a path X.  The arch series a sits in the diagonal matrix
+    A = diag(a, c_F*x) of the two primitive types, and J says which types
+    may follow which, so the nonempty paths from a first primitive of type
+    i to a last of type j are P[i][j] of A*(I - J*A)^-1 = A*adj/det, whose
+    numerators and determinant are linear in a.  An arch adds c_U*c_D*x^2
+    to UD or to a path X whose first and last steps may follow U and
+    precede D, which makes the arch equation quadratic in a; M = 1 + sum P
+    is a Moebius function (p + q*a)/(r + s*a) of a, and substituting its
+    inverse into the arch equation gives M's equation.
+    """
+
+    def allowed(first: str, second: str) -> bool:
+        return (first, second) not in spec.forbidden_bigrams
+
+    def poly(c: int, power: int) -> _Bivariate:
+        return {(0, power): c} if c else {}
+
+    firsts, lasts = "UF", "DF"  # of an arch and of a flat step
+    arch = {(1, 0): 1}
+    prim = (arch, poly(spec.multiplicity("F"), 1))
+    # B = I - J*A.
+    b = [
+        [
+            _add(poly(int(i == j), 0), _scaled(prim[j], -1 if allowed(lasts[i], firsts[j]) else 0))
+            for j in range(2)
+        ]
+        for i in range(2)
+    ]
+    det = _add(_mul(b[0][0], b[1][1]), _scaled(_mul(b[0][1], b[1][0]), -1))
+    adj = [[b[1][1], _scaled(b[0][1], -1)], [_scaled(b[1][0], -1), b[0][0]]]
+    paths = {(i, j): _mul(prim[i], adj[i][j]) for i in range(2) for j in range(2)}
+    inner = _add(
+        _scaled(det, allowed("U", "D")),
+        *(
+            term
+            for (i, j), term in paths.items()
+            if allowed("U", firsts[i]) and allowed(lasts[j], "D")
+        ),
+    )
+    weight = poly(spec.multiplicity("U") * spec.multiplicity("D"), 2)
+    arch_eq = _add(_mul(arch, det), _scaled(_mul(weight, inner), -1))
+    e0, e1, e2 = (_a_coefficient(arch_eq, k) for k in range(3))
+    num = _add(det, *paths.values())
+    p, q = _a_coefficient(num, 0), _a_coefficient(num, 1)
+    r, s = _a_coefficient(det, 0), _a_coefficient(det, 1)
+    # e2*a^2 + e1*a + e0 = 0 at a = (p - r*M)/(s*M - q), times (s*M - q)^2.
+    alpha = _add(_mul(e2, r, r), _scaled(_mul(e1, r, s), -1), _mul(e0, s, s))
+    beta = _add(
+        _scaled(_mul(e2, p, r), -2), _mul(e1, p, s), _mul(e1, r, q), _scaled(_mul(e0, s, q), -2)
+    )
+    gamma = _add(_mul(e2, p, p), _scaled(_mul(e1, p, q), -1), _mul(e0, q, q))
+    coeffs = [_dense(alpha), _dense(beta), _dense(gamma)]
+    common = reduce(_primitive_gcd, coeffs)
+    common = [math.gcd(*(c for poly in coeffs for c in poly)) * c for c in common]
+    alpha, beta, gamma = (_poly_quotient(poly, common) for poly in coeffs)
+    return alpha, beta, gamma
+
+
+def _series_quotient(num: list[int], den: list[int], n_max: int) -> list[int]:
+    """Coefficients 0..n_max of the power series num/den, for a series
+    ``num`` (zero past its end) divisible by the polynomial ``den`` (nonzero,
+    no trailing zeros): den's lowest terms x^v cancel, and each coefficient
+    is then one exact division by den's lowest nonzero coefficient.  The
+    quotient overwrites ``num``, so that one big-integer sequence is alive."""
+    v = next(i for i, c in enumerate(den) if c)
+    if any(num[:v]):
+        raise ExactDivisionError(f"series {num[:v]}... is not divisible by x^{v}")
+    del num[:v], num[n_max + 1 :]
+    num += [0] * (n_max + 1 - len(num))
+    den = den[v:]
+    for n in range(n_max + 1):
+        tail = sum(den[i] * num[n - i] for i in range(1, min(n, len(den) - 1) + 1))
+        num[n] = _exact_div(num[n] - tail, den[0])
+    return num
+
+
+def _equation_counts(spec: PathSpec) -> list[int]:
+    """Weighted path counts of lengths 0..spec.length from the spec's
+    equation alpha*M^2 + beta*M + gamma = 0.
+
+    At x = 0 the arch equation is a*(1 - [UD allowed]*a) = 0 and M = 1 + a,
+    so alpha(0) = 0 and beta(0) = +-1 for every spec (the removed common
+    factor is +-1 at x = 0).  When alpha = 0, M = -gamma/beta is rational.
+    Otherwise Q = 2*alpha*M + beta has Q(0) = beta(0) and
+    Q^2 = beta^2 - 4*alpha*gamma, a polynomial that is 1 at x = 0, so Q is
+    beta(0) times the linear-time square-root series, and
+    M = (Q - beta)/(2*alpha).
+    """
+    alpha, beta, gamma = _path_equation(spec)
+    n = spec.length
+    if not alpha:
+        return _series_quotient([-c for c in gamma], beta, n)
+    disc = _poly_sub(_poly_mul(beta, beta), [4 * c for c in _poly_mul(alpha, gamma)])
+    v = next(i for i, c in enumerate(alpha) if c)
+    num = _sqrt_series(disc, [0], n + v)
+    for i, c in enumerate(num):
+        num[i] = beta[0] * c - (beta[i] if i < len(beta) else 0)
+    return _series_quotient(num, [2 * c for c in alpha], n)
+
+
 def count_paths(spec: PathSpec) -> int:
     """Weighted number of paths satisfying the spec.  With no constraints
-    and unit colors this is the Motzkin number M_length."""
-    return _path_counts(spec)[-1]
+    and unit colors this is the Motzkin number M_length.  Counted from the
+    spec's algebraic equation in time linear in the length."""
+    return _equation_counts(spec)[-1]
+
+
+def _completions(spec: PathSpec) -> dict[str, list[int]]:
+    """table[last][r] has bit h set when r more steps, after a step ``last``
+    at height h, can end at height 0 without dipping below it or taking a
+    forbidden bigram.  Heights above min(r, length - r) are neither
+    completable nor reachable."""
+    n = spec.length
+    table = {last: [1] for last in STEPS}
+    for r in range(1, n + 1):
+        full = (1 << (min(r, n - r) + 1)) - 1
+        ends = {step: table[step][-1] for step in STEPS}
+        for last, row in table.items():
+            ok = 0
+            for step in STEPS:
+                if (last, step) not in spec.forbidden_bigrams:
+                    # A step by delta from h lands on h + delta.
+                    delta = _DELTA[step]
+                    ok |= ends[step] >> delta if delta >= 0 else ends[step] << -delta
+            row.append(ok & full)
+    return table
 
 
 def enumerate_paths(spec: PathSpec) -> list[str]:
@@ -124,37 +350,56 @@ def enumerate_paths(spec: PathSpec) -> list[str]:
     Steps with multiplicity m > 1 render with a color suffix digit, e.g.
     ``UF2DF1``; unit-multiplicity steps render bare.  The list length
     equals :func:`count_paths`.  Deterministic order: depth-first over
-    steps U, D, F with ascending colors.  Lengths past
-    ``ENUMERATION_LENGTH_CAP`` and listings over the memory budget are
-    refused before any path is built.
+    steps U, D, F with ascending colors.  The search takes only steps after
+    which the path can still be completed (:func:`_completions`), so it
+    runs in time O(count * length).  A listing whose paths and completion
+    table exceed the memory budget is refused before any path is built.
     """
     n = spec.length
-    if n > ENUMERATION_LENGTH_CAP:
-        raise CapacityError(f"enumeration of length {n} exceeds cap {ENUMERATION_LENGTH_CAP}")
+    mult = {step: spec.multiplicity(step) for step in STEPS}
     count = count_paths(spec)
-    check_memory(f"listing {count:,} paths", count * PATH_BYTES)
-    mult = {s: spec.multiplicity(s) for s in STEPS}
+    chars = n * max(1 if m == 1 else 1 + len(str(m)) for m in mult.values())
+    path_bytes = PATH_BYTES + max(chars - PATH_CHARS, 0)
+    table_bytes = 3 * sum(TABLE_ENTRY_BYTES + 4 * (min(r, n - r) // 30 + 1) for r in range(n + 1))
+    check_memory(f"listing {count:,} paths", count * path_bytes + table_bytes)
+    if n == 0:
+        return [""]
+    table = _completions(spec)
+    pieces = {
+        step: [step] if m == 1 else [f"{step}{color}" for color in range(1, m + 1)]
+        for step, m in mult.items()
+    }
+    follow = {
+        last: [
+            (step, _DELTA[step], pieces[step])
+            for step in STEPS
+            if (last, step) not in spec.forbidden_bigrams
+        ]
+        for last in (None, *STEPS)
+    }
     out: list[str] = []
-    track: list[str] = []
-
-    def descend(pos: int, height: int, last: str | None) -> None:
-        if pos == n:
-            if height == 0:
-                out.append("".join(track))
-            return
-        for step in STEPS:
-            if last is not None and (last, step) in spec.forbidden_bigrams:
-                continue
-            nh = height + _DELTA[step]
-            if nh < 0 or nh > n - pos - 1:
-                continue
-            m = mult[step]
-            for color in range(1, m + 1):
-                track.append(step if m == 1 else f"{step}{color}")
-                descend(pos + 1, nh, step)
-                track.pop()
-
-    descend(0, 0, None)
+    # track[d] is the d-th step of the path under construction; the root's
+    # slot track[0] stays empty.  A stack entry is a step and its depth,
+    # pushed in reverse so that the listing order pops first.
+    track = [""] * (n + 1)
+    stack: list[tuple[str, int, str | None, int]] = [("", 0, None, 0)]
+    while stack:
+        piece, height, last, depth = stack.pop()
+        track[depth] = piece
+        depth += 1
+        if depth == n:
+            # The last step comes back to height 0.
+            for step, delta, options in follow[last]:
+                if height + delta == 0:
+                    for option in options:
+                        track[n] = option
+                        out.append("".join(track))
+            continue
+        for step, delta, options in reversed(follow[last]):
+            nh = height + delta
+            if nh >= 0 and table[step][n - depth] >> nh & 1:
+                for option in reversed(options):
+                    stack.append((option, nh, step, depth))
     return out
 
 
@@ -164,6 +409,8 @@ def crosscheck_subgroupoid(
     """Assert the path counts at lengths n - offset, all from one DP pass,
     equal the counting sequence of the family at 1 <= n <= n_max (negative
     lengths count 0)."""
+    from .subgroupoids import counting_sequence, format_family
+
     seq = counting_sequence(family, n_max)
     top = max(n_max - offset, 0)
     paths = _path_counts(PathSpec(top, spec.forbidden_bigrams, spec.color_multiplicity))

@@ -185,12 +185,13 @@ def sqrt_series_counting(p0: Sequence[int], p1: Sequence[int], n_max: int) -> Bi
     small-by-bigint products and one exact division per step.  T is only
     carried when p1 != 0.
     """
-    return BigSeq(_sqrt_series(p0, p1, n_max))
+    return BigSeq(_exact_div(-q, 2) for q in _sqrt_series(p0, p1, n_max)[1:])
 
 
 def _sqrt_series(p0: Sequence[int], p1: Sequence[int], n_max: int, one: int = 1) -> list[int]:
-    """The values of :func:`sqrt_series_counting`, with Q and T started from
-    ``one``; ``Decimal(1)`` under EXACT_DECIMAL runs the same steps in base 10."""
+    """[q_0, ..., q_{n_max}] of the series Q of :func:`sqrt_series_counting`,
+    with Q and T started from ``one``; ``Decimal(1)`` under EXACT_DECIMAL
+    runs the same steps in base 10."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     p0, p1 = list(p0) or [0], list(p1) or [0]
@@ -221,12 +222,7 @@ def _sqrt_series(p0: Sequence[int], p1: Sequence[int], n_max: int, one: int = 1)
                 _recurrence_step(t_from_q, q, n) + _recurrence_step(t_from_t, t, n), 2 * n
             )
         q[n] = _exact_div(acc, 2 * n)
-    # Free T, then overwrite q with b in place, so that no more than two
-    # big-integer sequences are alive at once.
-    del t
-    for n in range(1, n_max + 1):
-        q[n] = _exact_div(-q[n], 2)
-    return q[1:]
+    return q
 
 
 def _poly_mul(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
@@ -523,9 +519,13 @@ def write_sequence_csv(path: str | Path, seq: BigSeq) -> None:
         _atomic_write(Path(path), _csv_text(enumerate(seq, start=1)))
 
 
-def read_sequence_csv(path: str | Path) -> BigSeq:
+def read_sequence_csv(path: str | Path, n_max: int | None = None) -> BigSeq:
     """Inverse of :func:`write_sequence_csv`; accepts ``n`` or ``index`` as
-    the first header field and requires consecutive indices from 1."""
+    the first header field and requires consecutive indices from 1.  With
+    ``n_max`` >= 1, reading stops after row n_max: later rows are neither
+    parsed nor validated."""
+    if n_max is not None and n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     with open(path, newline="") as fh, unlimited_int_digits():
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -540,4 +540,6 @@ def read_sequence_csv(path: str | Path) -> BigSeq:
             if int(row[0]) != len(values) + 1:
                 raise ValueError(f"{path}: non-consecutive index at row {row_no}")
             values.append(int(row[1]))
+            if len(values) == n_max:
+                break
     return BigSeq(values)

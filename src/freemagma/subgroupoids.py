@@ -24,6 +24,7 @@ from .errors import UnsupportedVariantError, check_memory
 from .sequences import (
     EXACT_DECIMAL,
     BigSeq,
+    _exact_div,
     _sqrt_series,
     cat_transform,
     catalan_numbers,
@@ -322,14 +323,21 @@ def _counts(family: GenFamily, n_max: int, one: int) -> list[int]:
     if isinstance(family, ShiftedFull):
         # Phi = x^k * (1 - S)/2, so 1 - 4*Phi = (1 - 2x^k) + 2x^k * S.
         k = family.a.length
-        return _sqrt_series([1] + [0] * (k - 1) + [-2], [0] * k + [2], n_max, one)
-    hist = generator_counting_sequence(family, n_max)
-    if isinstance(family, ExplicitSeq):
-        return list(cat_transform(hist))
-    if hist[1] == 1:
-        # The leaf generates the whole magma.
-        return catalan_numbers(n_max, one)
-    return _sqrt_series([1] + [-4 * c for c in hist], [0], n_max, one)
+        p0, p1 = [1] + [0] * (k - 1) + [-2], [0] * k + [2]
+    else:
+        hist = generator_counting_sequence(family, n_max)
+        if isinstance(family, ExplicitSeq):
+            return list(cat_transform(hist))
+        if hist[1] == 1:
+            # The leaf generates the whole magma.
+            return catalan_numbers(n_max, one)
+        p0, p1 = [1] + [-4 * c for c in hist], [0]
+    q = _sqrt_series(p0, p1, n_max, one)
+    # b_n = -q_n/2, overwritten in place, so that no more than two
+    # big-integer sequences are alive at once.
+    for n in range(1, n_max + 1):
+        q[n] = _exact_div(-q[n], 2)
+    return q[1:]
 
 
 def _reachable_lengths(lengths: Iterable[int], n_max: int) -> list[bool]:

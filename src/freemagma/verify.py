@@ -24,7 +24,13 @@ from .density import (
     longitudinal_asymptote,
     longitudinal_convergence_check,
 )
-from .motzkin_paths import PathSpec, _path_counts, crosscheck_subgroupoid, enumerate_paths
+from .motzkin_paths import (
+    PathSpec,
+    _equation_counts,
+    _path_counts,
+    crosscheck_subgroupoid,
+    enumerate_paths,
+)
 from .reporting import CheckReport
 from .sequences import (
     BigSeq,
@@ -172,6 +178,11 @@ def check_motzkin_paths(scope: str) -> CheckReport:
     if counts[0] != motzkin_numbers(15):
         return CheckReport("motzkin-paths", False, "plain counts != M_0..M_14")
     for spec, row in zip(specs, counts):
+        if _equation_counts(spec) != row:
+            return CheckReport(
+                "motzkin-paths", False, "equation counts != height DP at some length <= 14"
+            )
+    for spec, row in zip(specs, counts):
         for n in range(11):
             listed = enumerate_paths(PathSpec(n, spec.forbidden_bigrams, spec.color_multiplicity))
             if len(listed) != row[n]:
@@ -196,7 +207,10 @@ def check_motzkin_paths(scope: str) -> CheckReport:
     if not r2.passed:
         return r2
     return CheckReport(
-        "motzkin-paths", True, f"counts 9/3/6 and both subgroupoid crosschecks to n={n_max}"
+        "motzkin-paths",
+        True,
+        f"counts 9/3/6, equation = height DP to length 14 and both subgroupoid "
+        f"crosschecks to n={n_max}",
     )
 
 

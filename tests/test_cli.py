@@ -296,12 +296,36 @@ class TestTransform:
         values = [int(line.split(",")[1]) for line in out.splitlines()[1:]]
         assert values == [0, 1, 1, 1, 2, 3, 6, 11, 22, 44]
 
-    def test_negative_horizon_is_usage_error(self, capsys):
+    def test_negative_horizon_is_usage_error(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys, "transform", "--values", "1,0,0", "--n", "-2"
         )
         assert code == 2
         assert out == "" and "horizon" in err
+        src = tmp_path / "gen.csv"
+        src.write_text("n,value\n1,0\n2,1\n")
+        code, out, err = run_cli(capsys, "transform", "--seqfile", str(src), "--n", "-2")
+        assert code == 2
+        assert out == "" and "horizon" in err
+
+    def test_seqfile_horizon_bytes_pinned(self, capsys, tmp_path):
+        # The transform of the Catalan counts to n=5000, read to n=400 only.
+        src = tmp_path / "count.csv"
+        assert run_cli(capsys, "count", "--family", "full", "--n", "5000", "--out", str(src))[0] == 0
+        code, out, _ = run_cli(capsys, "transform", "--seqfile", str(src), "--n", "400")
+        assert code == 0
+        digest = "06589aedaeac9c833ae8b3d5b0be7e26d03f295357b0039a7b2f860dac738900"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_seqfile_rows_past_horizon_not_read(self, capsys, tmp_path):
+        src = tmp_path / "gen.csv"
+        src.write_text("n,value\n1,0\n2,1\n3,1\n5,oops\n")
+        code, out, _ = run_cli(capsys, "transform", "--seqfile", str(src), "--n", "3")
+        assert code == 0
+        assert [int(line.split(",")[1]) for line in out.splitlines()[1:]] == [0, 1, 1]
+        code, out, err = run_cli(capsys, "transform", "--seqfile", str(src))
+        assert code == 2
+        assert out == "" and "non-consecutive index at row 4" in err
 
 
 class TestDensity:
@@ -433,6 +457,27 @@ class TestMotzkin:
     def test_bad_bigram(self, capsys):
         code, _, err = run_cli(capsys, "motzkin", "--length", "4", "--forbid", "XY")
         assert code == 2
+
+    def test_listing_past_length_20(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "motzkin", "--length", "21", "--forbid", "UU,FF,FU,UF", "--list"
+        )
+        assert code == 0
+        assert out.split() == ["UD" * 10 + "F"]
+
+    # The counts the height DP printed, before the equation counted them.
+    PINNED_COUNTS = {
+        "1000": "15ae53add6268a13201af95b77512ebd481de1c81dda0f955e8466db39710236",
+        "4000": "d9eb9a7b08b4cbeaa40b9bc1c169de6f7ef069ccef69d8f698cfbce2c10711d4",
+    }
+
+    @pytest.mark.parametrize("length", sorted(PINNED_COUNTS))
+    def test_long_count_bytes_pinned(self, capsys, length):
+        code, out, _ = run_cli(
+            capsys, "motzkin", "--length", length, "--forbid", "FU,FF", "--colors", "F=2"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_COUNTS[length]
 
     def test_listing_past_count_cap_is_usage_error(self, capsys):
         # 9^12 * M_12 colored paths: refused from the count, before listing.

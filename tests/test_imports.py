@@ -77,6 +77,12 @@ def test_count_loads_no_density():
     assert loaded.isdisjoint({"freemagma.density", "freemagma.verify", "freemagma.motzkin_paths"})
 
 
+def test_motzkin_loads_neither_subgroupoids_nor_terms():
+    loaded = loaded_modules("motzkin", "--length", "6", "--forbid", "FU,FF")
+    assert "freemagma.motzkin_paths" in loaded
+    assert loaded.isdisjoint({"freemagma.subgroupoids", "freemagma.terms"})
+
+
 def test_exports_unchanged():
     assert freemagma.__all__ == EXPORTS
 

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from freemagma import errors, motzkin_paths
-from freemagma.motzkin_paths import _path_counts
+from freemagma.motzkin_paths import _equation_counts, _path_counts, _path_equation
 from freemagma import (
     CapacityError,
     FiniteSet,
@@ -125,6 +125,52 @@ class TestCountPaths:
         assert count_paths(PathSpec(3, forbidden_bigrams=("UF", "DF", "FF", "FU", "FD"))) == 0
 
 
+def same_equation(got, want):
+    """Equal up to the sign of the whole equation."""
+    return got == want or got == tuple([-c for c in poly] for poly in want)
+
+
+class TestPathEquation:
+    """count_paths solves alpha*M^2 + beta*M + gamma = 0, derived from the
+    spec; the height DP is the reference."""
+
+    @pytest.mark.parametrize("colors", [{}, {"U": 2, "D": 3, "F": 1}])
+    def test_equals_height_dp_on_every_bigram_set(self, colors):
+        bigrams = [a + b for a, b in product("UDF", repeat=2)]
+        for mask in range(1 << len(bigrams)):
+            forbid = [bg for i, bg in enumerate(bigrams) if mask >> i & 1]
+            spec = PathSpec(30, forbid, colors)
+            want = _path_counts(spec)
+            assert _equation_counts(spec) == want, forbid
+            assert count_paths(spec) == want[-1], forbid
+
+    def test_pruned_bicoloured_equation_loses_its_common_factor(self):
+        # Elimination gives (2x^3 + x^2)M^2 - (2x + 1)M + (2x + 1)^2 = 0;
+        # without the common factor 2x + 1 it is x^2 M^2 - M + 1 + 2x = 0.
+        spec = PathSpec(0, PRUNED, {"F": 2})
+        assert same_equation(_path_equation(spec), ([0, 0, 1], [-1], [1, 2]))
+
+    def test_plain_motzkin_equation(self):
+        assert same_equation(_path_equation(PathSpec(0)), ([0, 0, 1], [-1, 1], [1]))
+
+    def test_df_forbidden(self):
+        # By hand: x^2(1 - x)M^2 - (1 - x)M + 1 = 0, with no degenerate
+        # factor from cleared denominators.
+        spec = PathSpec(40, ("DF",))
+        assert same_equation(_path_equation(spec), ([0, 0, 1, -1], [-1, 1], [1]))
+        assert _equation_counts(spec) == _path_counts(spec)
+
+    def test_rational_class(self):
+        # U must be followed by D: paths are words in F and UD, counted by
+        # the Fibonacci numbers, and M = 1/(1 - x - x^2) has alpha = 0.
+        spec = PathSpec(40, ("UF", "UU"))
+        assert same_equation(_path_equation(spec), ([], [1, -1, -1], [-1]))
+        fib = [1, 1]
+        while len(fib) < 41:
+            fib.append(fib[-1] + fib[-2])
+        assert _equation_counts(spec) == fib == _path_counts(spec)
+
+
 class TestEnumeratePaths:
     def test_length_four_pruned_exact_set(self):
         got = set(enumerate_paths(PathSpec(4, forbidden_bigrams=PRUNED)))
@@ -161,6 +207,41 @@ class TestEnumeratePaths:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             enumerate_paths(PathSpec(21))
+
+    def test_long_single_path(self):
+        # U must be followed by D, and F by D, which cannot follow it at
+        # height 0: one path at every length, listed without a length cap or
+        # a recursion limit.
+        forbid = ("UU", "FF", "FU", "UF")
+        assert enumerate_paths(PathSpec(21, forbid)) == ["UD" * 10 + "F"]
+        assert enumerate_paths(PathSpec(3001, forbid)) == ["UD" * 1500 + "F"]
+        assert enumerate_paths(PathSpec(3000, forbid)) == ["UD" * 1500]
+
+    def test_completion_table_priced_before_it_is_built(self, monkeypatch):
+        spec = PathSpec(3001, ("UU", "FF", "FU", "UF"))
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", 100_000)
+
+        def refuse(spec):
+            raise AssertionError("the completion table was built over the budget")
+
+        monkeypatch.setattr(motzkin_paths, "_completions", refuse)
+        with pytest.raises(CapacityError, match="listing 1 paths would take an estimated"):
+            enumerate_paths(spec)
+
+    def test_many_colours_refused_before_rendering(self):
+        # A billion colours of F: refused from the count and the width of
+        # the widest rendered step, before any step text is made.
+        with pytest.raises(CapacityError, match="listing 1,000,000,000 paths"):
+            enumerate_paths(PathSpec(1, color_multiplicity={"F": 10**9}))
+
+    @pytest.mark.parametrize("forbid", [(), PRUNED, ("UD", "DU"), ("FU", "UF", "DD")])
+    def test_listing_order_is_lexicographic(self, forbid):
+        # Depth-first over U, D, F is the order of the words over U < D < F.
+        paths = enumerate_paths(PathSpec(9, forbid, {"F": 2}))
+        rank = {"U": "0", "D": "1", "F": "2"}
+        keys = ["".join(rank.get(ch, ch) for ch in path) for path in paths]
+        assert keys == sorted(keys)
+        assert len(set(paths)) == len(paths) == count_paths(PathSpec(9, forbid, {"F": 2}))
 
     def test_count_cap_checked_before_listing(self, monkeypatch):
         monkeypatch.setattr(errors, "MEMORY_BUDGET", 100 * motzkin_paths.PATH_BYTES)

@@ -19,6 +19,7 @@ from freemagma import (
     motzkin,
     motzkin_numbers,
     multinomial_count,
+    parse_family,
     read_sequence_csv,
     series_identity_check,
     sqrt_series_counting,
@@ -148,6 +149,14 @@ class TestSqrtSeriesCounting:
     def test_shifted_small_horizons(self, k, n_max):
         gens = BigSeq(([0] * k + catalan_numbers(n_max))[:n_max])
         assert sqrt_series_counting(*shifted_polys(k), n_max) == cat_transform(gens)
+
+    def test_sqrt_series_returns_q(self):
+        # sqrt(1 - 4x) = 1 - 2x - 2x^2 - 4x^3 - 10x^4 - 28x^5 - ...
+        assert _sqrt_series([1, -4], [0], 5) == [1, -2, -2, -4, -10, -28]
+        # The shifted family M+(1+1): q_n may be odd where b_n = -q_n/2 is not
+        # formed; the counting sequence halves it.
+        q = _sqrt_series(*shifted_polys(2), 8)
+        assert sqrt_series_counting(*shifted_polys(2), 8).entries == tuple(-v // 2 for v in q[1:])
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -401,6 +410,28 @@ class TestCsvRoundTrip:
         path = tmp_path / "seq.csv"
         path.write_text("index,value\n1,7\n2,9\n")
         assert read_sequence_csv(path).entries == (7, 9)
+
+    def test_horizon_stops_reading(self, tmp_path):
+        # Rows past the horizon are neither validated nor converted: each of
+        # them would raise.
+        path = tmp_path / "seq.csv"
+        path.write_text("n,value\n1,7\n\n2,9\n3,oops\nmalformed\n")
+        assert read_sequence_csv(path, 2).entries == (7, 9)
+        assert read_sequence_csv(path, 1).entries == (7,)
+        with pytest.raises(ValueError, match="invalid literal"):
+            read_sequence_csv(path, 3)
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            read_sequence_csv(path, 0)
+
+    def test_whole_file_validated_without_horizon(self, tmp_path):
+        # Without a horizon, and for seqfile: families, a bad late row fails.
+        path = tmp_path / "seq.csv"
+        path.write_text("n,value\n1,7\n2,9\n4,oops\n")
+        with pytest.raises(ValueError, match="non-consecutive index at row 3"):
+            read_sequence_csv(path)
+        with pytest.raises(ValueError, match="non-consecutive index at row 3"):
+            parse_family(f"seqfile:{path}")
+        assert read_sequence_csv(path, 2).entries == (7, 9)
 
     def test_rejects_bad_header_and_gaps(self, tmp_path):
         path = tmp_path / "bad.csv"
