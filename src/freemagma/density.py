@@ -12,14 +12,14 @@ residue class together with the exact closed-form asymptotes.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
-from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .reporting import CheckReport
 from .sequences import BigSeq, _atomic_write, _csv_text, catalan_numbers
@@ -43,8 +43,7 @@ def growth(a: BigSeq) -> BigSeq:
     return BigSeq(accumulate(a))
 
 
-@dataclass(frozen=True)
-class RatioTrace:
+class RatioTrace(NamedTuple):
     """Growth-ratio samples (n, value) plus indices skipped for zero
     denominators."""
 
@@ -153,8 +152,7 @@ def fg_null_density_test(gens: Iterable[Term]) -> NullDensityVerdict:
     return NullDensityVerdict.INCONCLUSIVE
 
 
-@dataclass(frozen=True)
-class LongitudinalAsymptote:
+class LongitudinalAsymptote(NamedTuple):
     """Exact per-residue growth-ratio limits of a longitudinal family."""
 
     p: int
@@ -167,7 +165,7 @@ class LongitudinalAsymptote:
 def longitudinal_asymptote(lengths: Iterable[int]) -> LongitudinalAsymptote:
     """Closed-form ratio asymptotes: residue r of p = gcd(lengths) tends to
     3 / (4^(r+1) (1 - 4^-p))."""
-    lset = sorted(set(int(v) for v in lengths))
+    lset = sorted(set(map(operator.index, lengths)))
     if not lset or any(v < 1 for v in lset):
         raise ValueError("lengths must be a nonempty set of positive integers")
     p = math.gcd(*lset)
@@ -185,7 +183,7 @@ def longitudinal_convergence_check(
     1 - 4^-p at the horizon.  All comparisons are exact rationals against
     the given tolerance.
     """
-    lset = sorted(set(int(v) for v in lengths))
+    lset = sorted(set(map(operator.index, lengths)))
     asym = longitudinal_asymptote(lset)
     p = asym.p
     info = semigroup_info(lset)
@@ -228,8 +226,7 @@ def longitudinal_convergence_check(
     )
 
 
-@dataclass
-class DensityEstimate:
+class DensityEstimate(NamedTuple):
     """Result of a density estimation run.
 
     ``value`` is the accelerated point estimate (None when the trace

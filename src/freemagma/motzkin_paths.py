@@ -18,15 +18,22 @@ DP :func:`_path_counts` is the reference it is tested against.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from fractions import Fraction
+import operator
 from functools import reduce
+from math import gcd
 from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
-from .errors import ExactDivisionError, check_memory
-from .reporting import CheckReport
-from .sequences import _exact_div, _poly_mul, _poly_sub, _sqrt_series
+from .errors import check_memory
+from .reporting import CheckReport, _Record
+from .sequences import (
+    _poly_add,
+    _poly_mul,
+    _poly_quotient,
+    _poly_sub,
+    _primitive_gcd,
+    _quadratic_root,
+    _series_quotient,
+)
 
 if TYPE_CHECKING:
     from .subgroupoids import GenFamily
@@ -45,14 +52,14 @@ TABLE_ENTRY_BYTES = 40
 BigramLike = Union[tuple[str, str], str]
 
 
-@dataclass(frozen=True)
-class PathSpec:
+class PathSpec(_Record):
     """Constraint bundle: path length, forbidden step bigrams, and per-step
     color multiplicities (default 1)."""
 
+    __slots__ = ("length", "forbidden_bigrams", "color_multiplicity")
     length: int
-    forbidden_bigrams: frozenset[tuple[str, str]] = frozenset()
-    color_multiplicity: tuple[tuple[str, int], ...] = ()
+    forbidden_bigrams: frozenset[tuple[str, str]]
+    color_multiplicity: tuple[tuple[str, int], ...]
 
     def __init__(
         self,
@@ -60,6 +67,7 @@ class PathSpec:
         forbidden_bigrams: Iterable[BigramLike] = (),
         color_multiplicity: Mapping[str, int] | Iterable[tuple[str, int]] = (),
     ):
+        length = operator.index(length)
         if length < 0:
             raise ValueError(f"path length must be >= 0, got {length}")
         bigrams = set()
@@ -76,14 +84,11 @@ class PathSpec:
         for step, mult in colors:
             if step not in STEPS:
                 raise ValueError(f"unknown step {step!r}")
+            mult = operator.index(mult)
             if mult < 1:
                 raise ValueError(f"multiplicity must be >= 1, got {mult}")
-            norm[step] = int(mult)
-        object.__setattr__(self, "length", int(length))
-        object.__setattr__(self, "forbidden_bigrams", frozenset(bigrams))
-        object.__setattr__(
-            self, "color_multiplicity", tuple(sorted(norm.items()))
-        )
+            norm[step] = mult
+        super().__init__(length, frozenset(bigrams), tuple(sorted(norm.items())))
 
     def multiplicity(self, step: str) -> int:
         for s, m in self.color_multiplicity:
@@ -125,171 +130,60 @@ def _path_counts(spec: PathSpec) -> list[int]:
     return counts
 
 
-# Polynomials in the arch series a and in x: {(power of a, power of x): coefficient}.
-_Bivariate = dict[tuple[int, int], int]
-
-
-def _add(*terms: _Bivariate) -> _Bivariate:
-    out: _Bivariate = {}
-    for term in terms:
-        for key, c in term.items():
-            out[key] = out.get(key, 0) + c
-    return {key: c for key, c in out.items() if c}
-
-
-def _mul(*factors: _Bivariate) -> _Bivariate:
-    out: _Bivariate = {(0, 0): 1}
-    for factor in factors:
-        prod: _Bivariate = {}
-        for (i, j), c in out.items():
-            for (k, m), d in factor.items():
-                prod[i + k, j + m] = prod.get((i + k, j + m), 0) + c * d
-        out = {key: c for key, c in prod.items() if c}
-    return out
-
-
-def _scaled(term: _Bivariate, c: int) -> _Bivariate:
-    return {key: c * v for key, v in term.items() if c}
-
-
-def _a_coefficient(term: _Bivariate, k: int) -> _Bivariate:
-    """The coefficient of a^k, a polynomial in x."""
-    return {(0, j): c for (i, j), c in term.items() if i == k}
-
-
-def _dense(term: _Bivariate) -> list[int]:
-    """A polynomial in x alone as a coefficient list (index = power), with
-    no trailing zeros."""
-    out = [0] * (max((j for _, j in term), default=-1) + 1)
-    for (_, j), c in term.items():
-        out[j] = c
-    return out
-
-
-def _trim(xs: list) -> list:
-    """``xs`` without trailing zero coefficients."""
-    top = len(xs)
-    while top and not xs[top - 1]:
-        top -= 1
-    return xs[:top]
-
-
-def _primitive_gcd(xs: list[int], ys: list[int]) -> list[int]:
-    """The primitive greatest common divisor of two integer polynomials,
-    with a positive leading coefficient: Euclid over the rationals, then
-    denominators and content cleared.  [] when both are 0."""
-    xs, ys = [Fraction(c) for c in _trim(xs)], [Fraction(c) for c in _trim(ys)]
-    while ys:
-        while len(xs) >= len(ys):
-            f = xs[-1] / ys[-1]
-            shift = len(xs) - len(ys)
-            for i, c in enumerate(ys):
-                xs[shift + i] -= f * c
-            xs = _trim(xs)
-        xs, ys = ys, xs
-    if not xs:
-        return []
-    scale = math.lcm(*(c.denominator for c in xs))
-    ints = [int(c * scale) for c in xs]
-    g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
-    return [c // g for c in ints]
-
-
-def _poly_quotient(xs: list[int], ys: list[int]) -> list[int]:
-    """xs / ys for integer polynomials, ys with a nonzero leading
-    coefficient, by long division that must be exact."""
-    xs = list(xs)
-    out = [0] * max(len(xs) - len(ys) + 1, 0)
-    for shift in range(len(out) - 1, -1, -1):
-        f = _exact_div(xs[shift + len(ys) - 1], ys[-1])
-        out[shift] = f
-        for i, c in enumerate(ys):
-            xs[shift + i] -= f * c
-    if any(xs):
-        raise ExactDivisionError(f"polynomial {ys} does not divide {xs}")
-    return out
-
-
 def _path_equation(spec: PathSpec) -> tuple[list[int], list[int], list[int]]:
     """(alpha, beta, gamma), integer polynomials in x without a common
     factor, with alpha*M^2 + beta*M + gamma = 0 for the generating function
     M = sum_n count_n x^n of the spec's paths (docs/counting.md).
 
-    A nonempty path is a sequence of primitives: a flat step F, or an arch
-    U X D around a path X.  The arch series a sits in the diagonal matrix
+    A nonempty path is a sequence of primitives: an arch U X D around a path
+    X, or a flat step F.  The arch series a sits in the diagonal matrix
     A = diag(a, c_F*x) of the two primitive types, and J says which types
     may follow which, so the nonempty paths from a first primitive of type
-    i to a last of type j are P[i][j] of A*(I - J*A)^-1 = A*adj/det, whose
-    numerators and determinant are linear in a.  An arch adds c_U*c_D*x^2
+    i to a last of type j are P[i][j] of A*(I - J*A)^-1 = A*adj/det.  The
+    numerators and the determinant are linear in a, so each is a pair
+    (c0, c1) of polynomials in x meaning c0 + c1*a.  An arch adds c_U*c_D*x^2
     to UD or to a path X whose first and last steps may follow U and
     precede D, which makes the arch equation quadratic in a; M = 1 + sum P
     is a Moebius function (p + q*a)/(r + s*a) of a, and substituting its
     inverse into the arch equation gives M's equation.
     """
 
-    def allowed(first: str, second: str) -> bool:
-        return (first, second) not in spec.forbidden_bigrams
+    def allowed(*bigrams: str) -> int:
+        return int(all(tuple(bigram) not in spec.forbidden_bigrams for bigram in bigrams))
 
-    def poly(c: int, power: int) -> _Bivariate:
-        return {(0, power): c} if c else {}
+    def term(k: int, *factors: list[int]) -> list[int]:
+        return [k * c for c in reduce(_poly_mul, factors)]
 
-    firsts, lasts = "UF", "DF"  # of an arch and of a flat step
-    arch = {(1, 0): 1}
-    prim = (arch, poly(spec.multiplicity("F"), 1))
-    # B = I - J*A.
-    b = [
-        [
-            _add(poly(int(i == j), 0), _scaled(prim[j], -1 if allowed(lasts[i], firsts[j]) else 0))
-            for j in range(2)
-        ]
-        for i in range(2)
-    ]
-    det = _add(_mul(b[0][0], b[1][1]), _scaled(_mul(b[0][1], b[1][0]), -1))
-    adj = [[b[1][1], _scaled(b[0][1], -1)], [_scaled(b[1][0], -1), b[0][0]]]
-    paths = {(i, j): _mul(prim[i], adj[i][j]) for i in range(2) for j in range(2)}
-    inner = _add(
-        _scaled(det, allowed("U", "D")),
-        *(
-            term
-            for (i, j), term in paths.items()
-            if allowed("U", firsts[i]) and allowed(lasts[j], "D")
-        ),
-    )
-    weight = poly(spec.multiplicity("U") * spec.multiplicity("D"), 2)
-    arch_eq = _add(_mul(arch, det), _scaled(_mul(weight, inner), -1))
-    e0, e1, e2 = (_a_coefficient(arch_eq, k) for k in range(3))
-    num = _add(det, *paths.values())
-    p, q = _a_coefficient(num, 0), _a_coefficient(num, 1)
-    r, s = _a_coefficient(det, 0), _a_coefficient(det, 1)
+    flat = [0, spec.multiplicity("F")]  # c_F*x
+    j_du, j_df, j_fu, j_ff = map(allowed, ("DU", "DF", "FU", "FF"))
+    # det(I - J*A) = r + s*a.
+    r = _poly_sub([1], term(j_ff, flat))
+    s = _poly_sub(term(-j_du, r), term(j_df * j_fu, flat))
+    # The entries c0 + c1*a of A*adj, keyed by the first and last step of their paths.
+    paths = {
+        "UD": ([], r),
+        "UF": ([], term(j_df, flat)),
+        "FD": ([], term(j_fu, flat)),
+        "FF": (flat, term(-j_du, flat)),
+    }
+    # eps_UD*det + the entries whose paths may follow U and precede D.
+    inner = [(r, s) if allowed("UD") else ([], [])]
+    inner += [pair for key, pair in paths.items() if allowed("U" + key[0], key[1] + "D")]
+    i0, i1 = (_poly_add(*side) for side in zip(*inner))
+    weight = [0, 0, spec.multiplicity("U") * spec.multiplicity("D")]
+    # The arch equation a*det = weight*inner, as e2*a^2 + e1*a + e0 = 0.
+    e0, e1, e2 = term(-1, weight, i0), _poly_sub(r, _poly_mul(weight, i1)), s
+    p, q = (_poly_add(*side) for side in zip((r, s), *paths.values()))  # det + every entry
     # e2*a^2 + e1*a + e0 = 0 at a = (p - r*M)/(s*M - q), times (s*M - q)^2.
-    alpha = _add(_mul(e2, r, r), _scaled(_mul(e1, r, s), -1), _mul(e0, s, s))
-    beta = _add(
-        _scaled(_mul(e2, p, r), -2), _mul(e1, p, s), _mul(e1, r, q), _scaled(_mul(e0, s, q), -2)
-    )
-    gamma = _add(_mul(e2, p, p), _scaled(_mul(e1, p, q), -1), _mul(e0, q, q))
-    coeffs = [_dense(alpha), _dense(beta), _dense(gamma)]
+    coeffs = [
+        _poly_add(term(1, e2, r, r), term(-1, e1, r, s), term(1, e0, s, s)),
+        _poly_add(term(-2, e2, p, r), term(1, e1, p, s), term(1, e1, r, q), term(-2, e0, s, q)),
+        _poly_add(term(1, e2, p, p), term(-1, e1, p, q), term(1, e0, q, q)),
+    ]
     common = reduce(_primitive_gcd, coeffs)
-    common = [math.gcd(*(c for poly in coeffs for c in poly)) * c for c in common]
+    common = [gcd(*(c for poly in coeffs for c in poly)) * c for c in common]
     alpha, beta, gamma = (_poly_quotient(poly, common) for poly in coeffs)
     return alpha, beta, gamma
-
-
-def _series_quotient(num: list[int], den: list[int], n_max: int) -> list[int]:
-    """Coefficients 0..n_max of the power series num/den, for a series
-    ``num`` (zero past its end) divisible by the polynomial ``den`` (nonzero,
-    no trailing zeros): den's lowest terms x^v cancel, and each coefficient
-    is then one exact division by den's lowest nonzero coefficient.  The
-    quotient overwrites ``num``, so that one big-integer sequence is alive."""
-    v = next(i for i, c in enumerate(den) if c)
-    if any(num[:v]):
-        raise ExactDivisionError(f"series {num[:v]}... is not divisible by x^{v}")
-    del num[:v], num[n_max + 1 :]
-    num += [0] * (n_max + 1 - len(num))
-    den = den[v:]
-    for n in range(n_max + 1):
-        tail = sum(den[i] * num[n - i] for i in range(1, min(n, len(den) - 1) + 1))
-        num[n] = _exact_div(num[n] - tail, den[0])
-    return num
 
 
 def _equation_counts(spec: PathSpec) -> list[int]:
@@ -299,21 +193,14 @@ def _equation_counts(spec: PathSpec) -> list[int]:
     At x = 0 the arch equation is a*(1 - [UD allowed]*a) = 0 and M = 1 + a,
     so alpha(0) = 0 and beta(0) = +-1 for every spec (the removed common
     factor is +-1 at x = 0).  When alpha = 0, M = -gamma/beta is rational.
-    Otherwise Q = 2*alpha*M + beta has Q(0) = beta(0) and
-    Q^2 = beta^2 - 4*alpha*gamma, a polynomial that is 1 at x = 0, so Q is
-    beta(0) times the linear-time square-root series, and
-    M = (Q - beta)/(2*alpha).
+    Otherwise the discriminant beta^2 - 4*alpha*gamma is a polynomial that
+    is 1 at x = 0, and :func:`_quadratic_root` solves for M.
     """
     alpha, beta, gamma = _path_equation(spec)
-    n = spec.length
     if not alpha:
-        return _series_quotient([-c for c in gamma], beta, n)
+        return _series_quotient([-c for c in gamma], beta, spec.length)
     disc = _poly_sub(_poly_mul(beta, beta), [4 * c for c in _poly_mul(alpha, gamma)])
-    v = next(i for i, c in enumerate(alpha) if c)
-    num = _sqrt_series(disc, [0], n + v)
-    for i, c in enumerate(num):
-        num[i] = beta[0] * c - (beta[i] if i < len(beta) else 0)
-    return _series_quotient(num, [2 * c for c in alpha], n)
+    return _quadratic_root(alpha, beta, disc, [0], spec.length)
 
 
 def count_paths(spec: PathSpec) -> int:

@@ -1,12 +1,48 @@
-"""Small shared result type for verification-style operations."""
+"""Small shared result and record types."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 
-@dataclass
+class _Record:
+    """An immutable value record whose fields are its ``__slots__``, set once
+    by a constructor that takes them in that order: records of one class
+    with equal fields are equal and hash alike, and print as
+    ``Name(field=value, ...)``."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields: Any):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: Any = None) -> None:
+        raise AttributeError(f"cannot change field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self) -> tuple:
+        # Copies and pickles go through the constructor, which takes the
+        # fields in slot order, since no field may be assigned afterwards.
+        return type(self), self._fields()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({shown})"
+
+
 class CheckReport:
     """Outcome of one verification check.
 
@@ -15,11 +51,19 @@ class CheckReport:
     first index at which an entry-wise check diverged, when that applies.
     """
 
-    name: str
-    passed: bool
-    details: str = ""
-    first_failure: int | None = None
-    data: dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("name", "passed", "details", "first_failure", "data")
+
+    def __init__(
+        self,
+        name: str,
+        passed: bool,
+        details: str = "",
+        first_failure: int | None = None,
+        data: dict[str, Any] | None = None,
+    ):
+        self.name, self.passed, self.details = name, passed, details
+        self.first_failure = first_failure
+        self.data = {} if data is None else data
 
     def __bool__(self) -> bool:
         return self.passed

@@ -2,9 +2,11 @@
 
 Everything in this module is exact: Catalan and Motzkin numbers, the
 quadratic transform that turns a generator-counting sequence into a
-subgroupoid-counting sequence, the multinomial counting formula, truncated
-power-series verification and the classic Catalan/Motzkin binomial
-identities.  No floating point, no rounding; divisions assert exactness.
+subgroupoid-counting sequence, the one solver for power series that are
+roots of quadratics, the dense integer polynomials they are built on, the
+multinomial counting formula, truncated power-series verification and the
+classic Catalan/Motzkin binomial identities.  No floating point, no
+rounding; divisions assert exactness.
 
 Sequences are 1-indexed (:class:`BigSeq`), matching the length grading of
 the term algebra, so ``catalan_c(n)[k]`` is the number of terms of length
@@ -31,7 +33,7 @@ from decimal import (
 )
 from fractions import Fraction
 from itertools import chain
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, lcm, prod
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO, Union
 
@@ -171,32 +173,43 @@ def sqrt_series_counting(p0: Sequence[int], p1: Sequence[int], n_max: int) -> Bi
     ``p0`` and ``p1`` are integer polynomials (index = power) with p0(0) = 1
     and p1(0) = 0.  When Psi = Psi^2 + Phi, Q = 1 - 2*Psi = sqrt(1 - 4*Phi),
     so a finite family is p0 = 1 - 4*Phi, p1 = 0 and the shifted family M+a
-    is p0 = 1 - 2x^|a|, p1 = 2x^|a|.
-
-    With T = S*Q, w = 1-4x, alpha = p0', beta = p1'*w - 2*p1,
-    N = p0^2 - p1^2*w, U = alpha*p0 - beta*p1, V = beta*p0 - alpha*p1*w and
-    D = 2*N*w, the pair (Q, T) satisfies
-
-        D*Q' = (U*w)*Q + V*T
-        D*T' = (V*w)*Q + (U*w - 4N)*T
-
-    (derivation in docs/counting.md).  D(0) = 2, so the x^(n-1) coefficients
-    give 2n*q_n and 2n*t_n from a fixed number of earlier terms: O(deg)
-    small-by-bigint products and one exact division per step.  T is only
-    carried when p1 != 0.
+    is p0 = 1 - 2x^|a|, p1 = 2x^|a|.  Q comes from a linear recurrence with
+    O(deg) small-by-bigint products and one exact division per step
+    (:func:`_sqrt_series`, derivation in docs/counting.md).
     """
-    return BigSeq(_exact_div(-q, 2) for q in _sqrt_series(p0, p1, n_max)[1:])
+    return BigSeq(_quadratic_root([1], [-1], p0, p1, n_max)[1:])
+
+
+def _quadratic_root(
+    alpha: list[int], beta: list[int], p0: Sequence[int], p1: Sequence[int], n_max: int, one: int = 1
+) -> list[int]:
+    """[M_0, ..., M_{n_max}] of M = (beta(0)*Q - beta)/(2*alpha), the power
+    series root of alpha*M^2 + beta*M + gamma = 0 with discriminant
+    beta^2 - 4*alpha*gamma = p0 + p1*S, where Q is :func:`_sqrt_series`
+    started from ``one``.  ``alpha`` is a nonzero polynomial whose lowest
+    terms x^v cancel, so Q runs to n_max + v; beta(0) is +-1.
+    """
+    v = next(i for i, c in enumerate(alpha) if c)
+    # The recurrence is linear, so starting it from beta(0)*one gives beta(0)*Q.
+    num = _sqrt_series(p0, p1, n_max + v, beta[0] * one)
+    # Zero coefficients are skipped: subtracting 0 still copies a big value.
+    for i, c in enumerate(beta[: len(num)]):
+        if c:
+            num[i] -= c
+    return _series_quotient(num, [2 * c for c in alpha], n_max)
 
 
 def _sqrt_series(p0: Sequence[int], p1: Sequence[int], n_max: int, one: int = 1) -> list[int]:
     """[q_0, ..., q_{n_max}] of the series Q of :func:`sqrt_series_counting`,
     with Q and T started from ``one``; ``Decimal(1)`` under EXACT_DECIMAL
-    runs the same steps in base 10."""
+    runs the same steps in base 10.  The polynomials are those of
+    docs/counting.md ("Derivation"), for T = S*Q; T is only carried when
+    p1 != 0."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     p0, p1 = list(p0) or [0], list(p1) or [0]
     if p0[0] != 1 or p1[0] != 0:
-        raise ValueError("sqrt_series_counting needs p0(0) = 1 and p1(0) = 0")
+        raise ValueError("the square-root series needs p0(0) = 1 and p1(0) = 0")
     w = [1, -4]
     alpha = _poly_deriv(p0)
     beta = _poly_sub(_poly_mul(_poly_deriv(p1), w), [2 * c for c in p1])
@@ -223,27 +236,6 @@ def _sqrt_series(p0: Sequence[int], p1: Sequence[int], n_max: int, one: int = 1)
             )
         q[n] = _exact_div(acc, 2 * n)
     return q
-
-
-def _poly_mul(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
-    """Product of dense coefficient vectors (index = power)."""
-    out = [0] * (len(xs) + len(ys) - 1)
-    for i, xi in enumerate(xs):
-        if xi:
-            for j, yj in enumerate(ys):
-                if yj:
-                    out[i + j] += xi * yj
-    return out
-
-
-def _poly_sub(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
-    size = max(len(xs), len(ys))
-    xs = list(xs) + [0] * (size - len(xs))
-    return [x - (ys[i] if i < len(ys) else 0) for i, x in enumerate(xs)]
-
-
-def _poly_deriv(xs: Sequence[int]) -> list[int]:
-    return [i * xs[i] for i in range(1, len(xs))] or [0]
 
 
 def _recurrence_terms(rhs: Sequence[int], lhs: Sequence[int]) -> list[tuple[int, int, int]]:
@@ -543,3 +535,90 @@ def read_sequence_csv(path: str | Path, n_max: int | None = None) -> BigSeq:
             if len(values) == n_max:
                 break
     return BigSeq(values)
+
+
+# ---------------------------------------------------------------------------
+# Dense integer polynomials: coefficient lists, index = power
+
+def _poly_add(*polys: Sequence[int]) -> list[int]:
+    out = [0] * max(map(len, polys), default=0)
+    for poly in polys:
+        for i, c in enumerate(poly):
+            out[i] += c
+    return out
+
+
+def _poly_mul(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+    out = [0] * (len(xs) + len(ys) - 1)
+    for i, xi in enumerate(xs):
+        if xi:
+            for j, yj in enumerate(ys):
+                if yj:
+                    out[i + j] += xi * yj
+    return out
+
+
+def _poly_sub(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+    return _poly_add(xs, [-c for c in ys])
+
+
+def _poly_deriv(xs: Sequence[int]) -> list[int]:
+    return [i * xs[i] for i in range(1, len(xs))] or [0]
+
+
+def _trim(xs: list) -> list:
+    """``xs`` without trailing zero coefficients."""
+    top = len(xs)
+    while top and not xs[top - 1]:
+        top -= 1
+    return xs[:top]
+
+
+def _primitive_gcd(xs: list[int], ys: list[int]) -> list[int]:
+    """The primitive greatest common divisor of two integer polynomials,
+    with a positive leading coefficient: Euclid over the rationals, then
+    denominators and content cleared.  [] when both are 0."""
+    xs, ys = [Fraction(c) for c in _trim(xs)], [Fraction(c) for c in _trim(ys)]
+    while ys:
+        while len(xs) >= len(ys):
+            f = xs[-1] / ys[-1]
+            shift = len(xs) - len(ys)
+            for i, c in enumerate(ys):
+                xs[shift + i] -= f * c
+            xs = _trim(xs)
+        xs, ys = ys, xs
+    if not xs:
+        return []
+    scale = lcm(*(c.denominator for c in xs))
+    ints = [int(c * scale) for c in xs]
+    g = gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return [c // g for c in ints]
+
+
+def _poly_quotient(xs: list[int], ys: list[int]) -> list[int]:
+    """xs / ys for integer polynomials, ys with a nonzero leading
+    coefficient, without trailing zeros: the series quotient to degree
+    len(xs) - len(ys), which must multiply back to xs."""
+    out = _series_quotient(list(xs), ys, max(len(xs) - len(ys), -1))
+    if any(_poly_sub(xs, _poly_mul(out, ys))):
+        raise ExactDivisionError(f"polynomial {ys} does not divide {xs}")
+    return _trim(out)
+
+
+def _series_quotient(num: list[int], den: list[int], n_max: int) -> list[int]:
+    """Coefficients 0..n_max of the power series num/den, for a series
+    ``num`` (zero past its end) divisible by the polynomial ``den`` (nonzero,
+    no trailing zeros): den's lowest terms x^v cancel, and each coefficient
+    is then one exact division by den's lowest nonzero coefficient.  The
+    quotient overwrites ``num``, so that one big-integer sequence is alive."""
+    v = next(i for i, c in enumerate(den) if c)
+    if any(num[:v]):
+        raise ExactDivisionError(f"series {num[:v]}... is not divisible by x^{v}")
+    del num[:v], num[n_max + 1 :]
+    num += [0] * (n_max + 1 - len(num))
+    lead, tail = den[v], [(i, c) for i, c in enumerate(den[v + 1 :], 1) if c]
+    for n in range(n_max + 1):
+        if tail:
+            num[n] -= sum(c * num[n - i] for i, c in tail if i <= n)
+        num[n] = _exact_div(num[n], lead)
+    return num

@@ -14,18 +14,18 @@ generator-counting sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from decimal import Decimal, localcontext
 from itertools import zip_longest
 from pathlib import Path
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .errors import UnsupportedVariantError, check_memory
+from .reporting import _Record
 from .sequences import (
     EXACT_DECIMAL,
     BigSeq,
-    _exact_div,
-    _sqrt_series,
+    _quadratic_root,
     cat_transform,
     catalan_numbers,
     read_sequence_csv,
@@ -45,10 +45,10 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class FiniteSet:
+class FiniteSet(_Record):
     """Finitely many generator terms (possibly empty: the empty subgroupoid)."""
 
+    __slots__ = ("terms",)
     terms: frozenset[Term]
 
     def __init__(self, terms: Iterable[Term]):
@@ -56,52 +56,53 @@ class FiniteSet:
         for t in tset:
             if not isinstance(t, Term):
                 raise TypeError(f"generators must be Terms, got {type(t).__name__}")
-        object.__setattr__(self, "terms", tset)
+        super().__init__(tset)
 
 
-@dataclass(frozen=True)
-class ShiftedFull:
+class ShiftedFull(_Record):
     """The generating set M+a = {y+a : y in M}."""
 
+    __slots__ = ("a",)
     a: Term
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.a, Term):
+    def __init__(self, a: Term):
+        if not isinstance(a, Term):
             raise TypeError("shift must be a Term")
+        super().__init__(a)
 
 
-@dataclass(frozen=True)
-class Longitudinal:
+class Longitudinal(_Record):
     """All terms whose length lies in the numerical subsemigroup generated
     by ``lengths``."""
 
+    __slots__ = ("lengths",)
     lengths: frozenset[int]
 
     def __init__(self, lengths: Iterable[int]):
-        lset = frozenset(int(v) for v in lengths)
+        lset = frozenset(map(operator.index, lengths))
         if not lset:
             raise ValueError("longitudinal family needs at least one length")
         if any(v < 1 for v in lset):
             raise ValueError("longitudinal lengths must be >= 1")
-        object.__setattr__(self, "lengths", lset)
+        super().__init__(lset)
 
 
-@dataclass(frozen=True)
-class ExplicitSeq:
+class ExplicitSeq(_Record):
     """A user-supplied generator-counting sequence."""
 
+    __slots__ = ("seq",)
     seq: BigSeq
 
-    def __post_init__(self) -> None:
-        if any(v < 0 for v in self.seq):
+    def __init__(self, seq: BigSeq):
+        if any(v < 0 for v in seq):
             raise ValueError("generator counts must be >= 0")
+        super().__init__(seq)
 
 
 GenFamily = Union[FiniteSet, ShiftedFull, Longitudinal, ExplicitSeq]
 
 
-@dataclass(frozen=True)
-class NumericalSemigroupInfo:
+class NumericalSemigroupInfo(NamedTuple):
     gcd: int
     reduced_generators: frozenset[int]
     frobenius: int
@@ -211,7 +212,7 @@ def family_levels(family: GenFamily, n_max: int) -> Levels:
         # numbers, are priced together before either is built.
         a = family.a
         whole = catalan_numbers(n_max - a.length)
-        shifted = cat_transform(BigSeq(([0] * a.length + whole)[:n_max]))
+        shifted = counting_sequence(family, n_max)
         _check_levels([s + w for s, w in zip_longest(shifted, whole, fillvalue=0)])
         below = [[]] * a.length + _grow_texts(_whole_seeds, n_max - a.length)
         levels = grow_levels(lambda k: [f"({y}+{a.text})" for y in below[k]], n_max)
@@ -269,12 +270,7 @@ def generator_counting_sequence(family: GenFamily, n_max: int) -> BigSeq:
         return BigSeq(hist)
     if isinstance(family, ShiftedFull):
         la = family.a.length
-        entries = [0] * n_max
-        if n_max > la:
-            cats = catalan_numbers(n_max - la)
-            for n in range(la + 1, n_max + 1):
-                entries[n - 1] = cats[n - la - 1]
-        return BigSeq(entries)
+        return BigSeq(([0] * la + catalan_numbers(n_max - la))[:n_max])
     if isinstance(family, ExplicitSeq):
         return family.seq.padded(n_max)
     raise UnsupportedVariantError(
@@ -312,9 +308,10 @@ def _counts(family: GenFamily, n_max: int, one: int) -> list[int]:
     """The one place that decides how a family is counted, with every
     recurrence started from ``one`` (int or Decimal).
 
-    Psi = Psi^2 + Phi gives Q = 1 - 2*Psi = sqrt(1 - 4*Phi), which is
-    algebraic for finite and shifted families, so those run the linear-time
-    recurrence of :func:`sqrt_series_counting`.  Longitudinal families have
+    Psi is the root of Psi^2 - Psi + Phi = 0 with Psi(0) = 0, whose
+    discriminant 1 - 4*Phi is algebraic for finite and shifted families, so
+    those are solved by the linear-time :func:`_quadratic_root` with
+    alpha = 1, beta = -1.  Longitudinal families have
     a closed form; an explicit generator sequence goes through the
     schoolbook :func:`cat_transform`, in ints.
     """
@@ -332,12 +329,7 @@ def _counts(family: GenFamily, n_max: int, one: int) -> list[int]:
             # The leaf generates the whole magma.
             return catalan_numbers(n_max, one)
         p0, p1 = [1] + [-4 * c for c in hist], [0]
-    q = _sqrt_series(p0, p1, n_max, one)
-    # b_n = -q_n/2, overwritten in place, so that no more than two
-    # big-integer sequences are alive at once.
-    for n in range(1, n_max + 1):
-        q[n] = _exact_div(-q[n], 2)
-    return q[1:]
+    return _quadratic_root([1], [-1], p0, p1, n_max, one)[1:]
 
 
 def _reachable_lengths(lengths: Iterable[int], n_max: int) -> list[bool]:
@@ -372,7 +364,7 @@ def semigroup_info(lengths: Iterable[int]) -> NumericalSemigroupInfo:
     reachability scan runs up to Schur's bound (a_1 - 1)(a_k - 1) - 1 on the
     Frobenius number, which is -1 when 1 is a generator.
     """
-    aset = sorted(frozenset(int(v) for v in lengths))
+    aset = sorted(frozenset(map(operator.index, lengths)))
     if not aset:
         raise ValueError("need at least one generator")
     if any(v < 1 for v in aset):

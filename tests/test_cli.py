@@ -588,6 +588,16 @@ class TestVerify:
         assert not any(r.passed for r in reports)
         assert all(r.details == "forced failure" for r in reports)
 
+    def test_reports_do_not_share_data(self, monkeypatch):
+        from freemagma import verify
+        from freemagma.reporting import CheckReport
+
+        check = ("always", lambda scope: CheckReport("always", True))
+        monkeypatch.setattr(verify, "CHECKS", [check, check])
+        first, second = verify.verify_all("fast")
+        assert first.data is not second.data
+        assert list(first.data) == list(second.data) == ["elapsed_s"]
+
     def test_rejects_bad_scope(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--scope", "everything"])

@@ -225,6 +225,14 @@ class TestLongitudinalAsymptote:
     def test_validation(self):
         with pytest.raises(ValueError):
             longitudinal_asymptote(set())
+        with pytest.raises(TypeError):
+            longitudinal_asymptote([2.5])
+
+    def test_is_a_frozen_record(self):
+        asym = longitudinal_asymptote({2})
+        assert hash(asym) == hash(longitudinal_asymptote({4, 6}))
+        with pytest.raises(AttributeError):
+            asym.p = 3
 
 
 class TestLongitudinalConvergence:
@@ -287,6 +295,12 @@ class TestEstimateDensity:
         est = estimate_density(FiniteSet({TWO}), FiniteSet({ONE}), 80, precision=6)
         last = est.trace.samples[-1][1]
         assert last < Decimal("1e-9")
+
+    def test_estimate_is_a_frozen_record(self):
+        est = estimate_density(FiniteSet({TWO}), FiniteSet({ONE}), 40, precision=6)
+        for record, field in ((est, "status"), (est.trace, "samples")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
 
     def test_explicit_seq_numerator(self):
         fam = ExplicitSeq(BigSeq([0, 1] + [0] * 98))

@@ -1,6 +1,9 @@
 """Motzkin path counting, enumeration, and subgroupoid crosschecks."""
 
+import copy
+import hashlib
 import math
+import pickle
 from itertools import product
 
 import pytest
@@ -144,6 +147,18 @@ class TestPathEquation:
             assert _equation_counts(spec) == want, forbid
             assert count_paths(spec) == want[-1], forbid
 
+    def test_derived_equations_are_pinned(self):
+        # alpha, beta and gamma of every bigram set under both colourings, in
+        # the mask order above, signs included.
+        bigrams = [a + b for a, b in product("UDF", repeat=2)]
+        eqs = []
+        for colors in ({}, {"U": 2, "D": 3, "F": 1}):
+            for mask in range(1 << len(bigrams)):
+                forbid = [bg for i, bg in enumerate(bigrams) if mask >> i & 1]
+                eqs.append(tuple(map(list, _path_equation(PathSpec(0, forbid, colors)))))
+        digest = hashlib.sha256(repr(eqs).encode()).hexdigest()
+        assert digest == "2800be3c7a41d40111bc076cb78a71909e429d81d357ad9042ab2028896046bb"
+
     def test_pruned_bicoloured_equation_loses_its_common_factor(self):
         # Elimination gives (2x^3 + x^2)M^2 - (2x + 1)M + (2x + 1)^2 = 0;
         # without the common factor 2x + 1 it is x^2 M^2 - M + 1 + 2x = 0.
@@ -272,6 +287,25 @@ class TestPathSpecValidation:
             PathSpec(3, color_multiplicity={"F": 0})
         with pytest.raises(ValueError):
             PathSpec(-1)
+
+    def test_rejects_non_integral_sizes(self):
+        with pytest.raises(TypeError):
+            PathSpec(4.9)
+        with pytest.raises(TypeError):
+            PathSpec(4, (), {"F": 2.5})
+        assert PathSpec(4, (), {"F": 2}).color_multiplicity == (("F", 2),)
+
+    def test_is_a_frozen_value(self):
+        spec = PathSpec(4, ("FU",), {"F": 2})
+        with pytest.raises(AttributeError):
+            spec.length = 5
+        same = PathSpec(4, [("F", "U")], [("F", 2)])
+        assert spec == same and hash(spec) == hash(same)
+        assert spec != PathSpec(5, ("FU",), {"F": 2})
+        assert copy.deepcopy(spec) == pickle.loads(pickle.dumps(spec)) == spec
+        assert repr(PathSpec(2)) == (
+            "PathSpec(length=2, forbidden_bigrams=frozenset(), color_multiplicity=())"
+        )
 
     def test_bigram_forms_equivalent(self):
         a = PathSpec(4, forbidden_bigrams=("FU", "FF"))

@@ -32,6 +32,9 @@ from freemagma.sequences import (
     PI_LOWER,
     PI_UPPER,
     _exact_div,
+    _poly_quotient,
+    _quadratic_root,
+    _series_quotient,
     _sqrt_series,
     unlimited_int_digits,
 )
@@ -167,6 +170,21 @@ class TestSqrtSeriesCounting:
             sqrt_series_counting([1, -2], [1, 2], 5)
 
 
+class TestPolynomials:
+    def test_poly_quotient_is_exact_or_raises(self):
+        assert _poly_quotient([1, 4, 4, 0], [1, 2]) == [1, 2]
+        assert _poly_quotient([0, 0], [1, 2]) == []
+        with pytest.raises(ExactDivisionError, match="does not divide"):
+            _poly_quotient([1, 1], [1, 2])
+        with pytest.raises(ExactDivisionError, match="not divisible by x"):
+            _poly_quotient([1, 2, 1], [0, 1])
+
+    def test_series_quotient(self):
+        # 1/(1 - x - x^2) is the Fibonacci series; x^2 cancels before the division by 2.
+        assert _series_quotient([1], [1, -1, -1], 6) == [1, 1, 2, 3, 5, 8, 13]
+        assert _series_quotient([0, 0, 4, 6], [0, 0, 2], 3) == [2, 3, 0, 0]
+
+
 class TestDecimalRoute:
     """The recurrences started from Decimal(1) under EXACT_DECIMAL; their
     texts are compared with the int route in test_subgroupoids."""
@@ -177,6 +195,17 @@ class TestDecimalRoute:
             _sqrt_series([1, 1], [0], 3)
         with localcontext(EXACT_DECIMAL), pytest.raises(ExactDivisionError, match="1-digit decimal"):
             _sqrt_series([1, 1], [0], 3, Decimal(1))
+
+    # The generators (1+1), ((1+1)+1), (1+(1+1)): 1 - 4*Phi = 1 - 4x^2 - 8x^3.
+    @pytest.mark.parametrize("p0, p1", [([1, 0, -4, -8], [0]), shifted_polys(3)])
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 50, 300])
+    def test_quadratic_root_same_in_int_and_decimal(self, p0, p1, n_max):
+        ints = _quadratic_root([1], [-1], p0, p1, n_max)
+        with localcontext(EXACT_DECIMAL):
+            decimals = _quadratic_root([1], [-1], p0, p1, n_max, Decimal(1))
+        assert all(isinstance(v, Decimal) for v in decimals)
+        assert list(map(str, decimals)) == list(map(str, ints))
+        assert ints[0] == 0 and tuple(ints[1:]) == sqrt_series_counting(p0, p1, n_max).entries
 
     def test_exact_div_reports_decimal_digits(self):
         with localcontext(EXACT_DECIMAL):

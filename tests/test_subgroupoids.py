@@ -1,13 +1,16 @@
 """Subgroupoid machinery: closure, membership, minimal generating sets,
 counting sequences, numerical semigroups, family syntax."""
 
+import copy
 import math
+import pickle
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from freemagma import errors, subgroupoids, terms
+from freemagma.reporting import _Record
 from freemagma.sequences import unlimited_int_digits
 from freemagma import (
     BigSeq,
@@ -447,6 +450,14 @@ class TestSemigroupInfo:
             semigroup_info(set())
         with pytest.raises(ValueError):
             semigroup_info({0, 2})
+        with pytest.raises(TypeError):
+            semigroup_info([2.5, 3])
+
+    def test_is_a_frozen_record(self):
+        info = semigroup_info({4, 6})
+        assert info == semigroup_info([6, 4]) and hash(info) == hash(semigroup_info([6, 4]))
+        with pytest.raises(AttributeError):
+            info.gcd = 1
 
 
 class TestBruteCount:
@@ -679,6 +690,40 @@ class TestFamilyValidation:
     def test_explicit_rejects_negative(self):
         with pytest.raises(ValueError):
             ExplicitSeq(BigSeq([0, -1]))
+
+    def test_longitudinal_rejects_non_integral_lengths(self):
+        with pytest.raises(TypeError):
+            Longitudinal([2.7, 3])
+        assert Longitudinal([2, 3]).lengths == {2, 3}
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: FiniteSet([TWO, THREE_PLUS]),
+            lambda: ShiftedFull(TWO),
+            lambda: Longitudinal([2, 3]),
+            lambda: ExplicitSeq(BigSeq([0, 1, 1])),
+        ],
+    )
+    def test_families_are_frozen_values(self, make):
+        family, same = make(), make()
+        assert family == same and hash(family) == hash(same)
+        field = type(family).__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(family, field, getattr(same, field))
+        assert family == same
+        assert copy.deepcopy(family) == pickle.loads(pickle.dumps(family)) == family
+
+    def test_family_kinds_and_values_distinguish(self):
+        class Shift(_Record):
+            __slots__ = ("a",)
+
+        assert ShiftedFull(TWO) != ShiftedFull(ONE)
+        assert Shift(TWO) != ShiftedFull(TWO) and Shift(TWO) == Shift(TWO)
+
+    def test_family_repr(self):
+        assert repr(FiniteSet([])) == "FiniteSet(terms=frozenset())"
+        assert repr(ShiftedFull(ONE)) == f"ShiftedFull(a={ONE!r})"
 
 
 class TestReadsTextOnly:
