@@ -4,15 +4,17 @@ The density of a nested pair of subgroupoids is the limit of the ratio of
 their growth (cumulative counting) sequences.  Ratios are exact big-integer
 quotients converted to fixed-precision decimals only at the boundary;
 Aitken's delta-squared process then extrapolates the slowly converging
-trace.  Longitudinal families have no density: their ratio trace settles
-into a periodic pattern, which the estimator detects and reports per
-residue class together with the exact closed-form asymptotes.
+trace.  A growth sequence is constant between multiples of the gcd of the
+lengths at which its counts are nonzero, so the trace is accelerated on
+each residue class modulo the lcm p of the two periods.  When the class
+limits differ, as they do for a longitudinal family whose gcd exceeds 1,
+there is no density: the estimate reports the period and the per-residue
+values, whose exact closed forms :func:`longitudinal_asymptote` gives.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections import deque
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from enum import Enum
@@ -25,6 +27,7 @@ from .reporting import CheckReport
 from .sequences import BigSeq, _atomic_write, _csv_text, catalan_numbers
 from .subgroupoids import (
     GenFamily,
+    Longitudinal,
     closure_up_to,
     counting_sequence,
     format_family,
@@ -165,10 +168,7 @@ class LongitudinalAsymptote(NamedTuple):
 def longitudinal_asymptote(lengths: Iterable[int]) -> LongitudinalAsymptote:
     """Closed-form ratio asymptotes: residue r of p = gcd(lengths) tends to
     3 / (4^(r+1) (1 - 4^-p))."""
-    lset = sorted(set(map(operator.index, lengths)))
-    if not lset or any(v < 1 for v in lset):
-        raise ValueError("lengths must be a nonempty set of positive integers")
-    p = math.gcd(*lset)
+    p = math.gcd(*Longitudinal(lengths).lengths)
     scale = 1 - Fraction(1, 4**p)
     residues = tuple(Fraction(3, 4 ** (r + 1)) / scale for r in range(p))
     return LongitudinalAsymptote(p, residues)
@@ -183,7 +183,7 @@ def longitudinal_convergence_check(
     1 - 4^-p at the horizon.  All comparisons are exact rationals against
     the given tolerance.
     """
-    lset = sorted(set(map(operator.index, lengths)))
+    lset = Longitudinal(lengths).lengths
     asym = longitudinal_asymptote(lset)
     p = asym.p
     info = semigroup_info(lset)
@@ -231,8 +231,10 @@ class DensityEstimate(NamedTuple):
 
     ``value`` is the accelerated point estimate (None when the trace
     oscillates); ``status`` is one of ``converged``, ``inconclusive``,
-    ``oscillating``.  ``per_residue`` carries residue-class estimates when
-    an oscillation of that period was detected.
+    ``oscillating``.  ``per_residue`` carries the estimate of each residue
+    class n mod ``oscillation_period`` when the classes tend to distinct
+    limits.  ``window_spread`` is the largest spread of a class window and
+    ``last_step_delta`` the last step of n_max's class.
     """
 
     value: Decimal | None
@@ -247,33 +249,27 @@ class DensityEstimate(NamedTuple):
     window_spread: Decimal | None = None
 
 
-def _detect_oscillation(
-    samples: Sequence[tuple[int, Decimal]],
-    precision: int,
-    max_period: int = 8,
-    window: int = 8,
-) -> tuple[int, tuple[Decimal, ...]] | None:
-    """Smallest period p <= max_period whose residue classes settle to
-    clearly distinct values; None when no such period exists.
+def _period(seq: BigSeq) -> int:
+    """The gcd of the lengths at which ``seq`` is nonzero (1 if none): the
+    growth sequence is constant between multiples of it."""
+    return math.gcd(*(n for n, v in enumerate(seq, 1) if v)) or 1
 
-    Classes must be individually tight (tail spread) while separated by
-    more than 10x the larger of the class spread and the requested
-    precision.
-    """
-    noise = Decimal(10) ** -precision
-    for p in range(2, max_period + 1):
-        classes: dict[int, list[Decimal]] = {r: [] for r in range(p)}
-        for n, v in samples:
-            classes[n % p].append(v)
-        if any(len(vals) < window for vals in classes.values()):
-            continue
-        tails = {r: vals[-window:] for r, vals in classes.items()}
-        within = max(max(t) - min(t) for t in tails.values())
-        centers = [sum(t) / len(t) for t in tails.values()]
-        sep = max(centers) - min(centers)
-        if sep > 10 * max(within, noise):
-            return p, tuple(centers)
-    return None
+
+def _fit_class(
+    samples: list[tuple[int, Decimal]], digits: int
+) -> tuple[list[tuple[int, Decimal]], Decimal, Decimal | None, Decimal | None]:
+    """Aitken's process on the samples of one residue class: the accelerated
+    samples, the last accelerated value (the last sample when Aitken skips
+    every entry), the spread of the last five accelerated values (None with
+    fewer) and the last step between them."""
+    accel_raw = aitken([v for _, v in samples], precision=digits)
+    accelerated = [(samples[i + 2][0], y) for i, y in enumerate(accel_raw) if y is not None]
+    tail = [v for _, v in accelerated[-5:]]
+    if not tail:
+        return accelerated, samples[-1][1], None, None
+    spread = max(tail) - min(tail) if len(tail) == 5 else None
+    delta = abs(tail[-1] - tail[-2]) if len(tail) >= 2 else None
+    return accelerated, tail[-1], spread, delta
 
 
 def estimate_density(
@@ -284,15 +280,17 @@ def estimate_density(
 ) -> DensityEstimate:
     """Estimate the density of <family_n> with respect to <family_m>.
 
-    Builds both counting sequences to ``n_max``, forms the growth-ratio
-    trace, accelerates it with Aitken's process, and gates the result on
-    the spread of the last accelerated window against 10^-precision.
-    Callers are responsible for actual nestedness of the two families;
-    ratios outside [0, 1] are not checked.
-
-    The point estimate is reported even when flagged ``inconclusive``;
-    ``oscillating`` means no single limit exists and per-residue values
-    are reported instead.
+    Builds both counting sequences to ``n_max`` and forms the growth-ratio
+    trace.  Its period p is the lcm of the two sequences' :func:`_period`;
+    Aitken's process accelerates each class n mod p on its own.  The trace
+    is ``oscillating`` when every class has a full window of five
+    accelerated values and the class estimates differ by more than
+    10^-precision plus the largest class spread.  Otherwise the estimate is
+    that of n_max's class, ``converged`` when every class has a full window
+    whose spread is within 10^-precision.  Callers are responsible for
+    actual nestedness of the two families; ratios outside [0, 1] are not
+    checked.  The point estimate is reported even when flagged
+    ``inconclusive``.
     """
     if n_max < 3:
         raise ValueError(f"n_max must be >= 3, got {n_max}")
@@ -302,47 +300,30 @@ def estimate_density(
     seq_n = counting_sequence(family_n, n_max)
     seq_m = counting_sequence(family_m, n_max)
     trace = ratio_trace(seq_n, seq_m, precision=digits)
-    values = trace.values()
-    accel_raw = aitken(values, precision=digits)
-    accelerated = tuple(
-        (trace.samples[i + 2][0], y) for i, y in enumerate(accel_raw) if y is not None
-    )
-    tol = Decimal(10) ** -precision
-
-    osc = _detect_oscillation(trace.samples, precision)
-    if osc is not None:
-        period, centers = osc
-        return DensityEstimate(
-            value=None,
-            status="oscillating",
-            n_max=n_max,
-            precision=precision,
-            trace=trace,
-            accelerated=accelerated,
-            oscillation_period=period,
-            per_residue=centers,
-        )
-
-    if accelerated:
-        tail = [v for _, v in accelerated[-5:]]
-        value = tail[-1]
-        spread = max(tail) - min(tail)
-        delta = abs(tail[-1] - tail[-2]) if len(tail) >= 2 else None
-        status = "converged" if spread <= tol else "inconclusive"
-    elif values:
-        value = values[-1]
-        spread = None
-        delta = None
-        status = "inconclusive"
-    else:
+    if not trace.samples:
         raise ValueError("denominator growth is identically zero; no trace")
+    p = math.lcm(_period(seq_n), _period(seq_m))
+    classes: dict[int, list[tuple[int, Decimal]]] = {}
+    for sample in trace.samples:
+        classes.setdefault(sample[0] % p, []).append(sample)
+    fits = {r: _fit_class(classes[r], digits) for r in sorted(classes)}
+    accelerated, estimates, spreads, _ = zip(*fits.values())
+    full = len(fits) == p and None not in spreads
+    spread = max((s for s in spreads if s is not None), default=None)
+    tol = Decimal(10) ** -precision
+    oscillating = full and max(estimates) - min(estimates) > tol + spread
+    _, value, _, delta = fits[trace.samples[-1][0] % p]
+    converged = full and spread <= tol
+    status = "oscillating" if oscillating else "converged" if converged else "inconclusive"
     return DensityEstimate(
-        value=value,
+        value=None if oscillating else value,
         status=status,
         n_max=n_max,
         precision=precision,
         trace=trace,
-        accelerated=accelerated,
+        accelerated=tuple(sorted(s for samples in accelerated for s in samples)),
+        oscillation_period=p if oscillating else None,
+        per_residue=estimates if oscillating else None,
         last_step_delta=delta,
         window_spread=spread,
     )

@@ -364,11 +364,7 @@ def semigroup_info(lengths: Iterable[int]) -> NumericalSemigroupInfo:
     reachability scan runs up to Schur's bound (a_1 - 1)(a_k - 1) - 1 on the
     Frobenius number, which is -1 when 1 is a generator.
     """
-    aset = sorted(frozenset(map(operator.index, lengths)))
-    if not aset:
-        raise ValueError("need at least one generator")
-    if any(v < 1 for v in aset):
-        raise ValueError("generators must be >= 1")
+    aset = sorted(Longitudinal(lengths).lengths)
     g = math.gcd(*aset)
     reduced = [v // g for v in aset]
     if len(reduced) == 2:

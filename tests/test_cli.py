@@ -588,6 +588,36 @@ class TestVerify:
         assert not any(r.passed for r in reports)
         assert all(r.details == "forced failure" for r in reports)
 
+    def test_broken_reachability_fails_sequence_fixtures(self, monkeypatch):
+        from freemagma import subgroupoids, verify
+
+        reachable = subgroupoids._reachable_lengths
+
+        def flipped_at_seven(lengths, n_max):
+            reach = reachable(lengths, n_max)
+            if n_max >= 7:
+                reach[7] = not reach[7]
+            return reach
+
+        monkeypatch.setattr(subgroupoids, "_reachable_lengths", flipped_at_seven)
+        report = verify.check_sequence_fixtures("fast")
+        assert not report.passed
+        assert "longitudinal [2, 3]" in report.details
+
+    def test_oscillation_detection_runs_period_nine(self, monkeypatch):
+        from freemagma import verify
+
+        estimate = verify.estimate_density
+        runs = []
+
+        def recording(family_n, family_m, n_max, precision):
+            runs.append((family_n, n_max))
+            return estimate(family_n, family_m, n_max, precision)
+
+        monkeypatch.setattr(verify, "estimate_density", recording)
+        assert verify.check_oscillation_detection("fast").passed
+        assert (verify.Longitudinal({9}), 100) in runs
+
     def test_reports_do_not_share_data(self, monkeypatch):
         from freemagma import verify
         from freemagma.reporting import CheckReport

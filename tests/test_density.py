@@ -1,5 +1,6 @@
 """Density pipeline: growth, ratio traces, Aitken, asymptotes, verdicts."""
 
+import hashlib
 import random
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -290,6 +291,51 @@ class TestEstimateDensity:
         assert est.per_residue is not None
         assert abs(est.per_residue[0] - Decimal("0.8")) < Decimal("0.01")
         assert abs(est.per_residue[1] - Decimal("0.2")) < Decimal("0.01")
+
+    @pytest.mark.parametrize("p", [9, 10])
+    def test_long_period_oscillates(self, p):
+        est = estimate_density(Longitudinal({p}), FiniteSet({ONE}), 100, precision=6)
+        assert est.status == "oscillating"
+        assert est.oscillation_period == p
+        exact = longitudinal_asymptote({p}).per_residue
+        assert len(est.per_residue) == p
+        for got, want in zip(est.per_residue, exact):
+            assert abs(Fraction(got) - want) < Fraction(1, 100)
+
+    @pytest.mark.parametrize(
+        "family", [FiniteSet({THREE_MINUS}), ExplicitSeq(BigSeq([0, 0, 2]))], ids=["finite", "seq"]
+    )
+    def test_period_three_null_family(self, family):
+        # Counts live on multiples of 3 only, so the trace has period 3.
+        est = estimate_density(family, FiniteSet({ONE}), 300, precision=6)
+        assert est.status != "oscillating"
+        assert 0 <= est.value < Decimal("1e-20")
+
+    def test_short_window_is_never_converged(self):
+        for n_max in range(3, 7):
+            est = estimate_density(ShiftedFull(ONE), FiniteSet({ONE}), n_max, precision=8)
+            assert est.status == "inconclusive", n_max
+            assert est.window_spread is None, n_max
+
+    # sha256 of density_accelerated.csv at n=300, precision 8, for the
+    # benchmark's four density families, whose traces have period 1.
+    ACCELERATED_DIGESTS = {
+        ShiftedFull(ONE): "d067a37b0fa83e2820331c735f9ca9a65fdada6b79ebadc13220a5e138fb4cf9",
+        ShiftedFull(TWO): "1fee83e027c2c97bfcc9154ba2192fcee4b0498d0ae5f8911bd88155b6fda512",
+        ShiftedFull(THREE_PLUS): "de7d6b0ae80acf5734942e3f4c3b095fba361608ba36e099f7da20cb1f55ffec",
+        FiniteSet({TWO, THREE_MINUS, THREE_PLUS}):
+            "52a633cfd116ec6d5e93d75e009e9ef95e39a854f630d46c95e8198065c77bc1",
+    }
+
+    @pytest.mark.parametrize(
+        "family", list(ACCELERATED_DIGESTS), ids=["shift1", "shift2", "shift3", "finite"]
+    )
+    def test_accelerated_digest_pinned(self, family, tmp_path):
+        est = estimate_density(family, FiniteSet({ONE}), 300, precision=8)
+        path = tmp_path / "density_accelerated.csv"
+        write_trace_csv(path, est.accelerated)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == self.ACCELERATED_DIGESTS[family]
 
     def test_null_family_trends_to_zero(self):
         est = estimate_density(FiniteSet({TWO}), FiniteSet({ONE}), 80, precision=6)
