@@ -54,9 +54,10 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
 def _json_pieces(meta: dict, key: str, empty: list | dict, entries: Iterable[str]) -> Iterator[str]:
     """The bytes of ``json.dumps({**meta, key: value}, indent=2)``, where
     ``value`` is a list or dict like ``empty`` given as its encoded
-    ``entries`` (``"text"`` or ``"key": "text"``).  Only the head goes
-    through ``json.dumps``; the entries are streamed, never held at once.
-    Term texts and decimal texts need no escaping."""
+    ``entries`` (``"text"`` or ``"key": "text"``); one entry may be several
+    of them already joined by ``",\\n    "``.  Only the head goes through
+    ``json.dumps``; the entries are streamed, never held at once.  Term
+    texts and decimal texts need no escaping."""
     text = json.dumps({**meta, key: empty}, indent=2)
     pieces = iter(entries)
     first = next(pieces, None)
@@ -83,18 +84,22 @@ def _sequence_text(texts: Iterable[str], fmt: str, meta: dict) -> Iterable[str]:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    """Plain output is the level's blocks as they come, and each JSON
+    entry is a block's texts joined by one ``replace``.  CSV numbers its
+    rows, so it is formatted one text at a time."""
     from .sequences import catalan_numbers
-    from .terms import iter_level_texts
+    from .terms import _level_blocks, iter_level_texts
 
-    texts = iter_level_texts(args.n)
     pieces: Iterable[str]
     if args.format == "json":
         meta = {"length": args.n, "count": catalan_numbers(args.n)[-1]}
-        pieces = _json_pieces(meta, "terms", [], (f'"{t}"' for t in texts))
+        entries = ('"' + b[:-1].replace("\n", '",\n    "') + '"' for b in _level_blocks(args.n))
+        pieces = _json_pieces(meta, "terms", [], entries)
     elif args.format == "csv":
+        texts = iter_level_texts(args.n)
         pieces = chain(("index,term\n",), (f"{i},{t}\n" for i, t in enumerate(texts, start=1)))
     else:
-        pieces = (f"{t}\n" for t in texts)
+        pieces = _level_blocks(args.n)
     _emit(pieces, args.out)
     return EXIT_OK
 

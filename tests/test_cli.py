@@ -64,20 +64,22 @@ class TestEnumerate:
         assert out == ""
         assert "estimated 3365.8 MiB, over the memory budget of 1024.0 MiB" in err
 
-    def test_budget_refuses_17_before_building(self, capsys, monkeypatch):
-        def no_texts(levels, k):
+    @staticmethod
+    def refuse_to_build(monkeypatch):
+        def no_texts(*args):
             raise AssertionError("a text level was built over the budget")
 
-        monkeypatch.setattr(terms, "_sum_texts", no_texts)
+        for builder in ("_sum_texts", "_marked_levels", "_marked_level"):
+            monkeypatch.setattr(terms, builder, no_texts)
+
+    def test_budget_refuses_17_before_building(self, capsys, monkeypatch):
+        self.refuse_to_build(monkeypatch)
         code, _, err = run_cli(capsys, "enumerate", "--n", "17")
         assert code == 2
         assert "levels 1..16 (13,402,697 terms)" in err
 
     def test_small_budget_refuses_before_building(self, capsys, monkeypatch):
-        def no_texts(levels, k):
-            raise AssertionError("a text level was built over the budget")
-
-        monkeypatch.setattr(terms, "_sum_texts", no_texts)
+        self.refuse_to_build(monkeypatch)
         monkeypatch.setattr(errors, "MEMORY_BUDGET", 2**20)
         code, out, err = run_cli(capsys, "enumerate", "--n", "11")
         assert code == 2
@@ -126,6 +128,19 @@ class TestEnumerate:
         code, out, _ = run_cli(capsys, "enumerate", "--n", "12", "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_12[fmt]
+
+    # Digests of the stdout of enumerate --n 13, as the level DP that came
+    # before the block listing printed it.
+    PINNED_13 = {
+        "plain": "0933a9b598eed3ef78a5530b343bb8058cb3ed7f2ec8cfea970b32f1b30541f5",
+        "json": "f196367eb345bfb533c7503fbf27384bee0b9fdcb2cab44e2e9a1f32b7c26d02",
+    }
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_length_13_bytes_pinned(self, capsys, fmt):
+        code, out, _ = run_cli(capsys, "enumerate", "--n", "13", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_13[fmt]
 
 
 class TestStreamedJson:

@@ -492,15 +492,45 @@ class TestBruteCount:
             counts.append(cnt)
         return BigSeq(counts)
 
-    def test_matches_term_memo_on_oracle_sets(self):
-        # The 60 sets of the full-scope oracle: every single term, every pair
-        # and the first 15 triples of the terms of length <= 4.
+    @staticmethod
+    def oracle_sets():
+        """The 60 sets of the full-scope oracle: every single term, every
+        pair and the first 15 triples of the terms of length <= 4."""
         pool = [t for k in range(1, 5) for t in enumerate_terms(k)]
         sets = [{t} for t in pool] + [set(c) for c in combinations(pool, 2)]
         sets += [set(c) for c in list(combinations(pool, 3))[:15]]
         assert len(sets) == 60
-        for gens in sets:
+        return sets
+
+    def test_matches_term_memo_on_oracle_sets(self):
+        for gens in self.oracle_sets():
             assert brute_count(gens, 9) == self.term_memo_count(gens, 9), gens
+
+    @staticmethod
+    def bool_list_count(gens, n_max):
+        """The oracle's kernel before it kept one byte per flag: a list of
+        bools per level, built one pair at a time."""
+        size = [0] + catalan_numbers(n_max)
+        ranks = {}
+        for g in gens:
+            if g.length <= n_max:
+                ranks.setdefault(g.length, []).append(subgroupoids._rank(g, size))
+        member = [[]]
+        for k in range(1, n_max + 1):
+            flags = [a and b for i in range(1, k) for a in member[i] for b in member[k - i]] or [False]
+            for r in ranks.get(k, ()):
+                flags[r] = True
+            member.append(flags)
+        return BigSeq(sum(flags) for flags in member[1:])
+
+    def test_byte_kernel_matches_bool_lists(self):
+        for gens in self.oracle_sets():
+            assert brute_count(gens, 10) == self.bool_list_count(gens, 10), gens
+        long_gens = {left_comb(6), right_comb(7), sum_terms(TWO, THREE_PLUS)}
+        for gens, n_max in [(set(), 10), (long_gens, 4), (long_gens, 6), (long_gens, 9)]:
+            assert brute_count(gens, n_max) == self.bool_list_count(gens, n_max), gens
+        for gens in (set(), {ONE}, {TWO}, {ONE, TWO}):
+            assert brute_count(gens, 1) == self.bool_list_count(gens, 1), gens
 
     def test_rank_is_a_bijection_on_each_level(self):
         size = [0] + catalan_numbers(9)
@@ -528,8 +558,8 @@ class TestBruteCount:
             raise AssertionError("the oracle ranked its generators over the budget")
 
         monkeypatch.setattr(subgroupoids, "_rank", refuse)
-        with pytest.raises(CapacityError, match="178,405,157 flags"):
-            brute_count({TWO}, 18)
+        with pytest.raises(CapacityError, match="656,043,857 flags"):
+            brute_count({TWO}, 19)
 
     def test_non_minimal_generators(self):
         # One generator is a sum of the others, so it adds no member.

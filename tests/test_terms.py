@@ -246,23 +246,35 @@ class TestTextFormat:
         assert parse_term(format_term(t)) == t
 
 
+def refuse_to_build(monkeypatch):
+    """Make every builder of text levels fail the test that calls it."""
+
+    def refuse(*args):
+        raise AssertionError("a text level was built over the budget")
+
+    for builder in ("_sum_texts", "_marked_levels", "_marked_level"):
+        monkeypatch.setattr(terms, builder, refuse)
+
+
 class TestEnumeration:
     def test_counts_match_binomial_catalan(self, monkeypatch):
         # Independent size oracle: C_{n-1} = binom(2n-2, n-1) / n, checked on
-        # enumerate_terms(15) and on the text levels 1..14 of the one build
-        # it makes.  Level 15 alone has ~2.7M terms; this is the suite's
-        # memory peak.
-        real, builds = terms._grow_texts, []
+        # enumerate_terms(15) and on the marked levels 1..14 that its one
+        # listing builds.  Level 15 alone has ~2.7M terms; this is the
+        # suite's memory peak.
+        real, built = terms._marked_level, {}
 
-        def keep(seeds, n_max):
-            builds.append(real(seeds, n_max))
-            return builds[-1]
+        def keep(m, marked):
+            built[m] = marked
+            return real(m, marked)
 
-        monkeypatch.setattr(terms, "_grow_texts", keep)
+        monkeypatch.setattr(terms, "_marked_level", keep)
         top = enumerate_terms(15)
-        (levels,) = builds
+        assert sorted(built) == list(range(2, 15))
+        marked = built[14]
+        lines = [sum(run.count("\n") for run in terms._texts(marked, k)) for k in range(1, 15)]
         sizes = [math.comb(2 * n - 2, n - 1) // n for n in range(1, 16)]
-        assert [len(level) for level in levels[1:]] + [len(top)] == sizes
+        assert lines + [len(top)] == sizes
 
     def test_level_three(self):
         assert set(enumerate_terms(3)) == {THREE_MINUS, THREE_PLUS}
@@ -293,10 +305,7 @@ class TestEnumeration:
 
     def test_terms_of_length_16_refused_before_building(self, monkeypatch):
         # iter_level_texts(16) fits the budget; the 9.7M terms of level 16 do not.
-        def refuse(*args):
-            raise AssertionError("a text level was built over the budget")
-
-        monkeypatch.setattr(terms, "_sum_texts", refuse)
+        refuse_to_build(monkeypatch)
         for build in (enumerate_terms, whole_levels):
             with pytest.raises(CapacityError, match=r"levels 1\.\.16 \(13,402,697 terms\)"):
                 build(16)
@@ -308,20 +317,42 @@ class TestLevelTexts:
             assert list(iter_level_texts(n)) == [t.text for t in enumerate_terms(n)]
 
     def test_cap_and_length_checked_before_building(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a text level was built over the budget")
-
-        monkeypatch.setattr(terms, "_sum_texts", refuse)
+        refuse_to_build(monkeypatch)
         with pytest.raises(CapacityError, match="over the memory budget of 1024.0 MiB"):
             iter_level_texts(17)
         with pytest.raises(ValueError):
             iter_level_texts(0)
 
 
+class TestLevelBlocks:
+    """The block listing of one level against the level DP on texts, which
+    closures still run and which listed the level one text at a time."""
+
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_blocks_join_to_the_level_dp(self, n):
+        if n == 1:
+            texts = ["1"]
+        else:
+            texts = terms._sum_texts(terms._grow_texts(terms._whole_seeds, n - 1), n)
+        assert "".join(terms._level_blocks(n)) == "".join(t + "\n" for t in texts)
+
+    def test_blocks_end_at_line_ends(self):
+        for n in range(1, 14):
+            assert all(block.endswith("\n") for block in terms._level_blocks(n)), n
+
+    def test_long_levels_are_cut(self):
+        # Level 14 prints 742,900 texts of 53 characters, and its listing
+        # reads marked level 13, of 10 MB, twice.
+        blocks = list(terms._level_blocks(14))
+        assert all(block.endswith("\n") for block in blocks)
+        assert sum(map(len, blocks)) == 742900 * 54
+        assert max(map(len, blocks)) < 4 * terms._BLOCK
+
+
 class TestMemoryPrice:
     """The price checked against the memory budget, against the tracemalloc
-    peak of the build it admits: never below it, and for the text-only DP
-    not far above it."""
+    peak of the build it admits: never below it, and for the text listing
+    of one level not far above it."""
 
     @staticmethod
     def price_and_peak(monkeypatch, module, build):
