@@ -58,33 +58,34 @@ class TestEnumerate:
         assert data == out.encode()
         assert data.endswith(b"\n") and not data.endswith(b"\n\n")
 
-    def test_cap_exceeded_is_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "enumerate", "--n", "17")
+    def test_cap_exceeded_is_usage_error(self, capsys, monkeypatch):
+        self.refuse_to_build(monkeypatch)
+        code, out, err = run_cli(capsys, "enumerate", "--n", "18")
         assert code == 2
         assert out == ""
-        assert "estimated 3365.8 MiB, over the memory budget of 1024.0 MiB" in err
+        assert "estimated 2993.6 MiB, over the memory budget of 1024.0 MiB" in err
 
     @staticmethod
     def refuse_to_build(monkeypatch):
         def no_texts(*args):
             raise AssertionError("a text level was built over the budget")
 
-        for builder in ("_sum_texts", "_marked_levels", "_marked_level"):
+        for builder in ("_sum_texts", "_orders", "_level_runs", "_texts"):
             monkeypatch.setattr(terms, builder, no_texts)
 
-    def test_budget_refuses_17_before_building(self, capsys, monkeypatch):
+    def test_budget_refuses_18_before_building(self, capsys, monkeypatch):
         self.refuse_to_build(monkeypatch)
-        code, _, err = run_cli(capsys, "enumerate", "--n", "17")
+        code, _, err = run_cli(capsys, "enumerate", "--n", "18")
         assert code == 2
-        assert "levels 1..16 (13,402,697 terms)" in err
+        assert "the listing of length 18 from levels 2..17 (48,760,366 terms)" in err
 
     def test_small_budget_refuses_before_building(self, capsys, monkeypatch):
         self.refuse_to_build(monkeypatch)
         monkeypatch.setattr(errors, "MEMORY_BUDGET", 2**20)
-        code, out, err = run_cli(capsys, "enumerate", "--n", "11")
+        code, out, err = run_cli(capsys, "enumerate", "--n", "12")
         assert code == 2
         assert out == ""
-        assert "levels 1..10 (6,918 terms) would take an estimated 1.6 MiB" in err
+        assert "levels 2..11 (23,713 terms) would take an estimated 1.7 MiB" in err
         assert "memory budget of 1.0 MiB" in err
 
     @staticmethod

@@ -252,7 +252,7 @@ def refuse_to_build(monkeypatch):
     def refuse(*args):
         raise AssertionError("a text level was built over the budget")
 
-    for builder in ("_sum_texts", "_marked_levels", "_marked_level"):
+    for builder in ("_sum_texts", "_orders", "_level_runs", "_texts"):
         monkeypatch.setattr(terms, builder, refuse)
 
 
@@ -262,17 +262,18 @@ class TestEnumeration:
         # enumerate_terms(15) and on the marked levels 1..14 that its one
         # listing builds.  Level 15 alone has ~2.7M terms; this is the
         # suite's memory peak.
-        real, built = terms._marked_level, {}
+        real, built = terms._level_runs, {}
 
-        def keep(m, marked):
+        def keep(m, marked, *args):
             built[m] = marked
-            return real(m, marked)
+            return real(m, marked, *args)
 
-        monkeypatch.setattr(terms, "_marked_level", keep)
+        monkeypatch.setattr(terms, "_level_runs", keep)
         top = enumerate_terms(15)
-        assert sorted(built) == list(range(2, 15))
-        marked = built[14]
-        lines = [sum(run.count("\n") for run in terms._texts(marked, k)) for k in range(1, 15)]
+        assert sorted(built) == list(range(2, 16))
+        marked = built[15]
+        texts = [terms._texts(marked, k, terms._HEADS) for k in range(1, 15)]
+        lines = [sum(run.count("\n") for run in level) for level in texts]
         sizes = [math.comb(2 * n - 2, n - 1) // n for n in range(1, 16)]
         assert lines + [len(top)] == sizes
 
@@ -317,9 +318,10 @@ class TestLevelTexts:
             assert list(iter_level_texts(n)) == [t.text for t in enumerate_terms(n)]
 
     def test_cap_and_length_checked_before_building(self, monkeypatch):
+        # 18 is the smallest length whose listing the budget refuses.
         refuse_to_build(monkeypatch)
         with pytest.raises(CapacityError, match="over the memory budget of 1024.0 MiB"):
-            iter_level_texts(17)
+            iter_level_texts(18)
         with pytest.raises(ValueError):
             iter_level_texts(0)
 
@@ -346,7 +348,7 @@ class TestLevelBlocks:
         blocks = list(terms._level_blocks(14))
         assert all(block.endswith("\n") for block in blocks)
         assert sum(map(len, blocks)) == 742900 * 54
-        assert max(map(len, blocks)) < 4 * terms._BLOCK
+        assert max(map(len, blocks)) <= terms._BLOCK
 
 
 class TestMemoryPrice:
@@ -380,8 +382,11 @@ class TestMemoryPrice:
             (terms, lambda: whole_levels(13)),
             (terms, lambda: closure_up_to({ONE}, 13)),
             (subgroupoids, lambda: brute_count({TWO}, 14)),
+            *((subgroupoids, lambda n=n: brute_count({TWO}, n)) for n in (1, 7, 8, 9)),
+            *((terms, lambda n=n: deque(iter_level_texts(n), maxlen=0)) for n in (2, 9, 13)),
         ],
-        ids=["whole_levels", "closure", "brute_count"],
+        ids=["whole_levels", "closure", "brute_count", "brute_count-1", "brute_count-7",
+             "brute_count-8", "brute_count-9", "listing-2", "listing-9", "listing-13"],
     )
     def test_price_covers_peak(self, monkeypatch, module, build):
         price, peak = self.price_and_peak(monkeypatch, module, build)
@@ -392,6 +397,15 @@ class TestMemoryPrice:
             monkeypatch, terms, lambda: deque(iter_level_texts(14), maxlen=0)
         )
         assert peak <= price <= 2.5 * peak
+
+    def test_listing_peak_ceiling(self, monkeypatch):
+        # The listing holds its marked levels (13.1 MiB at n=14) and working
+        # data of a few blocks; it peaked at 28.4 MiB when it also held the
+        # heads and a joined copy of level 13.
+        _, peak = self.price_and_peak(
+            monkeypatch, terms, lambda: deque(iter_level_texts(14), maxlen=0)
+        )
+        assert peak <= 18 * 2**20
 
 
 # An oracle for the level DP that shares no code with it: trees are nested
