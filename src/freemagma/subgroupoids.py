@@ -35,10 +35,9 @@ from .terms import (
     Term,
     _check_levels,
     _fold_text,
-    _grow_texts,
-    _whole_seeds,
     format_term,
     grow_levels,
+    iter_level_texts,
     leaf,
     parse_term,
     whole_levels,
@@ -118,7 +117,7 @@ def closure_up_to(gens: Iterable[Term], n_max: int) -> Levels:
     """Per-length slices (N)_1 .. (N)_{n_max} of N = <gens>.
 
     Returns a tuple indexed 0..n_max whose entry k is the set of length-k
-    members (entry 0 is empty).  The level DP of :func:`grow_levels`, seeded
+    members (entry 0 is empty).  The closure DP of :func:`grow_levels`, seeded
     with the minimal generating set of ``gens``: a term of length k is in N
     iff it is a generator or both root children are in N.
     """
@@ -222,16 +221,17 @@ def family_levels(family: GenFamily, n_max: int) -> Levels:
     if isinstance(family, FiniteSet):
         return closure_up_to(family.terms, n_max)
     if isinstance(family, ShiftedFull):
-        # M+a is its own minimal generating set, so it seeds the level DP
-        # from below[k], the texts of level k - |a| of the whole magma.  The
-        # whole levels and the shifted ones, whose seed counts are Catalan
-        # numbers, are priced together before either is built.
-        a = family.a
-        whole = catalan_numbers(n_max - a.length)
+        # M+a is its own minimal generating set, so it seeds the closure DP
+        # at length k with y+a for y in level k - |a| of the whole magma.
+        # The whole levels and the shifted ones, whose seed counts are
+        # Catalan numbers, are priced together before either is built.
+        a, la = family.a.text, family.a.length
+        whole = catalan_numbers(n_max - la)
         shifted = counting_sequence(family, n_max)
         _check_levels([s + w for s, w in zip_longest(shifted, whole, fillvalue=0)])
-        below = [[]] * a.length + _grow_texts(_whole_seeds, n_max - a.length)
-        levels = grow_levels(lambda k: [f"({y}+{a.text})" for y in below[k]], n_max)
+        levels = grow_levels(
+            lambda k: [f"({y}+{a})" for y in iter_level_texts(k - la)] if k > la else (), n_max
+        )
         return tuple(map(frozenset, levels))
     if isinstance(family, Longitudinal):
         whole = whole_levels(n_max)

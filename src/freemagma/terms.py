@@ -19,22 +19,15 @@ internal node prints ``(``, which sorts below ``1``, while it encodes as
 ``1``, which sorts above ``0``.  Levels are therefore in descending text
 order, and no code needs to be kept.
 
-Every term-level construction (the whole magma, closures of generator
-sets, the shifted family M+a) runs through one level DP on texts,
-:func:`_grow_texts`, and :func:`grow_levels` wraps its levels into terms.
-The text of ``(x+y)`` compares first by the text of ``x`` and then by that
-of ``y``, because texts are prefix-free, so the sums of one level in
-descending text order are every ``x`` of the shorter levels in descending
-text order, each followed by every ``y`` of the matching length in
-descending text order.  The DP streams them in that order and merges in
-the seeds of the level, so no level is sorted.
-
-The listing of one level of the whole magma (:func:`iter_level_texts` and
-``enumerate``) follows the same order in C-level string operations rather
-than one step per text.  Level m is kept *marked*: one line per term
-``(x+y)``, each line led by a newline and reading ``x#y)``, the text
-without its first parenthesis and with its root ``+`` written ``#``.
-Splitting ``x`` further, level m is
+Two builders make term levels.  The listing of one level of the whole
+magma (:func:`iter_level_texts`, behind ``enumerate``, :func:`enumerate_terms`
+and :func:`whole_levels`) yields it in descending text order from C-level
+string operations rather than one step per text.  The text of ``(x+y)``
+compares first by that of ``x`` and then by that of ``y``, because texts
+are prefix-free.  Level m is kept *marked*: one line per term ``(x+y)``,
+each line led by a newline and reading ``x#y)``, the text without its
+first parenthesis and with its root ``+`` written ``#``.  Splitting ``x``
+further, level m is
 
 - the sums ``(1+t)``, for ``t`` of length m-1 in order: the marked lines
   ``1#t)``;
@@ -51,15 +44,20 @@ L that order is the leaf, then for each term x of length j < L in turn the
 order up to L-j with j added, which one ``bytes.translate`` does.  Level n
 itself is streamed the same way, with heads ``"\\n((a+"`` and roots ``)+``,
 in newline-terminated blocks of at most 64 KiB: at n=14 the listing holds
-13.1 MiB of marked levels and 0.6 MiB besides, where the DP held levels
-1..13 as 290,512 strings and built 742,900 texts one by one.  All
-operations are pure and the module keeps no state.
+13.1 MiB of marked levels and 0.6 MiB besides.
+
+Closures of generator sets, the shifted family M+a among them, are built
+by the closure DP on texts, :func:`_grow_texts`: level k is its seeds and
+every sum of members whose lengths add up to k, in no set order, since
+each caller keeps a level as a set.  The listing cannot serve them: its
+blocks copy whole levels behind each head, and a seed ``(a+c)`` with ``c``
+outside the closure falls inside the block of head ``a``.  All operations
+are pure and the module keeps no state.
 """
 
 from __future__ import annotations
 
 import gc
-import heapq
 from bisect import bisect_right
 from itertools import accumulate, chain, repeat
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -273,8 +271,8 @@ Seeds = Callable[[int], Iterable[str]]
 
 
 def grow_levels(seeds: Seeds, n_max: int) -> list[Level]:
-    """The level DP as terms: levels 0..n_max of the subgroupoid generated
-    by the texts ``seeds(k)``, each in encoding order (:func:`_grow_texts`,
+    """The closure DP as terms: levels 0..n_max of the subgroupoid
+    generated by the texts ``seeds(k)``, in no set order (:func:`_grow_texts`,
     which refuses levels over the memory budget before building any)."""
     return [_wrap_texts(level) for level in _grow_texts(seeds, n_max)]
 
@@ -295,21 +293,21 @@ def _wrap_texts(texts: Iterable[str]) -> Level:
 
 
 def _grow_texts(seeds: Seeds, n_max: int) -> list[list[str]]:
-    """The level DP: text levels 0..n_max, entry 0 empty.
+    """The closure DP: text levels 0..n_max, entry 0 empty.
 
-    Level k, in descending text order, is the stream of sums x+y of members
-    whose lengths add up to k (:func:`_sum_texts`) merged with the sorted
-    texts ``seeds(k)``.  ``seeds`` must describe a minimal generating set:
-    then no seed is such a sum, and a sum splits uniquely at its root.  So no
-    text is built twice, and the counting transform of the seed counts gives
-    the size of every level, priced (:func:`_check_levels`) before level 1.
+    Level k is the texts ``seeds(k)`` and the sums x+y of members whose
+    lengths add up to k (:func:`_sum_texts`).  ``seeds`` must describe a
+    minimal generating set: then no seed is such a sum, and a sum splits
+    uniquely at its root.  So no text is built twice, and the counting
+    transform of the seed counts gives the size of every level, priced
+    (:func:`_check_levels`) before level 1.
     """
-    seeded = [sorted(seeds(k), reverse=True) for k in range(1, n_max + 1)]
+    seeded = [list(seeds(k)) for k in range(1, n_max + 1)]
     _check_levels(cat_transform(BigSeq(map(len, seeded))))
     levels: list[list[str]] = [[]]
-    for k, seeds_k in enumerate(seeded, start=1):
-        sums = _sum_texts(levels, k)
-        levels.append(list(heapq.merge(sums, seeds_k, reverse=True) if seeds_k else sums))
+    for k, level in enumerate(seeded, start=1):
+        level += _sum_texts(levels, k)
+        levels.append(level)
     return levels
 
 
@@ -323,34 +321,23 @@ def _check_levels(sizes: Sequence[int]) -> None:
     check_memory(f"levels 1..{len(sizes)} ({sum(sizes):,} terms)", estimate)
 
 
-def _sum_texts(levels: Sequence[Sequence[str]], k: int) -> Iterator[str]:
-    """Texts of the sums of length ``k`` in descending order, from levels
-    1..k-1, each in descending order (see the module docstring).  A term of
-    length L prints 4L-3 characters, which gives the length of ``x`` back
-    from its text."""
-    return (
-        f"({x}+{y})"
-        for x in heapq.merge(*levels[1:k], reverse=True)
-        for y in levels[k - (len(x) + 3) // 4]
-    )
-
-
-def _whole_seeds(k: int) -> tuple[str, ...]:
-    """The whole magma is generated by the leaf."""
-    return ("1",) if k == 1 else ()
+def _sum_texts(levels: Sequence[Sequence[str]], k: int) -> list[str]:
+    """Texts of the sums of length ``k`` from levels 1..k-1."""
+    return [f"({x}+{y})" for i in range(1, k) for x in levels[i] for y in levels[k - i]]
 
 
 def whole_levels(n_max: int) -> list[Level]:
-    """Levels 0..n_max of the whole magma: :func:`grow_levels` seeded with
-    the leaf.  Entry k holds the C_{k-1} terms of length k."""
-    return grow_levels(_whole_seeds, n_max)
+    """Levels 0..n_max of the whole magma, each in encoding order: entry k
+    holds the C_{k-1} terms of length k, wrapped from :func:`iter_level_texts`.
+    All levels are priced together before level 1 is listed."""
+    _check_levels(catalan_numbers(n_max))
+    return [()] + [_wrap_texts(iter_level_texts(k)) for k in range(1, n_max + 1)]
 
 
 def enumerate_terms(n: int) -> Level:
     """All terms of length exactly ``n``, sorted by canonical encoding: the
     texts of :func:`iter_level_texts` as terms, so only level ``n`` (C_{n-1}
-    terms, priced with the shorter levels) is wrapped.  A caller that needs
-    several lengths should take them from one :func:`whole_levels` call."""
+    terms, priced with the shorter levels) is wrapped."""
     _check_levels(catalan_numbers(n))
     return _wrap_texts(iter_level_texts(n))
 

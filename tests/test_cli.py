@@ -70,7 +70,7 @@ class TestEnumerate:
         def no_texts(*args):
             raise AssertionError("a text level was built over the budget")
 
-        for builder in ("_sum_texts", "_orders", "_level_runs", "_texts"):
+        for builder in ("_orders", "_level_runs", "_texts"):
             monkeypatch.setattr(terms, builder, no_texts)
 
     def test_budget_refuses_18_before_building(self, capsys, monkeypatch):

@@ -86,6 +86,16 @@ def test_count_loads_no_density():
     )
 
 
+def test_count_and_density_load_no_heapq():
+    # Nothing these commands run merges sorted streams, so neither pays
+    # for importing heapq.
+    for argv in (
+        ("count", "--family", "shifted:1", "--n", "10"),
+        ("density", "--n", "shifted:1", "--m", "full", "--nmax", "50"),
+    ):
+        assert "heapq" not in loaded_modules(*argv), argv
+
+
 def test_motzkin_loads_neither_subgroupoids_nor_terms():
     loaded = loaded_modules("motzkin", "--length", "6", "--forbid", "FU,FF")
     assert "freemagma.motzkin_paths" in loaded

@@ -90,7 +90,7 @@ class TestClosure:
             closure_up_to({ONE}, 16)
 
     def test_level_sizes_are_the_counting_sequence(self):
-        # The level DP prices its levels from these sizes before it builds them.
+        # The closure DP prices its levels from these sizes before it builds them.
         levels = closure_up_to({TWO}, 24)
         sizes = BigSeq(len(level) for level in levels[1:])
         assert sizes == counting_sequence(FiniteSet({TWO}), 24)
@@ -101,6 +101,7 @@ class TestClosure:
             raise AssertionError("levels were built over the budget")
 
         monkeypatch.setattr(terms, "_sum_texts", refuse)
+        monkeypatch.setattr(terms, "_level_blocks", refuse)
         monkeypatch.setattr(subgroupoids, "_reachable_lengths", refuse)
         with pytest.raises(CapacityError, match="over the memory budget of 1024.0 MiB"):
             family_levels(family, 17)
@@ -112,7 +113,7 @@ class TestClosure:
             raise AssertionError("a text level was built before the price was checked")
 
         monkeypatch.setattr(terms, "_grow_texts", refuse)
-        monkeypatch.setattr(subgroupoids, "_grow_texts", refuse)
+        monkeypatch.setattr(terms, "_level_blocks", refuse)
         with pytest.raises(
             CapacityError,
             match=r"^levels 1\.\.16 \(9,140,906 terms\) would take an estimated 2289\.3 MiB, "
@@ -135,6 +136,7 @@ class TestClosure:
             raise AssertionError("levels were built over the budget")
 
         monkeypatch.setattr(terms, "_sum_texts", refuse)
+        monkeypatch.setattr(terms, "_level_blocks", refuse)
         monkeypatch.setattr(subgroupoids, "_rank", refuse)
         monkeypatch.setattr(errors, "MEMORY_BUDGET", 2**20)
         with pytest.raises(CapacityError, match=r"estimated \d+\.\d MiB, over the memory budget of 1\.0 MiB"):

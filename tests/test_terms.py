@@ -2,10 +2,11 @@
 
 import functools
 import gc
+import heapq
 import math
 import tracemalloc
 from collections import deque
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,7 +28,7 @@ from freemagma import (
     right_comb,
     sum_terms,
 )
-from freemagma import brute_count, closure_up_to, subgroupoids, terms
+from freemagma import FiniteSet, brute_count, closure_up_to, counting_sequence, subgroupoids, terms
 from freemagma.terms import whole_levels
 
 ONE = leaf()
@@ -252,7 +253,7 @@ def refuse_to_build(monkeypatch):
     def refuse(*args):
         raise AssertionError("a text level was built over the budget")
 
-    for builder in ("_sum_texts", "_orders", "_level_runs", "_texts"):
+    for builder in ("_orders", "_level_runs", "_texts"):
         monkeypatch.setattr(terms, builder, refuse)
 
 
@@ -326,16 +327,29 @@ class TestLevelTexts:
             iter_level_texts(0)
 
 
+def ordered_level_texts(n):
+    """Level n of the whole magma in descending text order, one text at a
+    time, as the level DP on texts listed it: every ``x`` of the shorter
+    levels in descending text order, each followed by every ``y`` of length
+    n-|x| in that order, which is the order of the texts ``(x+y)`` because
+    texts are prefix-free.  A term of length L prints 4L-3 characters."""
+    levels = [[], ["1"]]
+    for k in range(2, n + 1):
+        levels.append([
+            f"({x}+{y})"
+            for x in heapq.merge(*levels[1:k], reverse=True)
+            for y in levels[k - (len(x) + 3) // 4]
+        ])
+    return levels[n]
+
+
 class TestLevelBlocks:
-    """The block listing of one level against the level DP on texts, which
-    closures still run and which listed the level one text at a time."""
+    """The block listing of one level against the level DP on texts that
+    listed it one text at a time, kept above as a reference."""
 
     @pytest.mark.parametrize("n", range(1, 14))
     def test_blocks_join_to_the_level_dp(self, n):
-        if n == 1:
-            texts = ["1"]
-        else:
-            texts = terms._sum_texts(terms._grow_texts(terms._whole_seeds, n - 1), n)
+        texts = ordered_level_texts(n)
         assert "".join(terms._level_blocks(n)) == "".join(t + "\n" for t in texts)
 
     def test_blocks_end_at_line_ends(self):
@@ -358,6 +372,7 @@ class TestMemoryPrice:
 
     @staticmethod
     def price_and_peak(monkeypatch, module, build):
+        """The largest price checked by ``build``, and its peak."""
         prices = []
         real = module.check_memory
 
@@ -373,8 +388,7 @@ class TestMemoryPrice:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        (price,) = prices
-        return price, peak
+        return max(prices), peak
 
     @pytest.mark.parametrize(
         "module, build",
@@ -429,12 +443,23 @@ def tuple_member(gens, t):
     return t in gens or (t != () and tuple_member(gens, t[0]) and tuple_member(gens, t[1]))
 
 
+@functools.cache
+def tuple_level(n):
+    """The texts of length n in code order."""
+    return [tuple_text(t) for t in sorted(tuple_trees(n), key=tuple_code)]
+
+
 class TestLevelDPOracle:
     @pytest.mark.parametrize("n", range(1, 12))
     def test_whole_levels_in_code_order(self, n):
-        expected = [tuple_text(t) for t in sorted(tuple_trees(n), key=tuple_code)]
+        # Every listing of the whole magma, iter_terms_up_to included: its
+        # order fixes the generator sets of the counting oracle.
+        expected = tuple_level(n)
         assert list(iter_level_texts(n)) == expected
         assert [t.text for t in enumerate_terms(n)] == expected
+        levels = [[t.text for t in level] for level in whole_levels(n)]
+        assert levels == [[]] + [tuple_level(k) for k in range(1, n + 1)]
+        assert [t.text for t in iter_terms_up_to(n)] == [x for level in levels for x in level]
 
     @pytest.mark.parametrize(
         "gens",
@@ -451,17 +476,39 @@ class TestLevelDPOracle:
             members = sorted((t for t in tuple_trees(n) if tuple_member(gens, t)), key=tuple_code)
             assert levels[n] == {parse_term(tuple_text(t)) for t in members}, n
 
-    def test_seeded_levels_in_code_order(self):
-        # The closure of {2, 4+, 4-}: both length-4 seeds are minimal and lie
-        # between the sums of their level in code order, and they are handed
-        # to the DP in ascending text order, which it must not keep.
+    def test_seeded_levels_hold_the_members(self):
+        # The closure of {2, 4+, 4-}: both length-4 seeds are minimal, and
+        # each level holds every member once, in no set order.
         two = ((), ())
         gens = {two, ((), ((), two)), ((two, ()), ())}
         seeds = {2: ["(1+1)"], 4: ["(((1+1)+1)+1)", "(1+(1+(1+1)))"]}
         levels = terms.grow_levels(lambda k: seeds.get(k, ()), 9)
         for n in range(1, 10):
-            members = sorted((t for t in tuple_trees(n) if tuple_member(gens, t)), key=tuple_code)
-            assert [t.text for t in levels[n]] == [tuple_text(t) for t in members], n
+            members = [tuple_text(t) for t in tuple_trees(n) if tuple_member(gens, t)]
+            assert sorted(t.text for t in levels[n]) == sorted(members), n
+
+    def test_closure_on_the_oracle_sets(self):
+        # The 60 generator sets of the counting oracle, all single terms, all
+        # pairs and the first 15 triples of terms of length <= 4 in code
+        # order, to length 10.  Membership is decided here level by level: a
+        # tree is a member iff it is a generator or both its children are.
+        pool = [t for n in range(1, 5) for t in sorted(tuple_trees(n), key=tuple_code)]
+        sets = [{t} for t in pool] + [set(c) for c in combinations(pool, 2)]
+        sets += [set(c) for c in list(combinations(pool, 3))[:15]]
+        assert len(sets) == 60
+        for gens in sets:
+            gen_terms = [parse_term(tuple_text(g)) for g in gens]
+            levels = closure_up_to(gen_terms, 10)
+            sizes = counting_sequence(FiniteSet(gen_terms), 10)
+            members = set()
+            for n in range(1, 11):
+                level = [
+                    t for t in tuple_trees(n)
+                    if t in gens or (t != () and t[0] in members and t[1] in members)
+                ]
+                members.update(level)
+                assert len(levels[n]) == sizes[n], (gens, n)
+                assert {t.text for t in levels[n]} == set(map(tuple_text, level)), (gens, n)
 
 
 class TestCollectorPause:
