@@ -88,7 +88,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     entry is a block's texts joined by one ``replace``.  CSV numbers its
     rows, so it is formatted one text at a time."""
     from .sequences import catalan_numbers
-    from .terms import _level_blocks, iter_level_texts
+    from .listing import _level_blocks
+    from .terms import iter_level_texts
 
     pieces: Iterable[str]
     if args.format == "json":

@@ -21,15 +21,15 @@ from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .reporting import CheckReport
 from .sequences import BigSeq, _atomic_write, _csv_text, catalan_numbers
 from .subgroupoids import (
     GenFamily,
     Longitudinal,
+    _counts,
     closure_up_to,
-    counting_sequence,
     format_family,
     longitudinal_counting,
     rank_lambda,
@@ -58,9 +58,10 @@ class RatioTrace(NamedTuple):
 
 
 def ratio_trace(
-    numer: BigSeq, denom: BigSeq, precision: int = DEFAULT_DECIMAL_DIGITS
+    numer: Iterable[int], denom: Iterable[int], precision: int = DEFAULT_DECIMAL_DIGITS
 ) -> RatioTrace:
-    """Ratios of growth sequences of two counting sequences.
+    """Ratios of growth sequences of two counting sequences, read in
+    lockstep as far as both go; only the running sums are held.
 
     Each sample is the exact rational |N|_<=n / |M|_<=n rounded half-even
     to ``precision`` significant digits.  Indices where the denominator
@@ -68,7 +69,7 @@ def ratio_trace(
     """
     samples: list[tuple[int, Decimal]] = []
     skipped: list[int] = []
-    for n, gn, gm in zip(range(1, len(numer) + 1), accumulate(numer), accumulate(denom)):
+    for n, (gn, gm) in enumerate(zip(accumulate(numer), accumulate(denom)), 1):
         if gm == 0:
             skipped.append(n)
             continue
@@ -249,10 +250,26 @@ class DensityEstimate(NamedTuple):
     window_spread: Decimal | None = None
 
 
-def _period(seq: BigSeq) -> int:
-    """The gcd of the lengths at which ``seq`` is nonzero (1 if none): the
-    growth sequence is constant between multiples of it."""
-    return math.gcd(*(n for n, v in enumerate(seq, 1) if v)) or 1
+class _Counts:
+    """A counting sequence read once, as it is made, that notes the gcd of
+    the lengths at which its counts are nonzero: the growth sequence is
+    constant between multiples of that period (1 while there is none)."""
+
+    __slots__ = ("values", "support_gcd")
+
+    def __init__(self, values: Iterable[int]):
+        self.values = values
+        self.support_gcd = 0
+
+    def __iter__(self) -> Iterator[int]:
+        for n, v in enumerate(self.values, 1):
+            if v:
+                self.support_gcd = math.gcd(self.support_gcd, n)
+            yield v
+
+    @property
+    def period(self) -> int:
+        return self.support_gcd or 1
 
 
 def _fit_class(
@@ -280,8 +297,9 @@ def estimate_density(
 ) -> DensityEstimate:
     """Estimate the density of <family_n> with respect to <family_m>.
 
-    Builds both counting sequences to ``n_max`` and forms the growth-ratio
-    trace.  Its period p is the lcm of the two sequences' :func:`_period`;
+    Reads both counting sequences to ``n_max`` in lockstep, as they are
+    made, and keeps only the growth-ratio trace.  Its period p is the lcm
+    of the two sequences' periods (:class:`_Counts`);
     Aitken's process accelerates each class n mod p on its own.  The trace
     is ``oscillating`` when every class has a full window of five
     accelerated values and the class estimates differ by more than
@@ -297,12 +315,11 @@ def estimate_density(
     if precision < 1:
         raise ValueError(f"precision must be >= 1, got {precision}")
     digits = max(DEFAULT_DECIMAL_DIGITS, precision + 10)
-    seq_n = counting_sequence(family_n, n_max)
-    seq_m = counting_sequence(family_m, n_max)
+    seq_n, seq_m = _Counts(_counts(family_n, n_max, 1)), _Counts(_counts(family_m, n_max, 1))
     trace = ratio_trace(seq_n, seq_m, precision=digits)
     if not trace.samples:
         raise ValueError("denominator growth is identically zero; no trace")
-    p = math.lcm(_period(seq_n), _period(seq_m))
+    p = math.lcm(seq_n.period, seq_m.period)
     classes: dict[int, list[tuple[int, Decimal]]] = {}
     for sample in trace.samples:
         classes.setdefault(sample[0] % p, []).append(sample)

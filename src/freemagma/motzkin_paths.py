@@ -19,9 +19,10 @@ DP :func:`_path_counts` is the reference it is tested against.
 from __future__ import annotations
 
 import operator
+from collections import deque
 from functools import reduce
 from math import gcd
-from typing import TYPE_CHECKING, Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
 
 from .errors import check_memory
 from .reporting import CheckReport, _Record
@@ -186,9 +187,9 @@ def _path_equation(spec: PathSpec) -> tuple[list[int], list[int], list[int]]:
     return alpha, beta, gamma
 
 
-def _equation_counts(spec: PathSpec) -> list[int]:
+def _equation_counts(spec: PathSpec) -> Iterator[int]:
     """Weighted path counts of lengths 0..spec.length from the spec's
-    equation alpha*M^2 + beta*M + gamma = 0.
+    equation alpha*M^2 + beta*M + gamma = 0, made as they are read.
 
     At x = 0 the arch equation is a*(1 - [UD allowed]*a) = 0 and M = 1 + a,
     so alpha(0) = 0 and beta(0) = +-1 for every spec (the removed common
@@ -206,8 +207,9 @@ def _equation_counts(spec: PathSpec) -> list[int]:
 def count_paths(spec: PathSpec) -> int:
     """Weighted number of paths satisfying the spec.  With no constraints
     and unit colors this is the Motzkin number M_length.  Counted from the
-    spec's algebraic equation in time linear in the length."""
-    return _equation_counts(spec)[-1]
+    spec's algebraic equation in time linear in the length, holding the
+    few counts its recurrence reads."""
+    return deque(_equation_counts(spec), maxlen=1).pop()
 
 
 def _completions(spec: PathSpec) -> dict[str, list[int]]:

@@ -19,6 +19,7 @@ import csv
 import os
 import sys
 import tempfile
+from collections import deque
 from contextlib import contextmanager
 from decimal import (
     MAX_EMAX,
@@ -32,12 +33,13 @@ from decimal import (
     Rounded,
 )
 from fractions import Fraction
-from itertools import chain
-from math import comb, factorial, gcd, lcm, prod
+from itertools import chain, islice, repeat
+from math import comb, factorial, gcd, lcm, log2, prod
+from operator import sub
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO, Union
 
-from .errors import ExactDivisionError
+from .errors import ExactDivisionError, check_memory
 from .reporting import CheckReport
 
 Rational = Union[int, Fraction]
@@ -120,15 +122,21 @@ def _exact_div(num: int, den: int) -> int:
 
 
 def catalan_numbers(count: int, one: int = 1) -> list[int]:
-    """[C_0, C_1, ..., C_{count-1}] via the exact ratio recurrence, started
+    """[C_0, C_1, ..., C_{count-1}]: the values of :func:`_catalan_series`."""
+    return list(_catalan_series(count, one))
+
+
+def _catalan_series(count: int, one: int = 1) -> Iterator[int]:
+    """C_0, C_1, ..., C_{count-1} via the exact ratio recurrence, started
     from ``one`` (``Decimal(1)`` under EXACT_DECIMAL gives the values in
-    base 10)."""
+    base 10), holding one value."""
     if count <= 0:
-        return []
-    out = [one]
+        return
+    c = one
+    yield c
     for n in range(count - 1):
-        out.append(_exact_div(out[-1] * 2 * (2 * n + 1), n + 2))
-    return out
+        c = _exact_div(c * 2 * (2 * n + 1), n + 2)
+        yield c
 
 
 def catalan_c(n_max: int) -> BigSeq:
@@ -143,9 +151,28 @@ def cat_transform(a: BigSeq) -> BigSeq:
 
     Turns the counting sequence of a minimal generating set into the
     counting sequence of the subgroupoid it generates.  Schoolbook O(n^2)
-    convolution (halved by symmetry); exact integers throughout.
+    convolution (halved by symmetry); exact integers throughout.  It holds
+    every value, so it is priced (:func:`_check_transform`) before the
+    first product.
     """
+    _check_transform(a.entries)
     return BigSeq(_schoolbook_transform(a.entries))
+
+
+def _check_transform(src: Sequence[int]) -> None:
+    """Price the values of :func:`cat_transform` on ``src`` from a bound on
+    their sizes.  The transform is a polynomial in a_1..a_n with
+    nonnegative coefficients and obeys the scaling law Cat(A^n a_n) =
+    A^n Cat(a_n), so with A = max(1, max_i |a_i|^(1/i)) its values satisfy
+    |b_n| <= A^n s_n, where s = Cat(1, 1, 1, ...) <= 5^n (its generating
+    function has radius 1/5).  So b_n has at most n*(log2 A + log2 5) + 1
+    bits: an int of B bits takes 28 bytes and 4 more per 30 bits, and it
+    has a slot in the list and one in the BigSeq's tuple (44 bytes with the
+    header's rounding)."""
+    n = len(src)
+    rate = max((log2(abs(v)) / i for i, v in enumerate(src, 1) if v), default=0) + log2(5)
+    estimate = 44 * n + int(4 * (rate * n * (n + 1) / 2 + n) / 30)
+    check_memory(f"the schoolbook transform to length {n:,}", estimate)
 
 
 def _schoolbook_transform(src: Sequence[Rational]) -> list[Rational]:
@@ -177,34 +204,33 @@ def sqrt_series_counting(p0: Sequence[int], p1: Sequence[int], n_max: int) -> Bi
     O(deg) small-by-bigint products and one exact division per step
     (:func:`_sqrt_series`, derivation in docs/counting.md).
     """
-    return BigSeq(_quadratic_root([1], [-1], p0, p1, n_max)[1:])
+    return BigSeq(islice(_quadratic_root([1], [-1], p0, p1, n_max), 1, None))
 
 
 def _quadratic_root(
     alpha: list[int], beta: list[int], p0: Sequence[int], p1: Sequence[int], n_max: int, one: int = 1
-) -> list[int]:
-    """[M_0, ..., M_{n_max}] of M = (beta(0)*Q - beta)/(2*alpha), the power
+) -> Iterator[int]:
+    """M_0, ..., M_{n_max} of M = (beta(0)*Q - beta)/(2*alpha), the power
     series root of alpha*M^2 + beta*M + gamma = 0 with discriminant
     beta^2 - 4*alpha*gamma = p0 + p1*S, where Q is :func:`_sqrt_series`
     started from ``one``.  ``alpha`` is a nonzero polynomial whose lowest
-    terms x^v cancel, so Q runs to n_max + v; beta(0) is +-1.
+    terms x^v cancel, so Q runs to n_max + v; beta(0) is +-1.  The input is
+    checked at once, and the values are made as they are read.
     """
     v = next(i for i, c in enumerate(alpha) if c)
     # The recurrence is linear, so starting it from beta(0)*one gives beta(0)*Q.
-    num = _sqrt_series(p0, p1, n_max + v, beta[0] * one)
-    # Zero coefficients are skipped: subtracting 0 still copies a big value.
-    for i, c in enumerate(beta[: len(num)]):
-        if c:
-            num[i] -= c
+    q = _sqrt_series(p0, p1, n_max + v, beta[0] * one)
+    num = chain(map(sub, islice(q, len(beta)), beta), q)
     return _series_quotient(num, [2 * c for c in alpha], n_max)
 
 
-def _sqrt_series(p0: Sequence[int], p1: Sequence[int], n_max: int, one: int = 1) -> list[int]:
-    """[q_0, ..., q_{n_max}] of the series Q of :func:`sqrt_series_counting`,
+def _sqrt_series(p0: Sequence[int], p1: Sequence[int], n_max: int, one: int = 1) -> Iterator[int]:
+    """q_0, ..., q_{n_max} of the series Q of :func:`sqrt_series_counting`,
     with Q and T started from ``one``; ``Decimal(1)`` under EXACT_DECIMAL
     runs the same steps in base 10.  The polynomials are those of
     docs/counting.md ("Derivation"), for T = S*Q; T is only carried when
-    p1 != 0."""
+    p1 != 0.  The input is checked at once; the values are made as they are
+    read, and only the last deg D of q and of t are held."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     p0, p1 = list(p0) or [0], list(p1) or [0]
@@ -220,22 +246,32 @@ def _sqrt_series(p0: Sequence[int], p1: Sequence[int], n_max: int, one: int = 1)
     uw = _poly_mul(u, w)
     # Coefficient of the term s steps back is c0 + c1*(n - s); c1 = -D_s
     # moves D's tail to the right-hand side.
-    q_from_q = _recurrence_terms(uw, d)
-    q_from_t = _recurrence_terms(v, [0])
-    t_from_q = _recurrence_terms(_poly_mul(v, w), [0])
-    t_from_t = _recurrence_terms(_poly_sub(uw, [4 * c for c in norm]), d)
-    with_t = any(p1)
-    q = [one] + [0] * n_max
-    t = [one] + [0] * n_max if with_t else []
+    terms = [_recurrence_terms(uw, d)]
+    if any(p1):
+        terms.append(_recurrence_terms(v, [0]))
+        terms.append(_recurrence_terms(_poly_mul(v, w), [0]))
+        terms.append(_recurrence_terms(_poly_sub(uw, [4 * c for c in norm]), d))
+    return _sqrt_steps(n_max, one, terms)
+
+
+def _sqrt_steps(n_max: int, one: int, terms: list[list[tuple[int, int, int]]]) -> Iterator[int]:
+    """The steps of :func:`_sqrt_series` from the terms of its recurrence:
+    q from q and, when T is carried, q from t, t from q and t from t.  The
+    windows of q and t reach back as far as the furthest term."""
+    q_from_q, *with_t = terms
+    q_from_t, t_from_q, t_from_t = with_t or ([], [], [])
+    window = max((s for part in terms for s, _, _ in part), default=1)
+    q, t = deque([one], maxlen=window), deque([one], maxlen=window)
+    yield one
     for n in range(1, n_max + 1):
         acc = _recurrence_step(q_from_q, q, n)
         if with_t:
             acc += _recurrence_step(q_from_t, t, n)
-            t[n] = _exact_div(
-                _recurrence_step(t_from_q, q, n) + _recurrence_step(t_from_t, t, n), 2 * n
+            t.append(
+                _exact_div(_recurrence_step(t_from_q, q, n) + _recurrence_step(t_from_t, t, n), 2 * n)
             )
-        q[n] = _exact_div(acc, 2 * n)
-    return q
+        q.append(_exact_div(acc, 2 * n))
+        yield q[-1]
 
 
 def _recurrence_terms(rhs: Sequence[int], lhs: Sequence[int]) -> list[tuple[int, int, int]]:
@@ -251,8 +287,10 @@ def _recurrence_terms(rhs: Sequence[int], lhs: Sequence[int]) -> list[tuple[int,
     return terms
 
 
-def _recurrence_step(terms: list[tuple[int, int, int]], seq: list[int], n: int) -> int:
-    return sum((c0 + c1 * (n - s)) * seq[n - s] for s, c0, c1 in terms if s <= n)
+def _recurrence_step(terms: list[tuple[int, int, int]], window: deque, n: int) -> int:
+    """The sum of the terms at step n, from a ``window`` that ends with the
+    value of step n - 1."""
+    return sum((c0 + c1 * (n - s)) * window[-s] for s, c0, c1 in terms if s <= n)
 
 
 def cat_transform_signed(a: Sequence[Rational]) -> list[Fraction]:
@@ -599,26 +637,34 @@ def _poly_quotient(xs: list[int], ys: list[int]) -> list[int]:
     """xs / ys for integer polynomials, ys with a nonzero leading
     coefficient, without trailing zeros: the series quotient to degree
     len(xs) - len(ys), which must multiply back to xs."""
-    out = _series_quotient(list(xs), ys, max(len(xs) - len(ys), -1))
+    out = list(_series_quotient(xs, ys, max(len(xs) - len(ys), -1)))
     if any(_poly_sub(xs, _poly_mul(out, ys))):
         raise ExactDivisionError(f"polynomial {ys} does not divide {xs}")
     return _trim(out)
 
 
-def _series_quotient(num: list[int], den: list[int], n_max: int) -> list[int]:
+def _series_quotient(num: Iterable[int], den: Sequence[int], n_max: int) -> Iterator[int]:
     """Coefficients 0..n_max of the power series num/den, for a series
     ``num`` (zero past its end) divisible by the polynomial ``den`` (nonzero,
-    no trailing zeros): den's lowest terms x^v cancel, and each coefficient
-    is then one exact division by den's lowest nonzero coefficient.  The
-    quotient overwrites ``num``, so that one big-integer sequence is alive."""
+    no trailing zeros): den's lowest terms x^v cancel, which is checked at
+    once, and each coefficient is then one exact division by den's lowest
+    nonzero coefficient.  ``num`` is read as the coefficients are, and only
+    the last deg den - v coefficients are held."""
     v = next(i for i, c in enumerate(den) if c)
-    if any(num[:v]):
-        raise ExactDivisionError(f"series {num[:v]}... is not divisible by x^{v}")
-    del num[:v], num[n_max + 1 :]
-    num += [0] * (n_max + 1 - len(num))
-    lead, tail = den[v], [(i, c) for i, c in enumerate(den[v + 1 :], 1) if c]
-    for n in range(n_max + 1):
-        if tail:
-            num[n] -= sum(c * num[n - i] for i, c in tail if i <= n)
-        num[n] = _exact_div(num[n], lead)
-    return num
+    num = chain(num, repeat(0))
+    low = list(islice(num, v))
+    if any(low):
+        raise ExactDivisionError(f"series {low}... is not divisible by x^{v}")
+    num, tail = islice(num, n_max + 1), [(i, c) for i, c in enumerate(den[v + 1 :], 1) if c]
+    if not tail:
+        # A constant divisor reads no earlier quotient: one C-level map, which
+        # counts a subgroupoid (alpha = 1) about 5% faster than the steps.
+        return map(_exact_div, num, repeat(den[v]))
+    return _quotient_steps(num, den[v], tail)
+
+
+def _quotient_steps(num: Iterator[int], lead: int, tail: list[tuple[int, int]]) -> Iterator[int]:
+    out: deque = deque(maxlen=tail[-1][0])
+    for n, x in enumerate(num):
+        out.append(_exact_div(x - sum(c * out[-i] for i, c in tail if i <= n), lead))
+        yield out[-1]

@@ -13,10 +13,11 @@ generator-counting sequence.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import operator
-from decimal import Decimal, localcontext
-from itertools import zip_longest
+from decimal import Decimal, setcontext
+from itertools import islice, zip_longest
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Union
 
@@ -25,7 +26,9 @@ from .reporting import _Record
 from .sequences import (
     EXACT_DECIMAL,
     BigSeq,
+    _catalan_series,
     _quadratic_root,
+    _trim,
     cat_transform,
     catalan_numbers,
     read_sequence_csv,
@@ -301,28 +304,32 @@ def counting_sequence(family: GenFamily, n_max: int) -> BigSeq:
 
 
 def counting_texts(family: GenFamily, n_max: int) -> Iterator[str]:
-    """The decimal texts of :func:`counting_sequence`, without converting a
-    binary integer to decimal: the recurrences run on ``Decimal`` values
-    under EXACT_DECIMAL, whose ``str`` is linear in the digit count.  An
-    explicit generator sequence keeps the int schoolbook transform."""
+    """The decimal texts of :func:`counting_sequence`, each made as it is
+    read, without converting a binary integer to decimal: the recurrences
+    run on ``Decimal`` values under EXACT_DECIMAL, whose ``str`` is linear
+    in the digit count.  An explicit generator sequence keeps the int
+    schoolbook transform, which holds every value anyway."""
     if isinstance(family, ExplicitSeq):
         with unlimited_int_digits():
             return iter([str(v) for v in counting_sequence(family, n_max)])
-    with localcontext(EXACT_DECIMAL):
-        values = _counts(family, n_max, Decimal(1))
-    return _drain_texts(values)
+    # The recurrences run in a context of their own, entered for each step,
+    # so that the reader never runs under EXACT_DECIMAL.
+    exact = contextvars.Context()
+    exact.run(setcontext, EXACT_DECIMAL.copy())
+    values = exact.run(_counts, family, n_max, Decimal(1))
+    return _texts(exact, values)
 
 
-def _drain_texts(values: list) -> Iterator[str]:
-    """The texts of ``values`` in order, each value dropped once printed."""
-    values.reverse()
-    while values:
-        yield str(values.pop())
+def _texts(exact: contextvars.Context, values: Iterator[Decimal]) -> Iterator[str]:
+    while (value := exact.run(next, values, None)) is not None:
+        yield str(value)
 
 
-def _counts(family: GenFamily, n_max: int, one: int) -> list[int]:
+def _counts(family: GenFamily, n_max: int, one: int) -> Iterator[int]:
     """The one place that decides how a family is counted, with every
-    recurrence started from ``one`` (int or Decimal).
+    recurrence started from ``one`` (int or Decimal).  The family and the
+    horizon are checked at once, and the counts |N|_1..|N|_{n_max} are then
+    made as they are read.
 
     Psi is the root of Psi^2 - Psi + Phi = 0 with Psi(0) = 0, whose
     discriminant 1 - 4*Phi is algebraic for finite and shifted families, so
@@ -340,12 +347,12 @@ def _counts(family: GenFamily, n_max: int, one: int) -> list[int]:
     else:
         hist = generator_counting_sequence(family, n_max)
         if isinstance(family, ExplicitSeq):
-            return list(cat_transform(hist))
+            return iter(cat_transform(hist))
         if hist[1] == 1:
             # The leaf generates the whole magma.
-            return catalan_numbers(n_max, one)
-        p0, p1 = [1] + [-4 * c for c in hist], [0]
-    return _quadratic_root([1], [-1], p0, p1, n_max, one)[1:]
+            return _catalan_series(n_max, one)
+        p0, p1 = _trim([1] + [-4 * c for c in hist]), [0]
+    return islice(_quadratic_root([1], [-1], p0, p1, n_max, one), 1, None)
 
 
 def _reachable_lengths(lengths: Iterable[int], n_max: int) -> list[bool]:
@@ -364,12 +371,11 @@ def longitudinal_counting(lengths: Iterable[int], n_max: int) -> BigSeq:
     return BigSeq(_longitudinal_counts(Longitudinal(lengths), n_max, 1))
 
 
-def _longitudinal_counts(family: Longitudinal, n_max: int, one: int) -> list[int]:
+def _longitudinal_counts(family: Longitudinal, n_max: int, one: int) -> Iterator[int]:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     reach = _reachable_lengths(family.lengths, n_max)
-    cats = catalan_numbers(n_max, one)
-    return [cats[n - 1] if reach[n] else 0 for n in range(1, n_max + 1)]
+    return (c if r else 0 for c, r in zip(_catalan_series(n_max, one), reach[1:]))
 
 
 def semigroup_info(lengths: Iterable[int]) -> NumericalSemigroupInfo:

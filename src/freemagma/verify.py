@@ -187,7 +187,7 @@ def check_motzkin_paths(scope: str) -> CheckReport:
     if counts[0] != motzkin_numbers(15):
         return CheckReport("motzkin-paths", False, "plain counts != M_0..M_14")
     for spec, row in zip(specs, counts):
-        if _equation_counts(spec) != row:
+        if list(_equation_counts(spec)) != row:
             return CheckReport(
                 "motzkin-paths", False, "equation counts != height DP at some length <= 14"
             )

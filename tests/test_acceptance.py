@@ -4,9 +4,11 @@ Each test prints a single CRITERION line so a plain `pytest -s
 tests/test_acceptance.py` run reads as a checklist.  Expected values are
 frozen here independently of the library's own verification registry.
 
-The full suite includes the n=5000 density reproduction (criterion 5),
-which takes a couple of minutes of exact big-integer convolution; deselect
-with `-m "not slow"` during development.
+The n=5000 density reproduction (criterion 5) is marked ``slow``, with
+six multi-second memory-price and listing tests elsewhere in the suite.
+``pytest -m "not slow"`` skips those seven: 711 tests in 33 s against 718
+in 50 s for the whole suite (2-vCPU Xeon VM, Python 3.11.7), of which the
+density reproduction takes under 1 s.
 """
 
 import random

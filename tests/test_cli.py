@@ -17,9 +17,10 @@ from freemagma import (
     enumerate_terms,
     errors,
     format_term,
+    listing,
     longitudinal_counting,
     parse_family,
-    terms,
+    sequences,
     write_sequence_csv,
 )
 from freemagma.cli import main
@@ -71,7 +72,7 @@ class TestEnumerate:
             raise AssertionError("a text level was built over the budget")
 
         for builder in ("_orders", "_level_runs", "_texts"):
-            monkeypatch.setattr(terms, builder, no_texts)
+            monkeypatch.setattr(listing, builder, no_texts)
 
     def test_budget_refuses_18_before_building(self, capsys, monkeypatch):
         self.refuse_to_build(monkeypatch)
@@ -333,6 +334,29 @@ class TestTransform:
         digest = "06589aedaeac9c833ae8b3d5b0be7e26d03f295357b0039a7b2f860dac738900"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("transform", "--values", "0,1,1", "--n", "100000"),
+            ("count", "--family", "seq:[0,1,1]", "--n", "100000"),
+        ],
+        ids=["transform", "count"],
+    )
+    def test_schoolbook_refused_before_any_value(self, capsys, monkeypatch, argv):
+        # The schoolbook holds every value; |b_n| <= 5^n prices these at
+        # 1480.5 MiB, so the request is refused before the first product.
+        def no_values(*args):
+            raise AssertionError("the schoolbook ran over the budget")
+
+        monkeypatch.setattr(sequences, "_schoolbook_transform", no_values)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert (
+            "the schoolbook transform to length 100,000 would take an estimated 1480.5 MiB, "
+            "over the memory budget of 1024.0 MiB"
+        ) in err
+
     def test_seqfile_rows_past_horizon_not_read(self, capsys, tmp_path):
         src = tmp_path / "gen.csv"
         src.write_text("n,value\n1,0\n2,1\n3,1\n5,oops\n")
@@ -527,6 +551,7 @@ class TestMotzkinOutput:
             digest.update(out.encode())
         assert digest.hexdigest() == self.PINNED[fmt]
 
+    @pytest.mark.slow
     def test_json_listing_streams_within_its_price(self, tmp_path):
         import tracemalloc
 

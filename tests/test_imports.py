@@ -75,14 +75,22 @@ def test_version_loads_only_errors():
 def test_density_loads_neither_verify_nor_motzkin_paths():
     loaded = loaded_modules("density", "--n", "shifted:1", "--m", "full", "--nmax", "50")
     assert "freemagma.density" in loaded
-    assert loaded.isdisjoint({"freemagma.verify", "freemagma.motzkin_paths", *RECORD_MACHINERY})
+    assert loaded.isdisjoint(
+        {"freemagma.verify", "freemagma.motzkin_paths", "freemagma.listing", *RECORD_MACHINERY}
+    )
 
 
 def test_count_loads_no_density():
     loaded = loaded_modules("count", "--family", "shifted:1", "--n", "10")
     assert "freemagma.subgroupoids" in loaded
     assert loaded.isdisjoint(
-        {"freemagma.density", "freemagma.verify", "freemagma.motzkin_paths", *RECORD_MACHINERY}
+        {
+            "freemagma.density",
+            "freemagma.verify",
+            "freemagma.motzkin_paths",
+            "freemagma.listing",
+            *RECORD_MACHINERY,
+        }
     )
 
 
@@ -94,6 +102,14 @@ def test_count_and_density_load_no_heapq():
         ("density", "--n", "shifted:1", "--m", "full", "--nmax", "50"),
     ):
         assert "heapq" not in loaded_modules(*argv), argv
+
+
+def test_only_enumerate_loads_the_listing():
+    # The block listing is compiled only by the runs that list terms.
+    assert "freemagma.listing" in loaded_modules("enumerate", "--n", "3")
+    assert "freemagma.listing" not in loaded_modules(
+        "longitudinal", "--lengths", "2,3", "--nmax", "10"
+    )
 
 
 def test_motzkin_loads_neither_subgroupoids_nor_terms():

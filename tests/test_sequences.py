@@ -26,7 +26,7 @@ from freemagma import (
     write_sequence_csv,
 )
 from freemagma import sequences
-from freemagma.errors import ExactDivisionError
+from freemagma.errors import CapacityError, ExactDivisionError
 from freemagma.sequences import (
     EXACT_DECIMAL,
     PI_LOWER,
@@ -134,6 +134,51 @@ def shifted_polys(k):
     return [1] + [0] * (k - 1) + [-2], [0] * k + [2]
 
 
+# Generator histograms for the schoolbook's price: none, small, growing like
+# 4^n and 9^n, one huge entry, and an alternating-sign one.
+PRICE_INPUTS = [
+    BigSeq([0] * 60),
+    BigSeq([1] * 60),
+    BigSeq([0, 1, 1] + [0] * 57),
+    BigSeq(catalan_numbers(60)),
+    BigSeq([9**n for n in range(1, 61)]),
+    BigSeq([0, 0, 10**40] + [3] * 57),
+]
+
+
+class TestTransformPrice:
+    """cat_transform holds every value, so it is priced from the bound
+    |b_n| <= A^n s_n with A = max(1, max_i |a_i|^(1/i)) and s_n <= 5^n."""
+
+    def test_all_ones_transform_below_five_to_the_n(self):
+        s = cat_transform(BigSeq([1] * 300))
+        assert all(v <= 5**n for n, v in enumerate(s, 1))
+
+    @pytest.mark.parametrize("seq", PRICE_INPUTS)
+    def test_bound_holds(self, seq):
+        rate = max([0] + [math.log2(v) / i for i, v in enumerate(seq, 1) if v]) + math.log2(5)
+        for n, v in enumerate(cat_transform(seq), 1):
+            assert v.bit_length() <= n * rate + 1, n
+
+    @pytest.mark.parametrize("seq", PRICE_INPUTS)
+    def test_price_covers_the_values(self, seq, monkeypatch):
+        prices = []
+        monkeypatch.setattr(sequences, "check_memory", lambda what, estimate: prices.append(estimate))
+        out = cat_transform(seq)
+        assert prices[0] >= sum(sys.getsizeof(v) + 16 for v in out)
+
+    def test_refused_before_the_first_product(self, monkeypatch):
+        def no_values(*args):
+            raise AssertionError("the schoolbook ran over the budget")
+
+        monkeypatch.setattr(sequences, "_schoolbook_transform", no_values)
+        with pytest.raises(CapacityError, match=r"^the schoolbook transform to length 84,000 "):
+            cat_transform(BigSeq([0, 1, 1]).padded(84_000))
+        # The same histogram at 83,000 fits the budget.
+        with pytest.raises(AssertionError, match="ran over the budget"):
+            cat_transform(BigSeq([0, 1, 1]).padded(83_000))
+
+
 class TestSqrtSeriesCounting:
     """The linear-time recurrence against the schoolbook transform it replaces."""
 
@@ -155,10 +200,10 @@ class TestSqrtSeriesCounting:
 
     def test_sqrt_series_returns_q(self):
         # sqrt(1 - 4x) = 1 - 2x - 2x^2 - 4x^3 - 10x^4 - 28x^5 - ...
-        assert _sqrt_series([1, -4], [0], 5) == [1, -2, -2, -4, -10, -28]
+        assert list(_sqrt_series([1, -4], [0], 5)) == [1, -2, -2, -4, -10, -28]
         # The shifted family M+(1+1): q_n may be odd where b_n = -q_n/2 is not
         # formed; the counting sequence halves it.
-        q = _sqrt_series(*shifted_polys(2), 8)
+        q = list(_sqrt_series(*shifted_polys(2), 8))
         assert sqrt_series_counting(*shifted_polys(2), 8).entries == tuple(-v // 2 for v in q[1:])
 
     def test_rejects_bad_input(self):
@@ -181,8 +226,8 @@ class TestPolynomials:
 
     def test_series_quotient(self):
         # 1/(1 - x - x^2) is the Fibonacci series; x^2 cancels before the division by 2.
-        assert _series_quotient([1], [1, -1, -1], 6) == [1, 1, 2, 3, 5, 8, 13]
-        assert _series_quotient([0, 0, 4, 6], [0, 0, 2], 3) == [2, 3, 0, 0]
+        assert list(_series_quotient([1], [1, -1, -1], 6)) == [1, 1, 2, 3, 5, 8, 13]
+        assert list(_series_quotient([0, 0, 4, 6], [0, 0, 2], 3)) == [2, 3, 0, 0]
 
 
 class TestDecimalRoute:
@@ -192,17 +237,17 @@ class TestDecimalRoute:
     def test_inexact_division_raises(self):
         # Q^2 = 1 + x has q_1 = 1/2: the first step divides 1 by 2.
         with pytest.raises(ExactDivisionError, match="1-bit integer"):
-            _sqrt_series([1, 1], [0], 3)
+            list(_sqrt_series([1, 1], [0], 3))
         with localcontext(EXACT_DECIMAL), pytest.raises(ExactDivisionError, match="1-digit decimal"):
-            _sqrt_series([1, 1], [0], 3, Decimal(1))
+            list(_sqrt_series([1, 1], [0], 3, Decimal(1)))
 
     # The generators (1+1), ((1+1)+1), (1+(1+1)): 1 - 4*Phi = 1 - 4x^2 - 8x^3.
     @pytest.mark.parametrize("p0, p1", [([1, 0, -4, -8], [0]), shifted_polys(3)])
     @pytest.mark.parametrize("n_max", [1, 2, 3, 50, 300])
     def test_quadratic_root_same_in_int_and_decimal(self, p0, p1, n_max):
-        ints = _quadratic_root([1], [-1], p0, p1, n_max)
+        ints = list(_quadratic_root([1], [-1], p0, p1, n_max))
         with localcontext(EXACT_DECIMAL):
-            decimals = _quadratic_root([1], [-1], p0, p1, n_max, Decimal(1))
+            decimals = list(_quadratic_root([1], [-1], p0, p1, n_max, Decimal(1)))
         assert all(isinstance(v, Decimal) for v in decimals)
         assert list(map(str, decimals)) == list(map(str, ints))
         assert ints[0] == 0 and tuple(ints[1:]) == sqrt_series_counting(p0, p1, n_max).entries

@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freemagma import errors, subgroupoids, terms
+from freemagma import errors, listing, subgroupoids, terms
 from freemagma.reporting import _Record
 from freemagma.sequences import unlimited_int_digits
 from freemagma import (
@@ -101,7 +101,7 @@ class TestClosure:
             raise AssertionError("levels were built over the budget")
 
         monkeypatch.setattr(terms, "_sum_texts", refuse)
-        monkeypatch.setattr(terms, "_level_blocks", refuse)
+        monkeypatch.setattr(listing, "_level_blocks", refuse)
         monkeypatch.setattr(subgroupoids, "_reachable_lengths", refuse)
         with pytest.raises(CapacityError, match="over the memory budget of 1024.0 MiB"):
             family_levels(family, 17)
@@ -113,7 +113,7 @@ class TestClosure:
             raise AssertionError("a text level was built before the price was checked")
 
         monkeypatch.setattr(terms, "_grow_texts", refuse)
-        monkeypatch.setattr(terms, "_level_blocks", refuse)
+        monkeypatch.setattr(listing, "_level_blocks", refuse)
         with pytest.raises(
             CapacityError,
             match=r"^levels 1\.\.16 \(9,140,906 terms\) would take an estimated 2289\.3 MiB, "
@@ -136,7 +136,7 @@ class TestClosure:
             raise AssertionError("levels were built over the budget")
 
         monkeypatch.setattr(terms, "_sum_texts", refuse)
-        monkeypatch.setattr(terms, "_level_blocks", refuse)
+        monkeypatch.setattr(listing, "_level_blocks", refuse)
         monkeypatch.setattr(subgroupoids, "_rank", refuse)
         monkeypatch.setattr(errors, "MEMORY_BUDGET", 2**20)
         with pytest.raises(CapacityError, match=r"estimated \d+\.\d MiB, over the memory budget of 1\.0 MiB"):

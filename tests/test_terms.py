@@ -28,7 +28,15 @@ from freemagma import (
     right_comb,
     sum_terms,
 )
-from freemagma import FiniteSet, brute_count, closure_up_to, counting_sequence, subgroupoids, terms
+from freemagma import (
+    FiniteSet,
+    brute_count,
+    closure_up_to,
+    counting_sequence,
+    listing,
+    subgroupoids,
+    terms,
+)
 from freemagma.terms import whole_levels
 
 ONE = leaf()
@@ -254,26 +262,27 @@ def refuse_to_build(monkeypatch):
         raise AssertionError("a text level was built over the budget")
 
     for builder in ("_orders", "_level_runs", "_texts"):
-        monkeypatch.setattr(terms, builder, refuse)
+        monkeypatch.setattr(listing, builder, refuse)
 
 
 class TestEnumeration:
+    @pytest.mark.slow
     def test_counts_match_binomial_catalan(self, monkeypatch):
         # Independent size oracle: C_{n-1} = binom(2n-2, n-1) / n, checked on
         # enumerate_terms(15) and on the marked levels 1..14 that its one
         # listing builds.  Level 15 alone has ~2.7M terms; this is the
         # suite's memory peak.
-        real, built = terms._level_runs, {}
+        real, built = listing._level_runs, {}
 
         def keep(m, marked, *args):
             built[m] = marked
             return real(m, marked, *args)
 
-        monkeypatch.setattr(terms, "_level_runs", keep)
+        monkeypatch.setattr(listing, "_level_runs", keep)
         top = enumerate_terms(15)
         assert sorted(built) == list(range(2, 16))
         marked = built[15]
-        texts = [terms._texts(marked, k, terms._HEADS) for k in range(1, 15)]
+        texts = [listing._texts(marked, k, listing._HEADS) for k in range(1, 15)]
         lines = [sum(run.count("\n") for run in level) for level in texts]
         sizes = [math.comb(2 * n - 2, n - 1) // n for n in range(1, 16)]
         assert lines + [len(top)] == sizes
@@ -350,19 +359,19 @@ class TestLevelBlocks:
     @pytest.mark.parametrize("n", range(1, 14))
     def test_blocks_join_to_the_level_dp(self, n):
         texts = ordered_level_texts(n)
-        assert "".join(terms._level_blocks(n)) == "".join(t + "\n" for t in texts)
+        assert "".join(listing._level_blocks(n)) == "".join(t + "\n" for t in texts)
 
     def test_blocks_end_at_line_ends(self):
         for n in range(1, 14):
-            assert all(block.endswith("\n") for block in terms._level_blocks(n)), n
+            assert all(block.endswith("\n") for block in listing._level_blocks(n)), n
 
     def test_long_levels_are_cut(self):
         # Level 14 prints 742,900 texts of 53 characters, and its listing
         # reads marked level 13, of 10 MB, twice.
-        blocks = list(terms._level_blocks(14))
+        blocks = list(listing._level_blocks(14))
         assert all(block.endswith("\n") for block in blocks)
         assert sum(map(len, blocks)) == 742900 * 54
-        assert max(map(len, blocks)) <= terms._BLOCK
+        assert max(map(len, blocks)) <= listing._BLOCK
 
 
 class TestMemoryPrice:
@@ -393,11 +402,11 @@ class TestMemoryPrice:
     @pytest.mark.parametrize(
         "module, build",
         [
-            (terms, lambda: whole_levels(13)),
-            (terms, lambda: closure_up_to({ONE}, 13)),
+            pytest.param(terms, lambda: whole_levels(13), marks=pytest.mark.slow),
+            pytest.param(terms, lambda: closure_up_to({ONE}, 13), marks=pytest.mark.slow),
             (subgroupoids, lambda: brute_count({TWO}, 14)),
             *((subgroupoids, lambda n=n: brute_count({TWO}, n)) for n in (1, 7, 8, 9)),
-            *((terms, lambda n=n: deque(iter_level_texts(n), maxlen=0)) for n in (2, 9, 13)),
+            *((listing, lambda n=n: deque(iter_level_texts(n), maxlen=0)) for n in (2, 9, 13)),
         ],
         ids=["whole_levels", "closure", "brute_count", "brute_count-1", "brute_count-7",
              "brute_count-8", "brute_count-9", "listing-2", "listing-9", "listing-13"],
@@ -406,18 +415,20 @@ class TestMemoryPrice:
         price, peak = self.price_and_peak(monkeypatch, module, build)
         assert price >= peak
 
+    @pytest.mark.slow
     def test_text_dp_price_is_close(self, monkeypatch):
         price, peak = self.price_and_peak(
-            monkeypatch, terms, lambda: deque(iter_level_texts(14), maxlen=0)
+            monkeypatch, listing, lambda: deque(iter_level_texts(14), maxlen=0)
         )
         assert peak <= price <= 2.5 * peak
 
+    @pytest.mark.slow
     def test_listing_peak_ceiling(self, monkeypatch):
         # The listing holds its marked levels (13.1 MiB at n=14) and working
         # data of a few blocks; it peaked at 28.4 MiB when it also held the
         # heads and a joined copy of level 13.
         _, peak = self.price_and_peak(
-            monkeypatch, terms, lambda: deque(iter_level_texts(14), maxlen=0)
+            monkeypatch, listing, lambda: deque(iter_level_texts(14), maxlen=0)
         )
         assert peak <= 18 * 2**20
 
