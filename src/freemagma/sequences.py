@@ -121,9 +121,9 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def catalan_numbers(count: int, one: int = 1) -> list[int]:
+def catalan_numbers(count: int) -> list[int]:
     """[C_0, C_1, ..., C_{count-1}]: the values of :func:`_catalan_series`."""
-    return list(_catalan_series(count, one))
+    return list(_catalan_series(count))
 
 
 def _catalan_series(count: int, one: int = 1) -> Iterator[int]:
@@ -204,6 +204,8 @@ def sqrt_series_counting(p0: Sequence[int], p1: Sequence[int], n_max: int) -> Bi
     O(deg) small-by-bigint products and one exact division per step
     (:func:`_sqrt_series`, derivation in docs/counting.md).
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     return BigSeq(islice(_quadratic_root([1], [-1], p0, p1, n_max), 1, None))
 
 
@@ -231,8 +233,6 @@ def _sqrt_series(p0: Sequence[int], p1: Sequence[int], n_max: int, one: int = 1)
     docs/counting.md ("Derivation"), for T = S*Q; T is only carried when
     p1 != 0.  The input is checked at once; the values are made as they are
     read, and only the last deg D of q and of t are held."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
     p0, p1 = list(p0) or [0], list(p1) or [0]
     if p0[0] != 1 or p1[0] != 0:
         raise ValueError("the square-root series needs p0(0) = 1 and p1(0) = 0")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextvars
 import math
 import operator
+from collections import Counter
 from decimal import Decimal, setcontext
 from itertools import islice, zip_longest
 from pathlib import Path
@@ -28,7 +29,6 @@ from .sequences import (
     BigSeq,
     _catalan_series,
     _quadratic_root,
-    _trim,
     cat_transform,
     catalan_numbers,
     read_sequence_csv,
@@ -282,11 +282,7 @@ def generator_counting_sequence(family: GenFamily, n_max: int) -> BigSeq:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if isinstance(family, FiniteSet):
-        hist = [0] * n_max
-        for g in minimal_generators(family.terms):
-            if g.length <= n_max:
-                hist[g.length - 1] += 1
-        return BigSeq(hist)
+        return BigSeq(_generator_histogram(family, n_max)).padded(n_max)
     if isinstance(family, ShiftedFull):
         la = family.a.length
         return BigSeq(([0] * la + catalan_numbers(n_max - la))[:n_max])
@@ -298,6 +294,13 @@ def generator_counting_sequence(family: GenFamily, n_max: int) -> BigSeq:
     )
 
 
+def _generator_histogram(family: FiniteSet, n_max: int) -> list[int]:
+    """|G|_1, ..., |G|_m for the minimal generating set G of ``family``, up
+    to its longest generator m <= n_max (empty when there is none)."""
+    lengths = Counter(g.length for g in minimal_generators(family.terms) if g.length <= n_max)
+    return [lengths[k] for k in range(1, max(lengths, default=0) + 1)]
+
+
 def counting_sequence(family: GenFamily, n_max: int) -> BigSeq:
     """|N|_n for the subgroupoid N generated by ``family``."""
     return BigSeq(_counts(family, n_max, 1))
@@ -305,15 +308,9 @@ def counting_sequence(family: GenFamily, n_max: int) -> BigSeq:
 
 def counting_texts(family: GenFamily, n_max: int) -> Iterator[str]:
     """The decimal texts of :func:`counting_sequence`, each made as it is
-    read, without converting a binary integer to decimal: the recurrences
-    run on ``Decimal`` values under EXACT_DECIMAL, whose ``str`` is linear
-    in the digit count.  An explicit generator sequence keeps the int
-    schoolbook transform, which holds every value anyway."""
-    if isinstance(family, ExplicitSeq):
-        with unlimited_int_digits():
-            return iter([str(v) for v in counting_sequence(family, n_max)])
-    # The recurrences run in a context of their own, entered for each step,
-    # so that the reader never runs under EXACT_DECIMAL.
+    read from a ``Decimal`` count, whose ``str`` is linear in the digit
+    count: no binary integer is converted.  The counts are made under
+    EXACT_DECIMAL in a context entered for each step, not in the reader's."""
     exact = contextvars.Context()
     exact.run(setcontext, EXACT_DECIMAL.copy())
     values = exact.run(_counts, family, n_max, Decimal(1))
@@ -327,40 +324,43 @@ def _texts(exact: contextvars.Context, values: Iterator[Decimal]) -> Iterator[st
 
 def _counts(family: GenFamily, n_max: int, one: int) -> Iterator[int]:
     """The one place that decides how a family is counted, with every
-    recurrence started from ``one`` (int or Decimal).  The family and the
-    horizon are checked at once, and the counts |N|_1..|N|_{n_max} are then
-    made as they are read.
+    count made from ``one`` (int or Decimal).  The family and the horizon
+    are checked at once, and the counts |N|_1..|N|_{n_max} are then made as
+    they are read.
 
     Psi is the root of Psi^2 - Psi + Phi = 0 with Psi(0) = 0, whose
     discriminant 1 - 4*Phi is algebraic for finite and shifted families, so
     those are solved by the linear-time :func:`_quadratic_root` with
-    alpha = 1, beta = -1.  Longitudinal families have
-    a closed form; an explicit generator sequence goes through the
-    schoolbook :func:`cat_transform`, in ints.
+    alpha = 1, beta = -1.  Longitudinal families have a closed form.  An
+    explicit generator sequence goes through the schoolbook
+    :func:`cat_transform` in ints, and ``one * v`` makes a Decimal from an
+    int without converting it to text.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     if isinstance(family, Longitudinal):
-        return _longitudinal_counts(family, n_max, one)
+        reach = _reachable_lengths(family.lengths, n_max)
+        return (c if r else 0 for c, r in zip(_catalan_series(n_max, one), reach[1:]))
+    if isinstance(family, ExplicitSeq):
+        return (one * v for v in cat_transform(family.seq.padded(n_max)))
     if isinstance(family, ShiftedFull):
         # Phi = x^k * (1 - S)/2, so 1 - 4*Phi = (1 - 2x^k) + 2x^k * S.
         k = family.a.length
         p0, p1 = [1] + [0] * (k - 1) + [-2], [0] * k + [2]
     else:
-        hist = generator_counting_sequence(family, n_max)
-        if isinstance(family, ExplicitSeq):
-            return iter(cat_transform(hist))
-        if hist[1] == 1:
+        hist = _generator_histogram(family, n_max)
+        if hist[:1] == [1]:
             # The leaf generates the whole magma.
             return _catalan_series(n_max, one)
-        p0, p1 = _trim([1] + [-4 * c for c in hist]), [0]
+        p0, p1 = [1] + [-4 * c for c in hist], [0]
     return islice(_quadratic_root([1], [-1], p0, p1, n_max, one), 1, None)
 
 
-def _reachable_lengths(lengths: Iterable[int], n_max: int) -> list[bool]:
+def _reachable_lengths(lengths: frozenset[int], n_max: int) -> list[bool]:
     """reachable[n] iff n is a positive combination of the given lengths."""
     reach = [True] + [False] * n_max
-    gens = sorted(lengths)
     for n in range(1, n_max + 1):
-        reach[n] = any(n >= a and reach[n - a] for a in gens)
+        reach[n] = any(n >= a and reach[n - a] for a in lengths)
     reach[0] = False
     return reach
 
@@ -368,34 +368,37 @@ def _reachable_lengths(lengths: Iterable[int], n_max: int) -> list[bool]:
 def longitudinal_counting(lengths: Iterable[int], n_max: int) -> BigSeq:
     """Counting sequence of the longitudinal subgroupoid: the full Catalan
     count at lengths inside the subsemigroup, zero elsewhere."""
-    return BigSeq(_longitudinal_counts(Longitudinal(lengths), n_max, 1))
-
-
-def _longitudinal_counts(family: Longitudinal, n_max: int, one: int) -> Iterator[int]:
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    reach = _reachable_lengths(family.lengths, n_max)
-    return (c if r else 0 for c, r in zip(_catalan_series(n_max, one), reach[1:]))
+    return BigSeq(_counts(Longitudinal(lengths), n_max, 1))
 
 
 def semigroup_info(lengths: Iterable[int]) -> NumericalSemigroupInfo:
     """gcd, reduced generators and Frobenius number of the numerical
-    subsemigroup generated by ``lengths``.
-
-    The rank-2 case uses the closed formula ab - a - b; otherwise the
-    reachability scan runs up to Schur's bound (a_1 - 1)(a_k - 1) - 1 on the
-    Frobenius number, which is -1 when 1 is a generator.
+    subsemigroup generated by ``lengths``: ab - a - b at rank 2, else
+    max(least) - a, where least[r] is the least member congruent to r mod
+    the smallest reduced generator a (its Apery set; -1 when a = 1), by
+    Boecker and Liptak's round robin (Fundamenta Informaticae 2007) in
+    O(k*a) time for k generators.  The table is priced first: a slot, an
+    int of up to a*a_k and a slot of a cycle's slice per residue, + 4 KiB.
     """
     aset = sorted(Longitudinal(lengths).lengths)
     g = math.gcd(*aset)
-    reduced = [v // g for v in aset]
+    a, *rest = reduced = [v // g for v in aset]
     if len(reduced) == 2:
-        a, b = reduced
-        return NumericalSemigroupInfo(g, frozenset(reduced), a * b - a - b)
-    bound = (reduced[0] - 1) * (reduced[-1] - 1) - 1
-    reach = _reachable_lengths(reduced, bound)
-    frob = max((n for n in range(1, bound + 1) if not reach[n]), default=-1)
-    return NumericalSemigroupInfo(g, frozenset(reduced), frob)
+        return NumericalSemigroupInfo(g, frozenset(reduced), a * rest[0] - a - rest[0])
+    width = 28 + 4 * ((a * reduced[-1]).bit_length() // 30 + 1)
+    check_memory(f"the Apery table of {a:,} residues", (16 + width) * a + 4096)
+    least: list[float] = [0] + [math.inf] * (a - 1)
+    for b in rest:
+        d = math.gcd(a, b)
+        # b walks cycles of a/d residues; one round from a cycle's least settles it.
+        for r in range(d):
+            n = min(least[r::d])
+            if n < math.inf:
+                for _ in range(a // d - 1):
+                    n += b
+                    p = n % a
+                    n = least[p] = min(n, least[p])
+    return NumericalSemigroupInfo(g, frozenset(reduced), max(least) - a)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from freemagma import (
     catalan_numbers,
     cli,
     counting_sequence,
+    counting_texts,
     enumerate_terms,
     errors,
     format_term,
@@ -277,6 +278,29 @@ class TestCount:
         assert code == 0, err
         assert out.strip() == f"n=1 {big}"
 
+    def test_seq_counts_past_int_digit_limit(self, capsys):
+        # 10**4400 + 1 generates counts of 4401, 8801 and 13201 digits, all
+        # past the 4300-digit limit, which no caller lifts here.
+        spec = f"seq:[1{'0' * 4399}1]"
+        limit = sys.get_int_max_str_digits()
+        assert 0 < limit < 4401
+        texts = list(counting_texts(parse_family(spec), 3))
+        with unlimited_int_digits():
+            assert texts == [str(v) for v in counting_sequence(parse_family(spec), 3)]
+        assert [len(t) for t in texts] == [4401, 8801, 13201]
+        expected = {
+            "plain": "".join(f"n={n} {t}\n" for n, t in enumerate(texts, 1)),
+            "csv": "n,value\n" + "".join(f"{n},{t}\n" for n, t in enumerate(texts, 1)),
+        }
+        for fmt in ("plain", "csv", "json"):
+            code, out, err = run_cli(capsys, "count", "--family", spec, "--n", "3", "--format", fmt)
+            assert code == 0, err
+            assert sys.get_int_max_str_digits() == limit
+            if fmt == "json":
+                assert json.loads(out)["values"] == {str(n): t for n, t in enumerate(texts, 1)}
+            else:
+                assert out == expected[fmt]
+
     def test_deterministic_output(self, capsys, tmp_path):
         target = tmp_path / "seq.csv"
         args = ("count", "--family", "shifted:1", "--n", "12", "--out", str(target))
@@ -456,6 +480,15 @@ class TestLongitudinal:
         assert payload["gcd"] == 2
         assert payload["frobenius"] == 1
         assert payload["per_residue"] == ["4/5", "1/5"]
+
+    def test_large_lengths(self, capsys, monkeypatch):
+        code, out, err = run_cli(capsys, "longitudinal", "--lengths", "1000000007,1000000009")
+        assert code == 0, err
+        assert json.loads(out)["frobenius"] == 1000000014000000047
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", 2**20)
+        code, _, err = run_cli(capsys, "longitudinal", "--lengths", "100000,100001,100002")
+        assert code == 2
+        assert "Apery table" in err
 
     def test_counting_included(self, capsys):
         code, out, _ = run_cli(capsys, "longitudinal", "--lengths", "2", "--nmax", "6")

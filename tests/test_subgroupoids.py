@@ -366,10 +366,19 @@ class TestCountingTexts:
         assert calls == [17]
 
     def test_rejects_bad_horizon(self):
-        with pytest.raises(ValueError):
-            counting_texts(ShiftedFull(ONE), 0)
-        with pytest.raises(ValueError):
-            counting_texts(Longitudinal({2}), 0)
+        # Every kind is refused when it is called, before a count is read.
+        families = (
+            FiniteSet({ONE}),
+            FiniteSet({TWO, THREE_PLUS}),
+            FiniteSet(()),
+            ExplicitSeq(BigSeq([0, 1, 1])),
+            ShiftedFull(ONE),
+            Longitudinal({2}),
+        )
+        for family in families:
+            for count in (counting_sequence, counting_texts):
+                with pytest.raises(ValueError, match="n_max must be >= 1"):
+                    count(family, 0)
 
 
 class TestLongitudinal:
@@ -418,6 +427,35 @@ class TestSemigroupInfo:
 
     def test_rank_three_no_coprime_pair(self):
         assert semigroup_info({6, 10, 15}).frobenius == 29
+
+    def test_coprime_pairs_match_closed_form(self):
+        # {a, b, a+b} generates the same semigroup as {a, b} but has rank 3,
+        # so the round robin is checked against ab - a - b.
+        for a in range(1, 30):
+            for b in range(a + 1, 60):
+                if math.gcd(a, b) == 1:
+                    assert semigroup_info({a, b}).frobenius == a * b - a - b, (a, b)
+                    assert semigroup_info({a, b, a + b}).frobenius == a * b - a - b, (a, b)
+
+    def test_rank_two_answered_at_once(self):
+        # Rank 2 builds no Apery table: its size would be the smallest length.
+        a, b = 10**9 + 7, 10**9 + 9
+        assert semigroup_info({a, b}).frobenius == a * b - a - b
+
+    def test_apery_table_priced_before_building(self, monkeypatch):
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", 2**20)
+        assert semigroup_info({3000, 3001, 3002}).frobenius == 4_499_999
+        with pytest.raises(errors.CapacityError, match="Apery table of 100,000 residues"):
+            semigroup_info({100_000, 100_001, 100_002})
+
+    def test_consecutive_lengths_match_roberts(self):
+        # Roberts: a, a+1, ..., a+k has Frobenius number
+        # (floor((a-2)/k) + 1) * a - 1.  The Apery table of the smallest
+        # length has a entries, so a = 30000 is answered at once.
+        for a, k in ((5, 2), (7, 3), (12, 4), (30000, 2)):
+            info = semigroup_info(range(a, a + k + 1))
+            assert info.frobenius == ((a - 2) // k + 1) * a - 1, (a, k)
+        assert semigroup_info({30000, 30001, 30002}).frobenius == 449_999_999
 
     def test_frobenius_brute_force(self):
         # Representability oracle for {3,5}: 7 is the largest gap.
