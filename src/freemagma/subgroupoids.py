@@ -18,7 +18,7 @@ import math
 import operator
 from collections import Counter
 from decimal import Decimal, setcontext
-from itertools import islice, zip_longest
+from itertools import chain, count, islice, repeat, zip_longest
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Union
 
@@ -237,9 +237,9 @@ def family_levels(family: GenFamily, n_max: int) -> Levels:
         )
         return tuple(map(frozenset, levels))
     if isinstance(family, Longitudinal):
-        whole = whole_levels(n_max)
-        reachable = _reachable_lengths(family.lengths, n_max)
-        return tuple(frozenset(lvl if r else ()) for lvl, r in zip(whole, reachable))
+        # The levels are priced before the counts build the semigroup table.
+        whole, counts = whole_levels(n_max), chain([0], _counts(family, n_max, 1))
+        return tuple(frozenset(lvl if c else ()) for lvl, c in zip(whole, counts))
     raise UnsupportedVariantError(
         f"{type(family).__name__} has no term-level representation"
     )
@@ -331,16 +331,21 @@ def _counts(family: GenFamily, n_max: int, one: int) -> Iterator[int]:
     Psi is the root of Psi^2 - Psi + Phi = 0 with Psi(0) = 0, whose
     discriminant 1 - 4*Phi is algebraic for finite and shifted families, so
     those are solved by the linear-time :func:`_quadratic_root` with
-    alpha = 1, beta = -1.  Longitudinal families have a closed form.  An
-    explicit generator sequence goes through the schoolbook
-    :func:`cat_transform` in ints, and ``one * v`` makes a Decimal from an
-    int without converting it to text.
+    alpha = 1, beta = -1.  A longitudinal family keeps the Catalan count at
+    the lengths admitted by the :func:`_apery_table` of its reduced lengths,
+    a table of a <= n_max entries, since none is built when every length
+    exceeds n_max.  An explicit generator sequence goes through the int
+    schoolbook :func:`cat_transform`; ``one * v`` is a Decimal made without text.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if isinstance(family, Longitudinal):
-        reach = _reachable_lengths(family.lengths, n_max)
-        return (c if r else 0 for c, r in zip(_catalan_series(n_max, one), reach[1:]))
+        if min(family.lengths) > n_max:
+            return repeat(0, n_max)
+        g = math.gcd(*family.lengths)
+        least = _apery_table(sorted(v // g for v in family.lengths))
+        member = (n % g == 0 and n // g >= least[n // g % len(least)] for n in count(1))
+        return (c if m else 0 for c, m in zip(_catalan_series(n_max, one), member))
     if isinstance(family, ExplicitSeq):
         return (one * v for v in cat_transform(family.seq.padded(n_max)))
     if isinstance(family, ShiftedFull):
@@ -356,15 +361,6 @@ def _counts(family: GenFamily, n_max: int, one: int) -> Iterator[int]:
     return islice(_quadratic_root([1], [-1], p0, p1, n_max, one), 1, None)
 
 
-def _reachable_lengths(lengths: frozenset[int], n_max: int) -> list[bool]:
-    """reachable[n] iff n is a positive combination of the given lengths."""
-    reach = [True] + [False] * n_max
-    for n in range(1, n_max + 1):
-        reach[n] = any(n >= a and reach[n - a] for a in lengths)
-    reach[0] = False
-    return reach
-
-
 def longitudinal_counting(lengths: Iterable[int], n_max: int) -> BigSeq:
     """Counting sequence of the longitudinal subgroupoid: the full Catalan
     count at lengths inside the subsemigroup, zero elsewhere."""
@@ -374,17 +370,21 @@ def longitudinal_counting(lengths: Iterable[int], n_max: int) -> BigSeq:
 def semigroup_info(lengths: Iterable[int]) -> NumericalSemigroupInfo:
     """gcd, reduced generators and Frobenius number of the numerical
     subsemigroup generated by ``lengths``: ab - a - b at rank 2, else
-    max(least) - a, where least[r] is the least member congruent to r mod
-    the smallest reduced generator a (its Apery set; -1 when a = 1), by
-    Boecker and Liptak's round robin (Fundamenta Informaticae 2007) in
-    O(k*a) time for k generators.  The table is priced first: a slot, an
-    int of up to a*a_k and a slot of a cycle's slice per residue, + 4 KiB.
-    """
+    max(least) - a over the :func:`_apery_table` of the reduced ones (-1 at a = 1)."""
     aset = sorted(Longitudinal(lengths).lengths)
     g = math.gcd(*aset)
     a, *rest = reduced = [v // g for v in aset]
-    if len(reduced) == 2:
-        return NumericalSemigroupInfo(g, frozenset(reduced), a * rest[0] - a - rest[0])
+    frobenius = a * rest[0] - a - rest[0] if len(rest) == 1 else max(_apery_table(reduced)) - a
+    return NumericalSemigroupInfo(g, frozenset(reduced), frobenius)
+
+
+def _apery_table(reduced: list[int]) -> list[float]:
+    """The Apery table of the semigroup of the sorted coprime ``reduced`` =
+    [a, ...]: least[r] is its least member that is r mod a, so n is a member
+    iff n >= least[n % a].  Boecker and Liptak's round robin (Fundamenta
+    Informaticae 2007) in O(k*a) time for k generators, priced first: a
+    slot, an int of up to a*a_k and a slot of a cycle's slice per residue + 4 KiB."""
+    a, *rest = reduced
     width = 28 + 4 * ((a * reduced[-1]).bit_length() // 30 + 1)
     check_memory(f"the Apery table of {a:,} residues", (16 + width) * a + 4096)
     least: list[float] = [0] + [math.inf] * (a - 1)
@@ -398,7 +398,7 @@ def semigroup_info(lengths: Iterable[int]) -> NumericalSemigroupInfo:
                     n += b
                     p = n % a
                     n = least[p] = min(n, least[p])
-    return NumericalSemigroupInfo(g, frozenset(reduced), max(least) - a)
+    return least
 
 
 # ---------------------------------------------------------------------------

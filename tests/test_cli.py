@@ -490,6 +490,32 @@ class TestLongitudinal:
         assert code == 2
         assert "Apery table" in err
 
+    def test_table_follows_the_horizon(self, capsys, monkeypatch):
+        # The semigroup table is sized by the shortest length, so a count
+        # whose horizon no length reaches builds none.
+        from freemagma import subgroupoids
+
+        huge = "1000000007,1000000008,1000000009"
+        code, _, err = run_cli(capsys, "longitudinal", "--lengths", huge)
+        assert code == 2
+        assert "Apery table of 1,000,000,007 residues" in err
+        code, out, _ = run_cli(
+            capsys, "count", "--family", "longitudinal:[3,1000000007]", "--n", "8",
+            "--format", "plain",
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "n=1 0", "n=2 0", "n=3 2", "n=4 0", "n=5 0", "n=6 42", "n=7 0", "n=8 0"
+        ]
+
+        def refuse(*args):
+            raise AssertionError("a semigroup table was built")
+
+        monkeypatch.setattr(subgroupoids, "_apery_table", refuse)
+        code, out, err = run_cli(capsys, "count", "--family", f"longitudinal:[{huge}]", "--n", "50")
+        assert code == 0, err
+        assert out.splitlines() == ["n,value"] + [f"{n},0" for n in range(1, 51)]
+
     def test_counting_included(self, capsys):
         code, out, _ = run_cli(capsys, "longitudinal", "--lengths", "2", "--nmax", "6")
         payload = json.loads(out)
@@ -665,15 +691,17 @@ class TestVerify:
     def test_broken_reachability_fails_sequence_fixtures(self, monkeypatch):
         from freemagma import subgroupoids, verify
 
-        reachable = subgroupoids._reachable_lengths
+        table = subgroupoids._apery_table
 
-        def flipped_at_seven(lengths, n_max):
-            reach = reachable(lengths, n_max)
-            if n_max >= 7:
-                reach[7] = not reach[7]
-            return reach
+        def seven_left_out(reduced):
+            # The least member that is 7 mod a moves past 7: for [2, 3]
+            # that leaves out the odd lengths 3, 5 and 7.
+            least = table(reduced)
+            least[7 % len(least)] = max(least[7 % len(least)], 9)
+            return least
 
-        monkeypatch.setattr(subgroupoids, "_reachable_lengths", flipped_at_seven)
+        monkeypatch.setattr(subgroupoids, "_apery_table", seven_left_out)
+        assert subgroupoids.counting_sequence(subgroupoids.Longitudinal({2, 3}), 9)[7] == 0
         report = verify.check_sequence_fixtures("fast")
         assert not report.passed
         assert "longitudinal [2, 3]" in report.details

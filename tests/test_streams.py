@@ -151,13 +151,15 @@ class TestStreams:
         # The list form held all 5000 values, about 2500 times the last
         # text at n=5000; the stream holds the few values its recurrence
         # reads (measured on Python 3.11: 10 times the last text for
-        # shifted:1 and the finite family, 4 times for full, which reads
-        # only its generators).  Longitudinal families are left out: they
-        # hold a reachability flag per length, 27 times the last text.
+        # shifted:1 and the finite family, 4 to 5 times for full, which
+        # reads only its generators, and for the longitudinal families,
+        # which read one Catalan value and a semigroup table of 2 entries).
         for spec, digits in (
             ("shifted:1", 3004),
             ("full", 3004),
             ("finite:[(1+1),((1+1)+1),(1+(1+1))]", 2110),
+            ("longitudinal:[2,3]", 3004),
+            ("longitudinal:[4,6]", 3004),
         ):
             family = parse_family(spec)
             gc.collect()

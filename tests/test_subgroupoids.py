@@ -102,7 +102,7 @@ class TestClosure:
 
         monkeypatch.setattr(terms, "_sum_texts", refuse)
         monkeypatch.setattr(listing, "_level_blocks", refuse)
-        monkeypatch.setattr(subgroupoids, "_reachable_lengths", refuse)
+        monkeypatch.setattr(subgroupoids, "_apery_table", refuse)
         with pytest.raises(CapacityError, match="over the memory budget of 1024.0 MiB"):
             family_levels(family, 17)
 
@@ -400,6 +400,28 @@ class TestLongitudinal:
         levels = family_levels(Longitudinal({2, 5}), 8)
         for k in range(1, 9):
             assert len(levels[k]) in (0, len(enumerate_terms(k)))
+
+    def test_membership_matches_flag_scan(self):
+        # The flag scan that the Apery table replaced, kept as an oracle:
+        # a length is reachable iff it is one of the lengths added to a
+        # reachable length.
+        def reachable(lengths, n_max):
+            reach = [True] + [False] * n_max
+            for n in range(1, n_max + 1):
+                reach[n] = any(n >= a and reach[n - a] for a in lengths)
+            return reach[1:]
+
+        for size in (1, 2, 3, 4):
+            for lengths in combinations(range(1, 16), size):
+                for n_max in (1, 7, 40, 200):
+                    seq = counting_sequence(Longitudinal(lengths), n_max)
+                    assert [v != 0 for v in seq] == reachable(lengths, n_max), (lengths, n_max)
+
+    @pytest.mark.parametrize("lengths", [{1}, {2}, {2, 3}, {4, 6}, {3, 5, 7}, {13}], ids=str)
+    def test_level_sizes_are_the_counting_sequence(self, lengths):
+        levels = family_levels(Longitudinal(lengths), 12)
+        sizes = BigSeq(len(level) for level in levels[1:])
+        assert sizes == counting_sequence(Longitudinal(lengths), 12)
 
     def test_every_length_beyond_frobenius_bound_attained(self):
         lengths = {4, 6}
