@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
@@ -67,53 +67,35 @@ def ratio_trace(
     to ``precision`` significant digits.  Indices where the denominator
     growth is still zero are skipped and flagged.
     """
+    ctx = Context(prec=precision, rounding=ROUND_HALF_EVEN)
     samples: list[tuple[int, Decimal]] = []
     skipped: list[int] = []
     for n, (gn, gm) in enumerate(zip(accumulate(numer), accumulate(denom)), 1):
         if gm == 0:
             skipped.append(n)
             continue
-        samples.append((n, _rounded_quotient(gn, gm, precision)))
+        samples.append((n, _rounded_quotient(gn, gm, ctx)))
     return RatioTrace(tuple(samples), tuple(skipped))
 
 
-def _rounded_quotient(num: int, den: int, precision: int) -> Decimal:
-    """``Decimal(num) / Decimal(den)`` at ``precision`` digits, half-even,
-    from one integer divmod: ``Decimal(int)`` is quadratic in the digit
-    count, the divmod is linear when the quotient is short.
+def _rounded_quotient(num: int, den: int, ctx: Context) -> Decimal:
+    """``ctx.divide(Decimal(num), Decimal(den))`` from one integer divmod:
+    ``Decimal(int)`` is quadratic in the digit count, the divmod is linear
+    when the quotient is short.
 
-    The quotient is scaled to exactly ``precision`` digits and rounded; an
-    exact quotient takes the exponent closest to the ideal exponent 0, as
-    Decimal division does.
+    The scale ``t`` gives ``q = floor(|num| 10^t / |den|)`` at least
+    ``ctx.prec + 1`` digits, so every half-way point of rounding to
+    ``ctx.prec`` digits is a multiple of ``10^-t`` and no rounding boundary
+    lies strictly between ``q 10^-t`` and ``(q+1) 10^-t``.  With a nonzero
+    remainder, ``(2q+1) / (2 10^t)`` lies strictly inside that gap, as
+    ``|num/den|`` does, so both round alike.  With none, the two quotients
+    are equal, and both divisions have the ideal exponent 0, so an exact
+    quotient (``0.5``, ``-0``, ``1E+40``) keeps its exponent too.
     """
-    sign = "-" if (num < 0) != (den < 0) else ""
-    if num == 0:
-        return Decimal(f"{sign}0")
-    num, den = abs(num), abs(den)
-    top = 10**precision
-    # floor(log10(num/den)), estimated from bit lengths and corrected below.
-    magnitude = math.floor((num.bit_length() - den.bit_length()) * LOG10_2)
-    while True:
-        exp = magnitude - precision + 1
-        scaled_num = num * 10**-exp if exp < 0 else num
-        scaled_den = den * 10**exp if exp > 0 else den
-        q, r = divmod(scaled_num, scaled_den)
-        if q >= top:
-            magnitude += 1
-        elif q < top // 10:
-            magnitude -= 1
-        else:
-            break
-    if r:
-        twice = 2 * r
-        if twice > scaled_den or (twice == scaled_den and q % 2):
-            q += 1
-            if q == top:
-                q, exp = q // 10, exp + 1
-    else:
-        while exp < 0 and q % 10 == 0:
-            q, exp = q // 10, exp + 1
-    return Decimal(f"{sign}{q}E{exp}")
+    t = max(0, ctx.prec + 2 - math.floor((abs(num).bit_length() - abs(den).bit_length()) * LOG10_2))
+    q, r = divmod(abs(num) * 10**t, abs(den))
+    x = ctx.divide(Decimal(2 * q + (r > 0)), Decimal(2 * 10**t))
+    return x.copy_negate() if (num < 0) != (den < 0) else x
 
 
 def aitken(xs: Sequence[Decimal], precision: int = DEFAULT_DECIMAL_DIGITS) -> list[Decimal | None]:

@@ -38,12 +38,12 @@ from .terms import (
     Term,
     _check_levels,
     _fold_text,
+    _wrap_texts,
     format_term,
     grow_levels,
     iter_level_texts,
     leaf,
     parse_term,
-    whole_levels,
 )
 
 
@@ -237,9 +237,13 @@ def family_levels(family: GenFamily, n_max: int) -> Levels:
         )
         return tuple(map(frozenset, levels))
     if isinstance(family, Longitudinal):
-        # The levels are priced before the counts build the semigroup table.
-        whole, counts = whole_levels(n_max), chain([0], _counts(family, n_max, 1))
-        return tuple(frozenset(lvl if c else ()) for lvl, c in zip(whole, counts))
+        # Levels 1..n_max are priced before the counts build the semigroup
+        # table; then only the levels whose count is nonzero are listed.
+        _check_levels(catalan_numbers(n_max))
+        counts = chain([0], _counts(family, n_max, 1))
+        return tuple(
+            frozenset(_wrap_texts(iter_level_texts(k)) if c else ()) for k, c in enumerate(counts)
+        )
     raise UnsupportedVariantError(
         f"{type(family).__name__} has no term-level representation"
     )
@@ -456,26 +460,9 @@ def format_family(family: GenFamily) -> str:
 
 
 def _split_bracketed(body: str, full_text: str) -> list[str]:
-    """Split ``[a,b,c]`` on top-level commas (parentheses may nest)."""
+    """Split ``[a,b,c]`` at every comma: no term text or integer holds one,
+    and the caller parses each item."""
     if not (body.startswith("[") and body.endswith("]")):
         raise ValueError(f"expected bracketed list in {full_text!r}")
     inner = body[1:-1].strip()
-    if not inner:
-        return []
-    items = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(inner):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced parentheses in {full_text!r}")
-        elif ch == "," and depth == 0:
-            items.append(inner[start:i].strip())
-            start = i + 1
-    if depth != 0:
-        raise ValueError(f"unbalanced parentheses in {full_text!r}")
-    items.append(inner[start:].strip())
-    return items
+    return [item.strip() for item in inner.split(",")] if inner else []

@@ -6,8 +6,8 @@ frozen here independently of the library's own verification registry.
 
 The n=5000 density reproduction (criterion 5) is marked ``slow``, with
 six multi-second memory-price and listing tests elsewhere in the suite.
-``pytest -m "not slow"`` skips those seven: 717 tests in 24 s against 724
-in 31 s for the whole suite (2-vCPU Xeon VM, Python 3.11.7), of which the
+``pytest -m "not slow"`` skips those seven: 734 tests in 23 s against 741
+in 33-40 s for the whole suite (2-vCPU Xeon VM, Python 3.11.7), of which the
 density reproduction takes under 1 s.
 """
 

@@ -257,6 +257,21 @@ class TestCount:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "spec", ["finite:[(1+1),(1+(1+1)]", "finite:[(1,1)]", "longitudinal:[2,(3]"]
+    )
+    def test_malformed_list_is_usage_error(self, capsys, spec):
+        code, out, err = run_cli(capsys, "count", "--family", spec, "--n", "4")
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
+    def test_spaces_in_list_change_nothing(self, capsys):
+        spaced = run_cli(capsys, "count", "--family", "finite:[ (1 + 1) , (1+(1+1)) ]", "--n", "9")
+        plain = run_cli(capsys, "count", "--family", "finite:[(1+1),(1+(1+1))]", "--n", "9")
+        assert spaced[0] == 0
+        assert spaced == plain
+
     def test_values_past_int_digit_limit(self, capsys, tmp_path):
         # C_7299 has about 4390 digits, past Python's default 4300-digit limit.
         limit = sys.get_int_max_str_digits()

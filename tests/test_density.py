@@ -2,10 +2,11 @@
 
 import hashlib
 import random
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freemagma import (
     BigSeq,
@@ -97,6 +98,11 @@ def decimal_quotient(num, den, precision):
         return Decimal(num) / Decimal(den)
 
 
+def half_even(precision):
+    """The context ratio_trace rounds its samples in."""
+    return Context(prec=precision, rounding=ROUND_HALF_EVEN)
+
+
 def same_decimal(x, y):
     """Equal digits, exponent and sign, so equal printed text."""
     return x.as_tuple() == y.as_tuple() and str(x) == str(y)
@@ -111,7 +117,7 @@ class TestRoundedQuotient:
             for den in range(-40, 41):
                 if den:
                     expected = decimal_quotient(num, den, precision)
-                    assert same_decimal(_rounded_quotient(num, den, precision), expected)
+                    assert same_decimal(_rounded_quotient(num, den, half_even(precision)), expected)
 
     @pytest.mark.parametrize("precision", [1, 6, 8, 30])
     def test_random_big_operands(self, precision):
@@ -120,7 +126,7 @@ class TestRoundedQuotient:
             num = rng.randrange(10 ** rng.randrange(1, 120))
             den = rng.randrange(1, 10 ** rng.randrange(1, 120))
             assert same_decimal(
-                _rounded_quotient(num, den, precision), decimal_quotient(num, den, precision)
+                _rounded_quotient(num, den, half_even(precision)), decimal_quotient(num, den, precision)
             )
 
     @pytest.mark.parametrize("precision", [1, 6, 8, 30])
@@ -138,7 +144,41 @@ class TestRoundedQuotient:
         ]
         for num, den in cases:
             expected = decimal_quotient(num, den, precision)
-            assert same_decimal(_rounded_quotient(num, den, precision), expected)
+            assert same_decimal(_rounded_quotient(num, den, half_even(precision)), expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 400).flatmap(lambda d: st.integers(1 - 10**d, 10**d - 1)),
+        st.integers(1, 400).flatmap(lambda d: st.integers(1 - 10**d, 10**d - 1)).filter(bool),
+        st.integers(1, 50),
+    )
+    def test_signed_big_operands(self, num, den, precision):
+        assert same_decimal(
+            _rounded_quotient(num, den, half_even(precision)), decimal_quotient(num, den, precision)
+        )
+
+    @given(st.integers(-(10**400), -1), st.integers(1, 50))
+    def test_zero_over_negative_is_negative_zero(self, den, precision):
+        got = _rounded_quotient(0, den, half_even(precision))
+        assert same_decimal(got, decimal_quotient(0, den, precision))
+        assert str(got) == "-0"
+
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 10**200),
+        st.integers(0, 10**200),
+        st.integers(0, 60),
+        st.integers(1, 50),
+        st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]),
+    )
+    def test_quotients_needing_no_scale(self, den, rem, extra, precision, signs):
+        # |num/den| >= 10^(precision+2), so the scale t is at most 1, and 0
+        # from extra = 1 on: q is the integer part, of over precision digits.
+        num = den * 10 ** (precision + 2 + extra) + rem % den
+        assert same_decimal(
+            _rounded_quotient(signs[0] * num, signs[1] * den, half_even(precision)),
+            decimal_quotient(signs[0] * num, signs[1] * den, precision),
+        )
 
     def test_trace_of_density_families(self):
         denom = catalan_c(400)

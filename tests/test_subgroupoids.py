@@ -423,6 +423,21 @@ class TestLongitudinal:
         sizes = BigSeq(len(level) for level in levels[1:])
         assert sizes == counting_sequence(Longitudinal(lengths), 12)
 
+    @pytest.mark.parametrize(
+        ("lengths", "n_max", "listed"), [({13}, 12, []), ({4, 6}, 13, [4, 6, 8, 10, 12])], ids=str
+    )
+    def test_lists_only_levels_in_the_semigroup(self, lengths, n_max, listed, monkeypatch):
+        listed_lengths = []
+        level_blocks = listing._level_blocks
+
+        def spy(n):
+            listed_lengths.append(n)
+            return level_blocks(n)
+
+        monkeypatch.setattr(listing, "_level_blocks", spy)
+        family_levels(Longitudinal(lengths), n_max)
+        assert listed_lengths == listed
+
     def test_every_length_beyond_frobenius_bound_attained(self):
         lengths = {4, 6}
         info = semigroup_info(lengths)
@@ -608,7 +623,7 @@ class TestBruteCount:
             raise AssertionError("the oracle built a term level")
 
         monkeypatch.setattr(subgroupoids, "grow_levels", refuse)
-        monkeypatch.setattr(subgroupoids, "whole_levels", refuse)
+        monkeypatch.setattr(terms, "whole_levels", refuse)
         monkeypatch.setattr(terms, "grow_levels", refuse)
         monkeypatch.setattr(terms, "enumerate_terms", refuse)
         monkeypatch.setattr(terms, "_sum_texts", refuse)
