@@ -89,7 +89,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     rows, so it is formatted one text at a time."""
     from .sequences import catalan_numbers
     from .listing import _level_blocks
-    from .terms import iter_level_texts
 
     pieces: Iterable[str]
     if args.format == "json":
@@ -97,6 +96,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         entries = ('"' + b[:-1].replace("\n", '",\n    "') + '"' for b in _level_blocks(args.n))
         pieces = _json_pieces(meta, "terms", [], entries)
     elif args.format == "csv":
+        from .terms import iter_level_texts
+
         texts = iter_level_texts(args.n)
         pieces = chain(("index,term\n",), (f"{i},{t}\n" for i, t in enumerate(texts, start=1)))
     else:

@@ -81,7 +81,8 @@ def ratio_trace(
 def _rounded_quotient(num: int, den: int, ctx: Context) -> Decimal:
     """``ctx.divide(Decimal(num), Decimal(den))`` from one integer divmod:
     ``Decimal(int)`` is quadratic in the digit count, the divmod is linear
-    when the quotient is short.
+    when the quotient is short, and the divisor ``2 10^t`` is read from its
+    digits in linear time.
 
     The scale ``t`` gives ``q = floor(|num| 10^t / |den|)`` at least
     ``ctx.prec + 1`` digits, so every half-way point of rounding to
@@ -94,7 +95,7 @@ def _rounded_quotient(num: int, den: int, ctx: Context) -> Decimal:
     """
     t = max(0, ctx.prec + 2 - math.floor((abs(num).bit_length() - abs(den).bit_length()) * LOG10_2))
     q, r = divmod(abs(num) * 10**t, abs(den))
-    x = ctx.divide(Decimal(2 * q + (r > 0)), Decimal(2 * 10**t))
+    x = ctx.divide(Decimal(2 * q + (r > 0)), Decimal("2" + "0" * t))
     return x.copy_negate() if (num < 0) != (den < 0) else x
 
 

@@ -22,8 +22,10 @@ lengths in descending text order, says which length is next.  Up to length
 L that order is the leaf, then for each term x of length j < L in turn the
 order up to L-j with j added, which one ``bytes.translate`` does.  Level n
 itself is streamed the same way, with heads ``"\\n((a+"`` and roots ``)+``,
-in newline-terminated blocks of at most 64 KiB: at n=14 the listing holds
-13.1 MiB of marked levels and 0.6 MiB besides.
+in newline-terminated blocks of at most 64 KiB.  It reads marked level n-1
+only under the leaf, in its sums ``(1+t)`` and under its head ``(1+``, so
+that level is built afresh for each of the two reads and never held: at
+n=14 the listing holds 3.4 MiB of marked levels 2..12 and 0.8 MiB besides.
 
 Only the ``enumerate`` command and :func:`freemagma.terms.iter_level_texts`
 (behind :func:`~freemagma.terms.enumerate_terms` and
@@ -56,25 +58,41 @@ def _level_blocks(n: int) -> Iterator[str]:
         return iter(["1\n"])
     _check_listing(n)
     orders = _orders(n - 2)
-    marked: list[tuple[str, ...]] = [(), ()]
-    for m in range(2, n):
+    marked: list[Iterable[str]] = [(), ()]
+    for m in range(2, n - 1):
         marked.append(tuple(_level_runs(m, marked, orders[m - 2], "\n(", ")#")))
+    if n > 2:
+        marked.append(_Rebuilt(n - 1, marked, orders[n - 3]))
     return (run[1:] + "\n" for run in _level_runs(n, marked, orders[n - 2], "\n((", ")+"))
+
+
+class _Rebuilt:
+    """Marked level ``m``, built afresh by each iteration and never held:
+    level n is read from level n-1 twice, in its sums ``(1+t)`` and under
+    its head ``(1+``."""
+
+    def __init__(self, m: int, marked: list[Iterable[str]], order: bytes) -> None:
+        self.args = m, marked, order, "\n(", ")#"
+
+    def __iter__(self) -> Iterator[str]:
+        return _level_runs(*self.args)
 
 
 def _check_listing(n: int) -> None:
     """Price the listing of level ``n`` by what it holds: the marked levels
-    2..n-1 at a byte per character, and 1/128 more for the headers of their
+    2..n-2 at a byte per character, and 1/128 more for the headers of their
     runs (0.25% measured); the orders at a byte per head; _HEADS heads per
     length of up to 4n characters, each with its str header and list slot;
-    and the block bound, 8 blocks of _BLOCK characters for a group's pieces,
-    their join and replace, the block and its lines.  Tracemalloc puts the
-    n=14 listing at 0.97 of this price, n=15 at 0.99 and n=2 at 0.01."""
+    and the block bound, 16 blocks of _BLOCK characters: for a group's
+    pieces, their join and replace, the block and its lines, once in level
+    n and once in level n-1 as it is rebuilt.  Tracemalloc puts the n=15
+    listing at 0.95 of this price, n=14 at 0.86, n=13 at 0.68 and n=2 at
+    0.003."""
     counts = catalan_numbers(n - 1)
-    chars = sum(c * (4 * k - 3) for k, c in enumerate(counts[1:], 2))
+    chars = sum(c * (4 * k - 3) for k, c in enumerate(counts[1:-1], 2))
     heads = sum(accumulate(counts[:-1])) + (n - 2) * _HEADS * (4 * n + 64)
-    what = f"the listing of length {n} from levels 2..{n - 1} ({sum(counts[1:]):,} terms)"
-    check_memory(what, chars + chars // 128 + heads + 8 * _BLOCK)
+    what = f"the listing of length {n} from levels 2..{n - 2} ({sum(counts[1:-1]):,} terms)"
+    check_memory(what, chars + chars // 128 + heads + 16 * _BLOCK)
 
 
 def _orders(n_max: int) -> list[bytes]:
@@ -92,7 +110,7 @@ def _orders(n_max: int) -> list[bytes]:
 
 
 def _level_runs(
-    m: int, marked: list[tuple[str, ...]], order: bytes, lead: str, root: str
+    m: int, marked: list[Iterable[str]], order: bytes, lead: str, root: str
 ) -> Iterator[str]:
     """Level ``m`` from the marked levels 1..m-1, as runs of at most _BLOCK
     characters, each line led by a newline: marked, for ``lead`` ``"\\n("``
@@ -105,15 +123,15 @@ def _level_runs(
     one run, and those of a head alone longer than _BLOCK are cut."""
     width = 4 * m - 5 + len(lead)
     first = ")" + lead[:-1] + "1" + root[-1]
-    for t in _texts(marked, m - 1, _BLOCK // width):
-        yield t.replace("\n", first)[1:] + ")"
+    for t in _texts(marked, m - 1, _BLOCK // width, first):
+        yield t[1:] + ")"
     counts = catalan_numbers(m - 1)
     size = [0] + [counts[m - 1 - j] * width for j in range(1, m - 1)]
     joined = [""] + ["".join(marked[m - j]) if size[j] <= _BLOCK else "" for j in range(1, m - 1)]
     sep = "+\0" + lead
     sources = [iter(())] + [
         chain.from_iterable(
-            (t.replace("\n", sep) + "+").split("\0")[1:] for t in _texts(marked, j, _HEADS)
+            (t + "+").split("\0")[1:] for t in _texts(marked, j, _HEADS, sep)
         )
         for j in range(1, m - 1)
     ]
@@ -133,12 +151,13 @@ def _level_runs(
         start += ends
 
 
-def _texts(marked: list[tuple[str, ...]], k: int, lines: int) -> Iterator[str]:
-    """The texts of level ``k``, each led by a newline, in runs of ``lines``
+def _texts(marked: list[Iterable[str]], k: int, lines: int, lead: str) -> Iterator[str]:
+    """The texts of level ``k``, each led by ``lead``, in runs of ``lines``
     texts: marked level ``k`` with the root and first parenthesis put back."""
     if k == 1:
-        return iter(["\n1"])
-    return (c.replace("#", "+").replace("\n", "\n(") for c in _cuts(marked[k], 4 * k - 3, lines))
+        return iter([lead + "1"])
+    cuts = _cuts(marked[k], 4 * k - 3, lines)
+    return (c.replace("#", "+").replace("\n", lead + "(") for c in cuts)
 
 
 def _cuts(runs: Iterable[str], width: int, lines: int) -> Iterator[str]:

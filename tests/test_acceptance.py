@@ -5,10 +5,10 @@ tests/test_acceptance.py` run reads as a checklist.  Expected values are
 frozen here independently of the library's own verification registry.
 
 The n=5000 density reproduction (criterion 5) is marked ``slow``, with
-six multi-second memory-price and listing tests elsewhere in the suite.
-``pytest -m "not slow"`` skips those seven: 734 tests in 23 s against 741
-in 33-40 s for the whole suite (2-vCPU Xeon VM, Python 3.11.7), of which the
-density reproduction takes under 1 s.
+seven multi-second memory-price and listing tests elsewhere in the suite.
+``pytest -m "not slow"`` skips those eight: 737 tests in 32-37 s against
+745 in 53-54 s for the whole suite (2-vCPU Xeon VM under a varying load,
+Python 3.11.7), of which the density reproduction takes under 1 s.
 """
 
 import random

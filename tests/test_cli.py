@@ -62,10 +62,10 @@ class TestEnumerate:
 
     def test_cap_exceeded_is_usage_error(self, capsys, monkeypatch):
         self.refuse_to_build(monkeypatch)
-        code, out, err = run_cli(capsys, "enumerate", "--n", "18")
+        code, out, err = run_cli(capsys, "enumerate", "--n", "19")
         assert code == 2
         assert out == ""
-        assert "estimated 2993.6 MiB, over the memory budget of 1024.0 MiB" in err
+        assert "estimated 3040.7 MiB, over the memory budget of 1024.0 MiB" in err
 
     @staticmethod
     def refuse_to_build(monkeypatch):
@@ -75,11 +75,27 @@ class TestEnumerate:
         for builder in ("_orders", "_level_runs", "_texts"):
             monkeypatch.setattr(listing, builder, no_texts)
 
-    def test_budget_refuses_18_before_building(self, capsys, monkeypatch):
+    def test_budget_refuses_19_before_building(self, capsys, monkeypatch):
         self.refuse_to_build(monkeypatch)
-        code, _, err = run_cli(capsys, "enumerate", "--n", "18")
+        code, _, err = run_cli(capsys, "enumerate", "--n", "19")
         assert code == 2
-        assert "the listing of length 18 from levels 2..17 (48,760,366 terms)" in err
+        assert "the listing of length 19 from levels 2..17 (48,760,366 terms)" in err
+
+    def test_budget_admits_18(self, monkeypatch):
+        # 18 is the longest length the default budget admits; its price is
+        # read from the check, and nothing is listed.
+        self.refuse_to_build(monkeypatch)
+        checked = []
+        real = listing.check_memory
+
+        def spy(what, estimate):
+            checked.append((what, f"{estimate / 2**20:.1f} MiB"))
+            real(what, estimate)
+
+        monkeypatch.setattr(listing, "check_memory", spy)
+        listing._check_listing(18)
+        what = "the listing of length 18 from levels 2..16 (13,402,696 terms)"
+        assert checked == [(what, "785.2 MiB")]
 
     def test_small_budget_refuses_before_building(self, capsys, monkeypatch):
         self.refuse_to_build(monkeypatch)
@@ -87,7 +103,7 @@ class TestEnumerate:
         code, out, err = run_cli(capsys, "enumerate", "--n", "12")
         assert code == 2
         assert out == ""
-        assert "levels 2..11 (23,713 terms) would take an estimated 1.7 MiB" in err
+        assert "levels 2..10 (6,917 terms) would take an estimated 1.5 MiB" in err
         assert "memory budget of 1.0 MiB" in err
 
     @staticmethod

@@ -112,6 +112,16 @@ def test_only_enumerate_loads_the_listing():
     )
 
 
+def test_enumerate_loads_terms_only_for_csv():
+    # Plain and JSON output join the listing's blocks; only CSV numbers
+    # one text at a time through terms.iter_level_texts.
+    for fmt in ("plain", "json"):
+        loaded = loaded_modules("enumerate", "--n", "5", "--format", fmt)
+        assert "freemagma.listing" in loaded
+        assert "freemagma.terms" not in loaded, fmt
+    assert "freemagma.terms" in loaded_modules("enumerate", "--n", "5", "--format", "csv")
+
+
 def test_motzkin_loads_neither_subgroupoids_nor_terms():
     loaded = loaded_modules("motzkin", "--length", "6", "--forbid", "FU,FF")
     assert "freemagma.motzkin_paths" in loaded

@@ -282,7 +282,7 @@ class TestEnumeration:
         top = enumerate_terms(15)
         assert sorted(built) == list(range(2, 16))
         marked = built[15]
-        texts = [listing._texts(marked, k, listing._HEADS) for k in range(1, 15)]
+        texts = [listing._texts(marked, k, listing._HEADS, "\n") for k in range(1, 15)]
         lines = [sum(run.count("\n") for run in level) for level in texts]
         sizes = [math.comb(2 * n - 2, n - 1) // n for n in range(1, 16)]
         assert lines + [len(top)] == sizes
@@ -328,10 +328,10 @@ class TestLevelTexts:
             assert list(iter_level_texts(n)) == [t.text for t in enumerate_terms(n)]
 
     def test_cap_and_length_checked_before_building(self, monkeypatch):
-        # 18 is the smallest length whose listing the budget refuses.
+        # 19 is the smallest length whose listing the budget refuses.
         refuse_to_build(monkeypatch)
         with pytest.raises(CapacityError, match="over the memory budget of 1024.0 MiB"):
-            iter_level_texts(18)
+            iter_level_texts(19)
         with pytest.raises(ValueError):
             iter_level_texts(0)
 
@@ -367,7 +367,7 @@ class TestLevelBlocks:
 
     def test_long_levels_are_cut(self):
         # Level 14 prints 742,900 texts of 53 characters, and its listing
-        # reads marked level 13, of 10 MB, twice.
+        # builds marked level 13, of 10.4 MB, twice and holds neither copy.
         blocks = list(listing._level_blocks(14))
         assert all(block.endswith("\n") for block in blocks)
         assert sum(map(len, blocks)) == 742900 * 54
@@ -424,13 +424,38 @@ class TestMemoryPrice:
 
     @pytest.mark.slow
     def test_listing_peak_ceiling(self, monkeypatch):
-        # The listing holds its marked levels (13.1 MiB at n=14) and working
-        # data of a few blocks; it peaked at 28.4 MiB when it also held the
-        # heads and a joined copy of level 13.
+        # The listing holds its marked levels and working data of a few
+        # blocks; it peaked at 28.4 MiB when it also held the heads and a
+        # joined copy of level 13.
         _, peak = self.price_and_peak(
             monkeypatch, listing, lambda: deque(iter_level_texts(14), maxlen=0)
         )
         assert peak <= 18 * 2**20
+
+    @pytest.mark.slow
+    def test_listing_holds_no_level_n_minus_1(self, monkeypatch):
+        # Marked levels 2..12 take 3.4 MiB at n=14; it peaked at 13.8 MiB
+        # when it also held marked level 13.
+        _, peak = self.price_and_peak(
+            monkeypatch, listing, lambda: deque(iter_level_texts(14), maxlen=0)
+        )
+        assert peak <= 6 * 2**20
+
+    def test_level_n_minus_1_is_built_twice_and_not_held(self, monkeypatch):
+        real, built = listing._level_runs, []
+
+        def spy(m, marked, *args):
+            built.append((m, marked))
+            return real(m, marked, *args)
+
+        monkeypatch.setattr(listing, "_level_runs", spy)
+        deque(listing._level_blocks(14), maxlen=0)
+        assert [m for m, _ in built].count(13) == 2
+        # Every build reads one list of marked levels: 2..12 held, 13 not.
+        marked = built[-1][1]
+        assert all(other is marked for _, other in built)
+        assert not isinstance(marked[13], tuple)
+        assert all(isinstance(marked[k], tuple) for k in range(2, 13))
 
 
 # An oracle for the level DP that shares no code with it: trees are nested
