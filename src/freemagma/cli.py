@@ -42,6 +42,17 @@ def _ensure_writable_dir(path: Path) -> None:
     os.unlink(probe)
 
 
+def _ensure_writable_file(path: Path) -> None:
+    """A FIFO or a device is written in place, so it must itself be
+    writable; any other file is written through its directory."""
+    from .sequences import _in_place
+
+    if not _in_place(path):
+        _ensure_writable_dir(path.parent)
+    elif not os.access(path, os.W_OK):
+        raise FreeMagmaError(f"output {path} is not writable")
+
+
 def _emit(text: str | Iterable[str], out: str | None) -> None:
     from .sequences import _atomic_write, _write_lines
 
@@ -337,8 +348,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # Fail on unwritable output locations before any computation runs.
         out = getattr(args, "out", None)
-        if out:
-            _ensure_writable_dir(Path(out) if args.command == "density" else Path(out).parent)
+        if out and args.command == "density":
+            _ensure_writable_dir(Path(out))
+        elif out:
+            _ensure_writable_file(Path(out))
         return args.fn(args)
     except ExactDivisionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

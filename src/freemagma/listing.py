@@ -20,12 +20,20 @@ at once by ``map``.  No head is stored: the heads of each length are split
 from its texts 256 at a time as they fall due, and one byte per head, the
 lengths in descending text order, says which length is next.  Up to length
 L that order is the leaf, then for each term x of length j < L in turn the
-order up to L-j with j added, which one ``bytes.translate`` does.  Level n
-itself is streamed the same way, with heads ``"\\n((a+"`` and roots ``)+``,
-in newline-terminated blocks of at most 64 KiB.  It reads marked level n-1
-only under the leaf, in its sums ``(1+t)`` and under its head ``(1+``, so
-that level is built afresh for each of the two reads and never held: at
-n=14 the listing holds 3.4 MiB of marked levels 2..12 and 0.8 MiB besides.
+order up to L-j with j added, which one ``bytes.translate`` does.
+
+A level can be built in any *form*, given by a lead and a root: the line
+of ``(x+y)`` reads ``lead[:-1] + x + root[1:] + y + ")"``.  The marked
+form has lead ``"\\n("`` and root ``)#``, the texts lead ``"\\n(("`` and
+root ``)+``, and the block under a head ``h`` is the shorter level in the
+form with lead ``h + "("`` and root ``")" + root``.  Level n is streamed
+as texts, in newline-terminated blocks of at most 64 KiB.  Only marked
+levels 2..n-3 are held.  Levels n-1 and n-2 are read a few times each and
+built afresh for every read, straight into the form its reader prints:
+level n-1 in the sums ``(1+t)`` and under the head ``(1+``, and level n-2
+twice within each of those builds, under the head ``((1+1)+`` and once
+marked, for the heads of length n-2.  At n=14 the listing holds 0.9 MiB of
+marked levels 2..11 and peaks 0.9 MiB above that.
 
 Only the ``enumerate`` command and :func:`freemagma.terms.iter_level_texts`
 (behind :func:`~freemagma.terms.enumerate_terms` and
@@ -59,79 +67,93 @@ def _level_blocks(n: int) -> Iterator[str]:
     _check_listing(n)
     orders = _orders(n - 2)
     marked: list[Iterable[str]] = [(), ()]
-    for m in range(2, n - 1):
+    for m in range(2, n - 2):
         marked.append(tuple(_level_runs(m, marked, orders[m - 2], "\n(", ")#")))
-    if n > 2:
-        marked.append(_Rebuilt(n - 1, marked, orders[n - 3]))
+    for m in range(len(marked), n):
+        marked.append(_Rebuilt(m, marked, orders[m - 2]))
     return (run[1:] + "\n" for run in _level_runs(n, marked, orders[n - 2], "\n((", ")+"))
 
 
 class _Rebuilt:
-    """Marked level ``m``, built afresh by each iteration and never held:
-    level n is read from level n-1 twice, in its sums ``(1+t)`` and under
-    its head ``(1+``."""
+    """Level ``m``, never held: each call builds it afresh in the form of
+    its ``lead`` and ``root``, and iteration builds it marked.  The listing
+    of level 14 builds level 13 twice and level 12 six times, and rewrites
+    none of their lines."""
 
     def __init__(self, m: int, marked: list[Iterable[str]], order: bytes) -> None:
-        self.args = m, marked, order, "\n(", ")#"
+        self.args = m, marked, order
+
+    def __call__(self, lead: str, root: str) -> Iterator[str]:
+        return _level_runs(*self.args, lead, root)
 
     def __iter__(self) -> Iterator[str]:
-        return _level_runs(*self.args)
+        return self("\n(", ")#")
 
 
 def _check_listing(n: int) -> None:
     """Price the listing of level ``n`` by what it holds: the marked levels
-    2..n-2 at a byte per character, and 1/128 more for the headers of their
-    runs (0.25% measured); the orders at a byte per head; _HEADS heads per
-    length of up to 4n characters, each with its str header and list slot;
-    and the block bound, 16 blocks of _BLOCK characters: for a group's
-    pieces, their join and replace, the block and its lines, once in level
-    n and once in level n-1 as it is rebuilt.  Tracemalloc puts the n=15
-    listing at 0.95 of this price, n=14 at 0.86, n=13 at 0.68 and n=2 at
-    0.003."""
+    2..n-3 at a byte per character, and 1/128 more for the headers of their
+    runs (0.25% measured); the orders at a byte per head, 1/8 more for the
+    growth of a bytearray, and one chunk's list slots and buffer records;
+    _HEADS heads per length of up to 4n characters, each with its str
+    header and list slot; and the block bound, 8 blocks of _BLOCK
+    characters in each of the three nested streams, levels n, n-1 and n-2:
+    for a group's pieces, their join, the block and its lines.  Tracemalloc
+    puts the n=16 listing at 0.93 of this price, n=15 at 0.81, n=14 at 0.62,
+    n=13 at 0.45 and n=2 at 0.002."""
     counts = catalan_numbers(n - 1)
-    chars = sum(c * (4 * k - 3) for k, c in enumerate(counts[1:-1], 2))
-    heads = sum(accumulate(counts[:-1])) + (n - 2) * _HEADS * (4 * n + 64)
-    what = f"the listing of length {n} from levels 2..{n - 2} ({sum(counts[1:-1]):,} terms)"
-    check_memory(what, chars + chars // 128 + heads + 16 * _BLOCK)
+    chars = sum(c * (4 * k - 3) for k, c in enumerate(counts[1:-2], 2))
+    orders = sum(accumulate(counts[:-1]))
+    heads = (n - 2) * _HEADS * (4 * n + 64)
+    what = f"the listing of length {n} from levels 2..{n - 3} ({sum(counts[1:-2]):,} terms)"
+    price = chars + chars // 128 + orders + orders // 8 + 88 * _HEADS + heads + 24 * _BLOCK
+    check_memory(what, price)
 
 
 def _orders(n_max: int) -> list[bytes]:
     """Entry L: the lengths of the terms of length up to L, a byte each, in
     descending text order.  The leaf comes first, then the sums (x+y) by x
     and then by y: for each x of length j < L in turn, entry L-j with j
-    added to each byte."""
-    orders = [b"", b"\1"]
+    added to each byte.  An entry is joined _HEADS heads at a time onto a
+    bytearray, as ``b"".join`` takes an 80-byte buffer record per part."""
+    orders: list[bytes] = [b"", b"\1"]
     for top in range(2, n_max + 1):
         shifted = [b""] + [
             orders[top - j].translate(bytes(range(j, 256)) + bytes(j)) for j in range(1, top)
         ]
-        orders.append(b"\1" + b"".join(map(shifted.__getitem__, orders[top - 1])))
+        order, heads = bytearray(b"\1"), orders[top - 1]
+        for start in range(0, len(heads), _HEADS):
+            order += b"".join(map(shifted.__getitem__, heads[start : start + _HEADS]))
+        orders.append(order)
     return orders
 
 
 def _level_runs(
     m: int, marked: list[Iterable[str]], order: bytes, lead: str, root: str
 ) -> Iterator[str]:
-    """Level ``m`` from the marked levels 1..m-1, as runs of at most _BLOCK
-    characters, each line led by a newline: marked, for ``lead`` ``"\\n("``
-    and ``root`` ``)#``, or as texts, for ``"\\n(("`` and ``)+``.  First the
-    sums ``(1+t)`` for ``t`` of length m-1, then for each head ``lead + a +
-    "+"`` in turn, with ``a`` of the lengths in ``order``, marked level
-    m-|a| with the head in front of each line and its ``#`` written
-    ``root``.  The heads of a length are split from its texts _HEADS at a
-    time as they fall due.  The sums of up to _HEADS heads are joined into
-    one run, and those of a head alone longer than _BLOCK are cut."""
-    width = 4 * m - 5 + len(lead)
-    first = ")" + lead[:-1] + "1" + root[-1]
-    for t in _texts(marked, m - 1, _BLOCK // width, first):
+    """Level ``m`` in the form of ``lead`` and ``root`` (see the module
+    docstring), as runs of at most _BLOCK characters.  First the sums
+    ``(1+t)``: level m-1 in the form whose lead is ``first + "(("``, where
+    ``first`` closes the line before and opens the line ``(1+``.  Then for
+    each head ``lead + a + "+"`` in turn, with ``a`` of the lengths in
+    ``order``, level m-|a| in the form of that head.  The heads of a length
+    are split from its texts _HEADS at a time as they fall due.  The sums
+    of up to _HEADS heads are joined into one run, one ``str.replace`` per
+    head, and those of a head alone longer than _BLOCK are read alone."""
+    width = 4 * m - 7 + len(lead) + len(root)
+    first = ")" + lead[:-1] + "1" + root[1:]
+    for t in _read(marked, m - 1, _BLOCK // width, first + "((", ")+"):
         yield t[1:] + ")"
     counts = catalan_numbers(m - 1)
     size = [0] + [counts[m - 1 - j] * width for j in range(1, m - 1)]
-    joined = [""] + ["".join(marked[m - j]) if size[j] <= _BLOCK else "" for j in range(1, m - 1)]
+    joined = [""] + [
+        "".join(_read(marked, m - j, _BLOCK, "\n(", ")" + root)) if size[j] <= _BLOCK else ""
+        for j in range(1, m - 1)
+    ]
     sep = "+\0" + lead
     sources = [iter(())] + [
         chain.from_iterable(
-            (t + "+").split("\0")[1:] for t in _texts(marked, j, _HEADS, sep)
+            (t + "+").split("\0")[1:] for t in _texts(marked, j, _HEADS, sep + "(", "+")
         )
         for j in range(1, m - 1)
     ]
@@ -143,21 +165,33 @@ def _level_runs(
         if ends:
             # map stops at the end of the runs and so takes ``ends`` heads.
             runs = map(joined.__getitem__, part[:ends])
-            yield "".join(map(str.replace, runs, repeat("\n"), heads)).replace("#", root)
+            yield "".join(map(str.replace, runs, repeat("\n"), heads))
         else:
-            head, ends, k = next(heads), 1, m - part[0]
-            for cut in _cuts(marked[k], 4 * k - 3, _BLOCK // width):
-                yield cut.replace("\n", head).replace("#", root)
+            head, ends = next(heads), 1
+            yield from _read(marked, m - part[0], _BLOCK // width, head + "(", ")" + root)
         start += ends
 
 
-def _texts(marked: list[Iterable[str]], k: int, lines: int, lead: str) -> Iterator[str]:
-    """The texts of level ``k``, each led by ``lead``, in runs of ``lines``
-    texts: marked level ``k`` with the root and first parenthesis put back."""
+def _read(marked: list[Iterable[str]], k: int, lines: int, lead: str, root: str) -> Iterator[str]:
+    """Level ``k`` in the form of :func:`_level_runs` for ``lead`` and
+    ``root``: built afresh if it is rebuilt, else from its held marked form
+    in runs of ``lines`` lines."""
+    level = marked[k]
+    if isinstance(level, _Rebuilt):
+        return level(lead, root)
+    return _texts(marked, k, lines, lead[:-1], root[1:])
+
+
+def _texts(
+    marked: list[Iterable[str]], k: int, lines: int, newline: str, sharp: str
+) -> Iterator[str]:
+    """Marked level ``k`` in runs of ``lines`` lines, with each ``#``
+    written ``sharp`` and then each newline written ``newline``; level 1
+    is ``newline[:-1] + "1"``, as ``1`` has no first parenthesis."""
     if k == 1:
-        return iter([lead + "1"])
+        return iter([newline[:-1] + "1"])
     cuts = _cuts(marked[k], 4 * k - 3, lines)
-    return (c.replace("#", "+").replace("\n", lead + "(") for c in cuts)
+    return (c.replace("#", sharp).replace("\n", newline) for c in cuts)
 
 
 def _cuts(runs: Iterable[str], width: int, lines: int) -> Iterator[str]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import os
+import stat
 import sys
 import tempfile
 from collections import deque
@@ -512,11 +513,25 @@ def _write_lines(fh: TextIO, text: str | Iterable[str]) -> None:
         fh.write("\n")
 
 
+def _in_place(path: Path) -> bool:
+    """Whether ``path`` is an existing file that is not a regular one, such
+    as a FIFO or a device, which a rename would replace."""
+    try:
+        return not stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        return False
+
+
 def _atomic_write(path: Path, text: str | Iterable[str]) -> None:
     """Write ``text`` (as for :func:`_write_lines`) newline-terminated to
     ``path`` through a temp file in the same directory and a rename, so
     readers never see a partial file.  The file gets the mode a plain
-    ``open`` would give it, 0666 less the umask, not ``mkstemp``'s 0600."""
+    ``open`` would give it, 0666 less the umask, not ``mkstemp``'s 0600.
+    A FIFO or a device is written in place."""
+    if _in_place(path):
+        with open(path, "w") as fh:
+            _write_lines(fh, text)
+        return
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:

@@ -5,6 +5,7 @@ import json
 import os
 import stat
 import sys
+import threading
 
 import pytest
 
@@ -62,10 +63,10 @@ class TestEnumerate:
 
     def test_cap_exceeded_is_usage_error(self, capsys, monkeypatch):
         self.refuse_to_build(monkeypatch)
-        code, out, err = run_cli(capsys, "enumerate", "--n", "19")
+        code, out, err = run_cli(capsys, "enumerate", "--n", "20")
         assert code == 2
         assert out == ""
-        assert "estimated 3040.7 MiB, over the memory budget of 1024.0 MiB" in err
+        assert "estimated 3240.7 MiB, over the memory budget of 1024.0 MiB" in err
 
     @staticmethod
     def refuse_to_build(monkeypatch):
@@ -75,14 +76,14 @@ class TestEnumerate:
         for builder in ("_orders", "_level_runs", "_texts"):
             monkeypatch.setattr(listing, builder, no_texts)
 
-    def test_budget_refuses_19_before_building(self, capsys, monkeypatch):
+    def test_budget_refuses_20_before_building(self, capsys, monkeypatch):
         self.refuse_to_build(monkeypatch)
-        code, _, err = run_cli(capsys, "enumerate", "--n", "19")
+        code, _, err = run_cli(capsys, "enumerate", "--n", "20")
         assert code == 2
-        assert "the listing of length 19 from levels 2..17 (48,760,366 terms)" in err
+        assert "the listing of length 20 from levels 2..17 (48,760,366 terms)" in err
 
-    def test_budget_admits_18(self, monkeypatch):
-        # 18 is the longest length the default budget admits; its price is
+    def test_budget_admits_19(self, monkeypatch):
+        # 19 is the longest length the default budget admits; its price is
         # read from the check, and nothing is listed.
         self.refuse_to_build(monkeypatch)
         checked = []
@@ -93,9 +94,9 @@ class TestEnumerate:
             real(what, estimate)
 
         monkeypatch.setattr(listing, "check_memory", spy)
-        listing._check_listing(18)
-        what = "the listing of length 18 from levels 2..16 (13,402,696 terms)"
-        assert checked == [(what, "785.2 MiB")]
+        listing._check_listing(19)
+        what = "the listing of length 19 from levels 2..16 (13,402,696 terms)"
+        assert checked == [(what, "840.3 MiB")]
 
     def test_small_budget_refuses_before_building(self, capsys, monkeypatch):
         self.refuse_to_build(monkeypatch)
@@ -103,7 +104,7 @@ class TestEnumerate:
         code, out, err = run_cli(capsys, "enumerate", "--n", "12")
         assert code == 2
         assert out == ""
-        assert "levels 2..10 (6,917 terms) would take an estimated 1.5 MiB" in err
+        assert "levels 2..9 (2,055 terms) would take an estimated 1.9 MiB" in err
         assert "memory budget of 1.0 MiB" in err
 
     @staticmethod
@@ -807,6 +808,23 @@ class TestOutputProbe:
         )
         assert code == 0
         assert probed == [tmp_path / "out"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX FIFOs")
+    def test_fifo_is_written_in_place(self, capsys, tmp_path):
+        # A rename would put a regular file where the FIFO was, and its
+        # reader would wait for a writer that never comes.
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        argv = ("count", "--family", "full", "--n", "5")
+        code, _, _ = run_cli(capsys, *argv, "--out", str(fifo))
+        reader.join(timeout=10)
+        assert code == 0 and not reader.is_alive()
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        _, out, _ = run_cli(capsys, *argv)
+        assert got == [out.encode()]
 
     def test_failed_rename_leaves_no_density_files(self, capsys, tmp_path, monkeypatch):
         def refuse(src, dst):

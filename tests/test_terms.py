@@ -282,7 +282,7 @@ class TestEnumeration:
         top = enumerate_terms(15)
         assert sorted(built) == list(range(2, 16))
         marked = built[15]
-        texts = [listing._texts(marked, k, listing._HEADS, "\n") for k in range(1, 15)]
+        texts = [listing._texts(marked, k, listing._HEADS, "\n(", "+") for k in range(1, 15)]
         lines = [sum(run.count("\n") for run in level) for level in texts]
         sizes = [math.comb(2 * n - 2, n - 1) // n for n in range(1, 16)]
         assert lines + [len(top)] == sizes
@@ -328,10 +328,10 @@ class TestLevelTexts:
             assert list(iter_level_texts(n)) == [t.text for t in enumerate_terms(n)]
 
     def test_cap_and_length_checked_before_building(self, monkeypatch):
-        # 19 is the smallest length whose listing the budget refuses.
+        # 20 is the smallest length whose listing the budget refuses.
         refuse_to_build(monkeypatch)
         with pytest.raises(CapacityError, match="over the memory budget of 1024.0 MiB"):
-            iter_level_texts(19)
+            iter_level_texts(20)
         with pytest.raises(ValueError):
             iter_level_texts(0)
 
@@ -365,9 +365,20 @@ class TestLevelBlocks:
         for n in range(1, 14):
             assert all(block.endswith("\n") for block in listing._level_blocks(n)), n
 
+    def test_small_blocks_join_to_the_level_dp(self, monkeypatch):
+        # At the default block size the cut path and the nested builds of
+        # the rebuilt levels (a sum (1+t) read within another, a head over
+        # a rebuilt level) start only near n=11; at 512 characters they run
+        # where the reference is cheap.
+        monkeypatch.setattr(listing, "_BLOCK", 512)
+        for n in range(1, 12):
+            blocks = list(listing._level_blocks(n))
+            assert "".join(blocks) == "".join(t + "\n" for t in ordered_level_texts(n)), n
+            assert all(block.endswith("\n") and len(block) <= 512 for block in blocks), n
+
     def test_long_levels_are_cut(self):
         # Level 14 prints 742,900 texts of 53 characters, and its listing
-        # builds marked level 13, of 10.4 MB, twice and holds neither copy.
+        # builds level 13 twice and level 12 six times and holds neither.
         blocks = list(listing._level_blocks(14))
         assert all(block.endswith("\n") for block in blocks)
         assert sum(map(len, blocks)) == 742900 * 54
@@ -434,28 +445,60 @@ class TestMemoryPrice:
 
     @pytest.mark.slow
     def test_listing_holds_no_level_n_minus_1(self, monkeypatch):
-        # Marked levels 2..12 take 3.4 MiB at n=14; it peaked at 13.8 MiB
-        # when it also held marked level 13.
+        # Marked levels 2..11 take 0.9 MiB at n=14; it peaked at 4.2 MiB
+        # when it also held marked level 12, and at 13.8 MiB with level 13.
         _, peak = self.price_and_peak(
             monkeypatch, listing, lambda: deque(iter_level_texts(14), maxlen=0)
         )
-        assert peak <= 6 * 2**20
+        assert peak <= 3 * 2**20
 
-    def test_level_n_minus_1_is_built_twice_and_not_held(self, monkeypatch):
-        real, built = listing._level_runs, []
+    def test_orders_peak_within_twice_what_they_hold(self):
+        # One b"".join over every head of an entry took an 80-byte buffer
+        # record per head: a 26.4 MiB peak for 1.37 MiB of orders.
+        gc.collect()
+        tracemalloc.start()
+        try:
+            orders = listing._orders(14)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(orders[14]) == sum(math.comb(2 * k - 2, k - 1) // k for k in range(1, 15))
+        assert peak <= 2 * held
 
-        def spy(m, marked, *args):
+    def test_only_levels_n_minus_2_and_n_minus_1_are_rebuilt(self, monkeypatch):
+        n, built, read, cut = 14, [], [], []
+        real_runs, real_texts, real_cuts = listing._level_runs, listing._texts, listing._cuts
+
+        def spy_runs(m, marked, *args):
             built.append((m, marked))
-            return real(m, marked, *args)
+            return real_runs(m, marked, *args)
 
-        monkeypatch.setattr(listing, "_level_runs", spy)
-        deque(listing._level_blocks(14), maxlen=0)
-        assert [m for m, _ in built].count(13) == 2
-        # Every build reads one list of marked levels: 2..12 held, 13 not.
+        def spy_texts(marked, k, lines, newline, sharp):
+            if not isinstance(marked[k], tuple):
+                read.append((k, newline[:2]))
+            return real_texts(marked, k, lines, newline, sharp)
+
+        def spy_cuts(runs, *args):
+            if not isinstance(runs, tuple):
+                cut.append(runs)
+            return real_cuts(runs, *args)
+
+        monkeypatch.setattr(listing, "_level_runs", spy_runs)
+        monkeypatch.setattr(listing, "_texts", spy_texts)
+        monkeypatch.setattr(listing, "_cuts", spy_cuts)
+        deque(listing._level_blocks(n), maxlen=0)
+        # Every build reads one list of marked levels: 2..n-3 held.
         marked = built[-1][1]
         assert all(other is marked for _, other in built)
-        assert not isinstance(marked[13], tuple)
-        assert all(isinstance(marked[k], tuple) for k in range(2, 13))
+        assert all(isinstance(marked[k], tuple) for k in range(2, n - 2))
+        assert not isinstance(marked[n - 2], tuple) and not isinstance(marked[n - 1], tuple)
+        # Level n-1 is built for its two reads and level n-2 for six, each
+        # straight into its reader's form.  Only the heads of length n-2
+        # are split from a rebuilt level read marked, through _texts.
+        assert cut == [marked[n - 2]]
+        counts = [m for m, _ in built]
+        assert (counts.count(n - 1), counts.count(n - 2)) == (2, 6)
+        assert read == [(n - 2, "+\0")]
 
 
 # An oracle for the level DP that shares no code with it: trees are nested
