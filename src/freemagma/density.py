@@ -10,35 +10,35 @@ each residue class modulo the lcm p of the two periods.  When the class
 limits differ, as they do for a longitudinal family whose gcd exceeds 1,
 there is no density: the estimate reports the period and the per-residue
 values, whose exact closed forms :func:`longitudinal_asymptote` gives.
+The paper's nullity criterion and the longitudinal-convergence and
+density-algebra checks are in :mod:`freemagma.checks`.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
-from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .reporting import CheckReport
-from .sequences import BigSeq, _atomic_write, _csv_text, catalan_numbers
-from .subgroupoids import (
-    GenFamily,
-    Longitudinal,
-    _counts,
-    closure_up_to,
-    format_family,
-    longitudinal_counting,
-    rank_lambda,
-    semigroup_info,
-)
-from .terms import Term, product
+from .sequences import BigSeq, _atomic_write, _csv_text
+from .subgroupoids import GenFamily, Longitudinal, _counts, format_family
 
 DEFAULT_DECIMAL_DIGITS = 30
 LOG10_2 = math.log10(2)
+
+
+def __getattr__(name: str):
+    # Verification code lives in freemagma.checks, loaded when its old name is read.
+    if name in (
+        "NullDensityVerdict", "density_algebra_checks", "fg_null_density_test",
+        "longitudinal_convergence_check",
+    ):
+        from . import checks
+        return getattr(checks, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def growth(a: BigSeq) -> BigSeq:
@@ -121,24 +121,6 @@ def aitken(xs: Sequence[Decimal], precision: int = DEFAULT_DECIMAL_DIGITS) -> li
     return out
 
 
-class NullDensityVerdict(Enum):
-    NULL_BY_THEOREM = "null-by-theorem"
-    INCONCLUSIVE = "inconclusive"
-
-
-def fg_null_density_test(gens: Iterable[Term]) -> NullDensityVerdict:
-    """Nullity criterion for finitely generated subgroupoids.
-
-    Null density is certified when rank < 4^(lambda - 1) for the minimal
-    generating set; otherwise the test says nothing (it never certifies
-    positive density).
-    """
-    rank, lam = rank_lambda(gens)
-    if rank < 4 ** (lam - 1):
-        return NullDensityVerdict.NULL_BY_THEOREM
-    return NullDensityVerdict.INCONCLUSIVE
-
-
 class LongitudinalAsymptote(NamedTuple):
     """Exact per-residue growth-ratio limits of a longitudinal family."""
 
@@ -156,58 +138,6 @@ def longitudinal_asymptote(lengths: Iterable[int]) -> LongitudinalAsymptote:
     scale = 1 - Fraction(1, 4**p)
     residues = tuple(Fraction(3, 4 ** (r + 1)) / scale for r in range(p))
     return LongitudinalAsymptote(p, residues)
-
-
-def longitudinal_convergence_check(
-    lengths: Iterable[int], n_max: int, tolerance: float
-) -> CheckReport:
-    """Empirical ratio trace vs. the exact asymptote, per residue class.
-
-    Also checks the supporting limit c_{kp} / (c_p + ... + c_{kp}) ->
-    1 - 4^-p at the horizon.  All comparisons are exact rationals against
-    the given tolerance.
-    """
-    lset = Longitudinal(lengths).lengths
-    asym = longitudinal_asymptote(lset)
-    p = asym.p
-    info = semigroup_info(lset)
-    if n_max <= p * max(info.frobenius, 0):
-        raise ValueError(
-            f"n_max={n_max} too small: need n_max > {p * max(info.frobenius, 0)}"
-        )
-    counting = longitudinal_counting(lset, n_max)
-    cats = catalan_numbers(n_max)
-    tol = Fraction(str(tolerance))
-    # Only the last ratio of each residue class is read: keep the last p sums.
-    last = deque(zip(range(1, n_max + 1), accumulate(counting), accumulate(cats)), maxlen=p)
-    latest = {n % p: Fraction(gl, gm) for n, gl, gm in last}
-    worst_err = Fraction(0)
-    worst_residue = -1
-    for r in range(p):
-        err = abs(latest[r] - asym.per_residue[r])
-        if err > worst_err:
-            worst_err = err
-            worst_residue = r
-    # Supporting limit, evaluated at the largest multiple of p in range.
-    k_top = n_max - (n_max % p)
-    tail = Fraction(cats[k_top - 1], sum(cats[k - 1] for k in range(p, k_top + 1, p)))
-    aux_err = abs(tail - (1 - Fraction(1, 4**p)))
-    passed = worst_err <= tol and aux_err <= tol
-    return CheckReport(
-        name=f"longitudinal-convergence-p{p}",
-        passed=passed,
-        details=(
-            f"worst residue {worst_residue}: |ratio - asymptote| = {float(worst_err):.2e}, "
-            f"aux limit error {float(aux_err):.2e}, tolerance {tolerance}"
-        ),
-        data={
-            "p": p,
-            "n_max": n_max,
-            "worst_error": float(worst_err),
-            "aux_error": float(aux_err),
-            "tolerance": tolerance,
-        },
-    )
 
 
 class DensityEstimate(NamedTuple):
@@ -366,77 +296,3 @@ def density_report(
 def write_trace_csv(path: str | Path, samples: Iterable[tuple[int, Decimal]]) -> None:
     """Write (n, value) decimal samples as ``n,value`` rows, atomically."""
     _atomic_write(Path(path), _csv_text(samples))
-
-
-def density_algebra_checks(
-    translation_fixtures: Sequence[tuple[Term, frozenset[Term], int]] | None = None,
-    nested_fixtures: Sequence[tuple[frozenset[Term], frozenset[Term], frozenset[Term], int]]
-    | None = None,
-) -> CheckReport:
-    """Finite-horizon checks of the density algebra on closure enumerations.
-
-    Translation: |aH|_{len(a) n} = |H|_n entry-wise, and |aH|_m = 0 away
-    from multiples of len(a).  Multiplicativity: for nested N, N', N'' the
-    growth-ratio product (N/N')(N'/N'') telescopes exactly to N/N'', and
-    every ratio lies in [0, 1].
-    """
-    from .terms import leaf, right_comb
-
-    two = leaf() + leaf()
-    if translation_fixtures is None:
-        translation_fixtures = [(two, frozenset({two, right_comb(3)}), 7)]
-    if nested_fixtures is None:
-        nested_fixtures = [
-            (
-                frozenset({two}),
-                frozenset({two, right_comb(3)}),
-                frozenset({leaf()}),
-                10,
-            )
-        ]
-
-    for a, gens, n_max in translation_fixtures:
-        la = a.length
-        base = closure_up_to(gens, n_max)
-        shifted = closure_up_to(frozenset(product(a, g) for g in gens), la * n_max)
-        for m in range(1, la * n_max + 1):
-            expected = len(base[m // la]) if m % la == 0 else 0
-            if len(shifted[m]) != expected:
-                return CheckReport(
-                    name="density-algebra",
-                    passed=False,
-                    details=f"translation identity fails at length {m}",
-                    first_failure=m,
-                )
-    for inner, middle, outer, n_max in nested_fixtures:
-        levels = [closure_up_to(g, n_max) for g in (inner, middle, outer)]
-        growths = zip(*(accumulate(map(len, lv[1:])) for lv in levels))
-        for n, sums in enumerate(growths, start=1):
-            if sums[2] == 0:
-                continue
-            r_outer = Fraction(sums[0], sums[2])
-            if not (0 <= r_outer <= 1):
-                return CheckReport(
-                    name="density-algebra",
-                    passed=False,
-                    details=f"ratio outside [0,1] at n={n}",
-                    first_failure=n,
-                )
-            if sums[1] == 0:
-                continue
-            lhs = Fraction(sums[0], sums[1]) * Fraction(sums[1], sums[2])
-            if lhs != r_outer:
-                return CheckReport(
-                    name="density-algebra",
-                    passed=False,
-                    details=f"ratio product does not telescope at n={n}",
-                    first_failure=n,
-                )
-    return CheckReport(
-        name="density-algebra",
-        passed=True,
-        details=(
-            f"translation identity and ratio multiplicativity hold on "
-            f"{len(translation_fixtures)} + {len(nested_fixtures)} fixtures"
-        ),
-    )

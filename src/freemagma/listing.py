@@ -96,18 +96,20 @@ def _check_listing(n: int) -> None:
     runs (0.25% measured); the orders at a byte per head, 1/8 more for the
     growth of a bytearray, and one chunk's list slots and buffer records;
     _HEADS heads per length of up to 4n characters, each with its str
-    header and list slot; and the block bound, 8 blocks of _BLOCK
-    characters in each of the three nested streams, levels n, n-1 and n-2:
-    for a group's pieces, their join, the block and its lines.  Tracemalloc
-    puts the n=16 listing at 0.93 of this price, n=15 at 0.81, n=14 at 0.62,
-    n=13 at 0.45 and n=2 at 0.002."""
-    counts = catalan_numbers(n - 1)
-    chars = sum(c * (4 * k - 3) for k, c in enumerate(counts[1:-2], 2))
-    orders = sum(accumulate(counts[:-1]))
+    header and list slot; and the block bound, 8 blocks in each of the
+    three nested streams, levels n, n-1 and n-2, for a group's pieces, their
+    join, the block and its lines, each of _BLOCK characters or of the whole
+    output of level n if that is shorter.  Tracemalloc puts the n=16
+    listing at 0.93 of this price, n=15 at 0.81, n=14 at 0.62, n=13 at
+    0.45, n=9 at 0.17 and n=2 to 6 at 0.14 to 0.16."""
+    counts = catalan_numbers(n)
+    chars = sum(c * (4 * k - 3) for k, c in enumerate(counts[1 : n - 3], 2))
+    orders = sum(accumulate(counts[: n - 2]))
     heads = (n - 2) * _HEADS * (4 * n + 64)
-    what = f"the listing of length {n} from levels 2..{n - 3} ({sum(counts[1:-2]):,} terms)"
-    price = chars + chars // 128 + orders + orders // 8 + 88 * _HEADS + heads + 24 * _BLOCK
-    check_memory(what, price)
+    blocks = 24 * min(_BLOCK, counts[-1] * (4 * n - 2))
+    held = f"levels 2..{n - 3} ({sum(counts[1 : n - 3]):,} terms)" if n > 5 else "level 2 (1 term)"
+    what = f"the listing of length {n}" + (f" from {held}" if n > 4 else "")
+    check_memory(what, chars + chars // 128 + orders + orders // 8 + 88 * _HEADS + heads + blocks)
 
 
 def _orders(n_max: int) -> list[bytes]:

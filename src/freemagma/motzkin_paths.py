@@ -12,8 +12,9 @@ families treated here the number of length-n subgroupoid elements equals
 the constrained path count at length n - 2.
 
 :func:`count_paths` solves a quadratic equation for the generating
-function, derived from the spec, in time linear in the length; the height
-DP :func:`_path_counts` is the reference it is tested against.
+function, derived from the spec, in time linear in the length.  The height
+DP that it is tested against, and the subgroupoid crosscheck, are in
+:mod:`freemagma.checks`.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ import operator
 from collections import deque
 from functools import reduce
 from math import gcd
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import check_memory
-from .reporting import CheckReport, _Record
+from .reporting import _Record
 from .sequences import (
     _poly_add,
     _poly_mul,
@@ -35,9 +36,6 @@ from .sequences import (
     _quadratic_root,
     _series_quotient,
 )
-
-if TYPE_CHECKING:
-    from .subgroupoids import GenFamily
 
 STEPS = ("U", "D", "F")
 _DELTA = {"U": 1, "D": -1, "F": 0}
@@ -51,6 +49,14 @@ PATH_BYTES = 120
 TABLE_ENTRY_BYTES = 40
 
 BigramLike = Union[tuple[str, str], str]
+
+
+def __getattr__(name: str):
+    # Verification code lives in freemagma.checks, loaded when its old name is read.
+    if name in ("crosscheck_subgroupoid",):
+        from . import checks
+        return getattr(checks, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class PathSpec(_Record):
@@ -96,39 +102,6 @@ class PathSpec(_Record):
             if s == step:
                 return m
         return 1
-
-
-def _path_counts(spec: PathSpec) -> list[int]:
-    """Weighted numbers of paths satisfying the spec at lengths 0..length.
-
-    Dynamic programming over one row of weighted counts per last step,
-    indexed by height; the empty prefix is the row with no last step.  Each
-    step adds up the rows of the steps it may follow, shifts the sum by its
-    height change, keeps the heights from which the path can still get back
-    to 0 by length spec.length, and scales by its color multiplicity.  A
-    path of length m <= spec.length that ends at height 0 is never cut by
-    that bound (its height after j steps is at most m - j), so the height-0
-    entries after m steps count the paths of length m.
-    """
-    n = spec.length
-    rows: dict[str | None, list[int]] = {None: [1]}
-    counts = [1]
-    for pos in range(n):
-        # Heights above n - pos - 1 cannot return to 0; above pos + 1 they
-        # are out of reach.
-        width = min(pos + 1, n - pos - 1) + 1
-        new_rows = {}
-        for step in STEPS:
-            preds = [row for last, row in rows.items() if (last, step) not in spec.forbidden_bigrams]
-            total = list(map(sum, zip(*preds)))
-            delta = _DELTA[step]
-            row = ([0] + total if delta > 0 else total[1:] if delta < 0 else total)[:width]
-            row += [0] * (width - len(row))
-            m = spec.multiplicity(step)
-            new_rows[step] = [m * w for w in row] if m > 1 else row
-        rows = new_rows
-        counts.append(sum(row[0] for row in rows.values()))
-    return counts
 
 
 def _path_equation(spec: PathSpec) -> tuple[list[int], list[int], list[int]]:
@@ -290,34 +263,3 @@ def enumerate_paths(spec: PathSpec) -> list[str]:
                 for option in reversed(options):
                     stack.append((option, nh, step, depth))
     return out
-
-
-def crosscheck_subgroupoid(
-    spec: PathSpec, family: GenFamily, offset: int, n_max: int
-) -> CheckReport:
-    """Assert the path counts at lengths n - offset, all from one DP pass,
-    equal the counting sequence of the family at 1 <= n <= n_max (negative
-    lengths count 0)."""
-    from .subgroupoids import counting_sequence, format_family
-
-    seq = counting_sequence(family, n_max)
-    top = max(n_max - offset, 0)
-    paths = _path_counts(PathSpec(top, spec.forbidden_bigrams, spec.color_multiplicity))
-    got = [paths[n - offset] if n >= offset else 0 for n in range(1, n_max + 1)]
-    first = next((n for n, (g, e) in enumerate(zip(got, seq), 1) if g != e), None)
-    if first is not None:
-        return CheckReport(
-            name="motzkin-crosscheck",
-            passed=False,
-            details=(
-                f"{format_family(family)}: path count {got[first - 1]} != "
-                f"|N|_{first} = {seq[first]} (offset {offset})"
-            ),
-            first_failure=first,
-        )
-    return CheckReport(
-        name="motzkin-crosscheck",
-        passed=True,
-        details=f"{format_family(family)} matches path counts for n <= {n_max} "
-        f"(offset {offset})",
-    )

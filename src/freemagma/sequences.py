@@ -1,16 +1,17 @@
 """Exact big-integer sequence kernels.
 
-Everything in this module is exact: Catalan and Motzkin numbers, the
-quadratic transform that turns a generator-counting sequence into a
+Everything in this module is exact: Catalan numbers, the quadratic
+transform that turns a generator-counting sequence into a
 subgroupoid-counting sequence, the one solver for power series that are
-roots of quadratics, the dense integer polynomials they are built on, the
-multinomial counting formula, truncated power-series verification and the
-classic Catalan/Motzkin binomial identities.  No floating point, no
-rounding; divisions assert exactness.
+roots of quadratics and the dense integer polynomials they are built on.
+No floating point, no rounding; divisions assert exactness.  The Motzkin
+numbers, the multinomial counting formula, truncated power-series
+verification, the Catalan bounds and the Catalan/Motzkin binomial
+identities, which only the checks read, are in :mod:`freemagma.checks`.
 
 Sequences are 1-indexed (:class:`BigSeq`), matching the length grading of
-the term algebra, so ``catalan_c(n)[k]`` is the number of terms of length
-``k``, i.e. the (k-1)-th Catalan number.
+the term algebra, so entry ``k`` of the whole magma's counting sequence is
+the number of terms of length ``k``, i.e. the (k-1)-th Catalan number.
 """
 
 from __future__ import annotations
@@ -35,13 +36,12 @@ from decimal import (
 )
 from fractions import Fraction
 from itertools import chain, islice, repeat
-from math import comb, factorial, gcd, lcm, log2, prod
+from math import gcd, lcm, log2
 from operator import sub
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO, Union
 
 from .errors import ExactDivisionError, check_memory
-from .reporting import CheckReport
 
 Rational = Union[int, Fraction]
 
@@ -55,6 +55,18 @@ EXACT_DECIMAL = Context(
     Emin=MIN_EMIN,
     traps=[Inexact, Rounded, InvalidOperation, DivisionByZero],
 )
+
+
+def __getattr__(name: str):
+    # Verification code lives in freemagma.checks, loaded when its old name is read.
+    if name in (
+        "MOTZKIN_TO_CATALAN_OFFSET", "PI_LOWER", "PI_UPPER", "cat_transform_signed",
+        "catalan_bounds_check", "catalan_c", "catalan_motzkin_identities", "motzkin",
+        "motzkin_numbers", "multinomial_count", "series_identity_check",
+    ):
+        from . import checks
+        return getattr(checks, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class BigSeq:
@@ -138,13 +150,6 @@ def _catalan_series(count: int, one: int = 1) -> Iterator[int]:
     for n in range(count - 1):
         c = _exact_div(c * 2 * (2 * n + 1), n + 2)
         yield c
-
-
-def catalan_c(n_max: int) -> BigSeq:
-    """Counting sequence of the full magma: entry n is C_{n-1}."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    return BigSeq(catalan_numbers(n_max))
 
 
 def cat_transform(a: BigSeq) -> BigSeq:
@@ -292,192 +297,6 @@ def _recurrence_step(terms: list[tuple[int, int, int]], window: deque, n: int) -
     """The sum of the terms at step n, from a ``window`` that ends with the
     value of step n - 1."""
     return sum((c0 + c1 * (n - s)) * window[-s] for s, c0, c1 in terms if s <= n)
-
-
-def cat_transform_signed(a: Sequence[Rational]) -> list[Fraction]:
-    """Same recurrence over exact rationals.
-
-    Exists to exercise the scaling law Cat(alpha^n a_n) = alpha^n Cat(a_n)
-    and its signed special case for alpha outside the integers.
-    """
-    return _schoolbook_transform([Fraction(v) for v in a])
-
-
-def motzkin_numbers(count: int) -> list[int]:
-    """[M_0, M_1, ..., M_{count-1}] via the exact recurrence
-    (n+2) M_n = (2n+1) M_{n-1} + 3(n-1) M_{n-2}."""
-    out = [1, 1][: max(count, 0)]
-    for n in range(2, count):
-        out.append(_exact_div((2 * n + 1) * out[-1] + 3 * (n - 1) * out[-2], n + 2))
-    return out
-
-
-def motzkin(n_max: int) -> BigSeq:
-    """Shifted Motzkin sequence: entry n is M_{n-1}."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    return BigSeq(motzkin_numbers(n_max))
-
-
-# The second binomial identity is printed in the literature with the Catalan
-# index off by two; the offset that actually holds, C_{n+1} = sum_k
-# binom(n, k) M_k, is checked entry by entry in catalan_motzkin_identities.
-MOTZKIN_TO_CATALAN_OFFSET = 1
-
-
-def catalan_motzkin_identities(n_max: int) -> CheckReport:
-    """Entry-wise check of both Catalan/Motzkin binomial identities.
-
-    Identity 1: M_n = sum_{k<=n/2} binom(n,2k) C_k.
-    Identity 2: C_{n+1} = sum_{k<=n} binom(n,k) M_k (verified offset).
-    """
-    cats = catalan_numbers(n_max + 2)
-    mots = motzkin_numbers(n_max + 1)
-    for n in range(n_max + 1):
-        lhs = sum(comb(n, 2 * k) * cats[k] for k in range(n // 2 + 1))
-        if lhs != mots[n]:
-            return CheckReport(
-                name="catalan-motzkin-identities",
-                passed=False,
-                details=f"M_n = sum binom(n,2k) C_k fails at n={n}",
-                first_failure=n,
-            )
-        rhs = sum(comb(n, k) * mots[k] for k in range(n + 1))
-        if rhs != cats[n + MOTZKIN_TO_CATALAN_OFFSET]:
-            return CheckReport(
-                name="catalan-motzkin-identities",
-                passed=False,
-                details=f"C_(n+{MOTZKIN_TO_CATALAN_OFFSET}) = sum binom(n,k) M_k fails at n={n}",
-                first_failure=n,
-            )
-    return CheckReport(
-        name="catalan-motzkin-identities",
-        passed=True,
-        details=f"both identities hold for 0 <= n <= {n_max} "
-        f"(Catalan offset +{MOTZKIN_TO_CATALAN_OFFSET})",
-    )
-
-
-def multinomial_count(alphas: Sequence[int], n: int) -> int:
-    """Number of length-n elements of the subgroupoid whose minimal
-    generators have the given lengths (with multiplicity).
-
-    Sums multinomial(q_1..q_r) * c_{q_1+..+q_r} over all nonnegative
-    solutions of alpha_1 q_1 + ... + alpha_r q_r = n with some q_i > 0.
-    Generators are grouped by length: h parallel generators of one length
-    contribute a factor h^{s} for s leaves assigned to that length, which
-    is an exact regrouping of the per-generator sum.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not alphas:
-        return 0
-    if any(a < 1 for a in alphas):
-        raise ValueError("generator lengths must be >= 1")
-    mult: dict[int, int] = {}
-    for a in alphas:
-        mult[a] = mult.get(a, 0) + 1
-    lengths = sorted(mult)
-    k_cap = n // min(lengths)
-    cats = [0] + catalan_numbers(k_cap)  # cats[k] = c_k = C_{k-1}, c_0 = 0
-
-    total = 0
-    counts: list[int] = []
-
-    def descend(idx: int, remaining: int) -> None:
-        nonlocal total
-        if idx == len(lengths):
-            if remaining != 0:
-                return
-            k = sum(counts)
-            if k == 0:
-                return
-            coeff = _exact_div(factorial(k), prod(factorial(s) for s in counts))
-            weight = prod(mult[lengths[i]] ** counts[i] for i in range(len(counts)))
-            total += coeff * weight * cats[k]
-            return
-        step = lengths[idx]
-        for s in range(remaining // step + 1):
-            counts.append(s)
-            descend(idx + 1, remaining - s * step)
-            counts.pop()
-
-    descend(0, n)
-    return total
-
-
-def series_identity_check(a: BigSeq, order: int = 64) -> CheckReport:
-    """Verify Psi = Psi^2 + Phi coefficient-wise, where Phi is the ordinary
-    generating function of ``a`` (constant term 0) and Psi that of its
-    transform.
-
-    The series square is an independent schoolbook product, so this
-    cross-checks the transform's internal convolution.
-    """
-    eff = min(order, len(a))
-    phi = [0] + list(a.entries[:eff])
-    psi = [0] + list(cat_transform(a.prefix(eff)).entries)
-    psi_sq = _poly_mul(psi, psi)[: eff + 1]
-    for n in range(eff + 1):
-        if psi[n] != psi_sq[n] + phi[n]:
-            return CheckReport(
-                name="series-identity",
-                passed=False,
-                details=f"Psi != Psi^2 + Phi at order {n}",
-                first_failure=n,
-            )
-    return CheckReport(
-        name="series-identity",
-        passed=True,
-        details=f"Psi = Psi^2 + Phi holds to order {eff}",
-    )
-
-
-# Rational enclosure of pi, 40 significant digits (truncation < true value).
-PI_LOWER = Fraction(3141592653589793238462643383279502884197, 10**39)
-PI_UPPER = PI_LOWER + Fraction(1, 10**39)
-
-
-def catalan_bounds_check(n_max: int) -> CheckReport:
-    """Exact verification of the Catalan bounds.
-
-    Weak form (for 4 <= n <= n_max): 4^n / (n+1)^2 < C_n < 4^n, checked in
-    integer arithmetic.  Sharp form (for 1 <= n <= n_max):
-
-        4^n / ((n+1) sqrt(pi n 4n/(4n-1))) < C_n < 4^n / ((n+1) sqrt(pi n (4n+1)/(4n)))
-
-    checked by squaring both sides over exact rationals, with pi replaced
-    by a rational enclosure (lower bound proves the left inequality, upper
-    bound the right one).
-    """
-    cats = catalan_numbers(n_max + 1)
-    for n in range(4, n_max + 1):
-        c = cats[n]
-        p4 = 4**n
-        if not (p4 < c * (n + 1) ** 2 and c < p4):
-            return CheckReport(
-                name="catalan-bounds",
-                passed=False,
-                details=f"weak bound fails at n={n}",
-                first_failure=n,
-            )
-    for n in range(1, n_max + 1):
-        c2 = Fraction(cats[n] ** 2 * (n + 1) ** 2)
-        p16 = Fraction(4 ** (2 * n))
-        lower_ok = p16 < c2 * PI_LOWER * n * Fraction(4 * n, 4 * n - 1)
-        upper_ok = c2 * PI_UPPER * n * Fraction(4 * n + 1, 4 * n) < p16
-        if not (lower_ok and upper_ok):
-            return CheckReport(
-                name="catalan-bounds",
-                passed=False,
-                details=f"sharp bound fails at n={n}",
-                first_failure=n,
-            )
-    return CheckReport(
-        name="catalan-bounds",
-        passed=True,
-        details=f"weak bounds (4..{n_max}) and sharp bounds (1..{n_max}) hold",
-    )
 
 
 @contextmanager

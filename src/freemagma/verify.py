@@ -15,36 +15,25 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable
 
-from .density import (
+from .checks import (
     NullDensityVerdict,
-    density_algebra_checks,
-    estimate_density,
-    fg_null_density_test,
-    growth,
-    longitudinal_asymptote,
-    longitudinal_convergence_check,
-)
-from .motzkin_paths import (
-    PathSpec,
-    _equation_counts,
     _path_counts,
-    crosscheck_subgroupoid,
-    enumerate_paths,
-)
-from .reporting import CheckReport
-from .sequences import (
-    BigSeq,
-    cat_transform,
     cat_transform_signed,
     catalan_bounds_check,
     catalan_c,
     catalan_motzkin_identities,
-    catalan_numbers,
+    crosscheck_subgroupoid,
+    density_algebra_checks,
+    fg_null_density_test,
+    longitudinal_convergence_check,
     motzkin_numbers,
     multinomial_count,
     series_identity_check,
-    unlimited_int_digits,
 )
+from .density import estimate_density, growth, longitudinal_asymptote
+from .motzkin_paths import PathSpec, _equation_counts, enumerate_paths
+from .reporting import CheckReport
+from .sequences import BigSeq, cat_transform, catalan_numbers, unlimited_int_digits
 from .subgroupoids import (
     FiniteSet,
     GenFamily,

@@ -1,7 +1,9 @@
 """Density pipeline: growth, ratio traces, Aitken, asymptotes, verdicts."""
 
+import gc
 import hashlib
 import random
+import tracemalloc
 from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 
@@ -427,6 +429,19 @@ class TestDensityReport:
 class TestDensityAlgebra:
     def test_default_fixtures_pass(self):
         assert density_algebra_checks().passed
+
+    def test_lists_no_magma(self):
+        # The nested fixture's outer set {1} generates the whole magma.  Its
+        # 6,918 terms of length <= 10, held as Terms, peaked at 1.30 MB; the
+        # oracle's counts hold one byte per term (27 KB).
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert density_algebra_checks().passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_custom_translation_fixture(self):
         report = density_algebra_checks(

@@ -76,7 +76,13 @@ def test_density_loads_neither_verify_nor_motzkin_paths():
     loaded = loaded_modules("density", "--n", "shifted:1", "--m", "full", "--nmax", "50")
     assert "freemagma.density" in loaded
     assert loaded.isdisjoint(
-        {"freemagma.verify", "freemagma.motzkin_paths", "freemagma.listing", *RECORD_MACHINERY}
+        {
+            "freemagma.verify",
+            "freemagma.checks",
+            "freemagma.motzkin_paths",
+            "freemagma.listing",
+            *RECORD_MACHINERY,
+        }
     )
 
 
@@ -87,6 +93,7 @@ def test_count_loads_no_density():
         {
             "freemagma.density",
             "freemagma.verify",
+            "freemagma.checks",
             "freemagma.motzkin_paths",
             "freemagma.listing",
             *RECORD_MACHINERY,
@@ -125,7 +132,33 @@ def test_enumerate_loads_terms_only_for_csv():
 def test_motzkin_loads_neither_subgroupoids_nor_terms():
     loaded = loaded_modules("motzkin", "--length", "6", "--forbid", "FU,FF")
     assert "freemagma.motzkin_paths" in loaded
-    assert loaded.isdisjoint({"freemagma.subgroupoids", "freemagma.terms", *RECORD_MACHINERY})
+    assert loaded.isdisjoint(
+        {"freemagma.subgroupoids", "freemagma.terms", "freemagma.checks", *RECORD_MACHINERY}
+    )
+
+
+def test_only_verify_loads_the_checks(tmp_path):
+    # The verification code is compiled only by the run that verifies; the
+    # count, density and motzkin runs are checked with their footprints.
+    seqfile = tmp_path / "gens.csv"
+    seqfile.write_text("n,value\n1,0\n2,1\n3,1\n")
+    for argv in (
+        ("transform", "--seqfile", str(seqfile), "--n", "10"),
+        ("longitudinal", "--lengths", "2,3", "--nmax", "10"),
+    ):
+        assert "freemagma.checks" not in loaded_modules(*argv), argv
+    assert "freemagma.checks" in loaded_modules("verify", "--scope", "fast")
+
+
+def test_moved_names_are_read_from_checks():
+    from freemagma import checks, density, motzkin_paths, sequences
+
+    assert sequences.PI_LOWER is checks.PI_LOWER
+    assert density.fg_null_density_test is checks.fg_null_density_test
+    assert motzkin_paths.crosscheck_subgroupoid is checks.crosscheck_subgroupoid
+    for module in (sequences, density, motzkin_paths):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name  # noqa: B018
 
 
 def test_exports_unchanged():

@@ -8,8 +8,9 @@ from itertools import product
 
 import pytest
 
-from freemagma import errors, motzkin_paths
-from freemagma.motzkin_paths import _equation_counts, _path_counts, _path_equation
+from freemagma import checks, errors, motzkin_paths
+from freemagma.checks import _path_counts
+from freemagma.motzkin_paths import _equation_counts, _path_equation
 from freemagma import (
     CapacityError,
     FiniteSet,
@@ -339,15 +340,31 @@ class TestCrosschecks:
 
     def test_one_path_count_pass(self, monkeypatch):
         calls = []
-        real = motzkin_paths._path_counts
+        real = checks._path_counts
         monkeypatch.setattr(
-            motzkin_paths, "_path_counts", lambda spec: calls.append(spec.length) or real(spec)
+            checks, "_path_counts", lambda spec: calls.append(spec.length) or real(spec)
         )
         report = crosscheck_subgroupoid(
             PathSpec(0, forbidden_bigrams=PRUNED), FiniteSet({TWO, right_comb(3)}), 2, 300
         )
         assert report.passed, report.details
         assert calls == [298]
+
+    def test_priced_before_building(self, monkeypatch):
+        # The family's counts and the height DP are priced together, and
+        # neither is built over the budget.
+        spec, family = PathSpec(0, forbidden_bigrams=PRUNED), FiniteSet({TWO, right_comb(3)})
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", 100_000)
+        assert crosscheck_subgroupoid(spec, family, 2, 100).passed
+
+        def refuse(*args):
+            raise AssertionError("built over the budget")
+
+        monkeypatch.setattr(checks, "counting_sequence", refuse)
+        monkeypatch.setattr(checks, "_path_counts", refuse)
+        what = r"the crosscheck of finite:\[\(1\+1\),\(1\+\(1\+1\)\)\] to length 1,000"
+        with pytest.raises(CapacityError, match=what + " would take an estimated 1.5 MiB"):
+            crosscheck_subgroupoid(spec, family, 2, 1000)
 
     def test_horizon_below_offset_counts_zero(self):
         # Every length n - 4 is negative, so every path count is 0.

@@ -33,6 +33,7 @@ from freemagma import (
     brute_count,
     closure_up_to,
     counting_sequence,
+    errors,
     listing,
     subgroupoids,
     terms,
@@ -383,6 +384,25 @@ class TestLevelBlocks:
         assert all(block.endswith("\n") for block in blocks)
         assert sum(map(len, blocks)) == 742900 * 54
         assert max(map(len, blocks)) <= listing._BLOCK
+
+    def test_short_listings_are_priced_by_their_output(self, monkeypatch):
+        # A listing of a few lines is priced by its own output, not by 24
+        # blocks of _BLOCK characters (1.5 MiB), and names only the levels
+        # it holds.
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", 2**20)
+        for n in range(3, 6):
+            blocks = list(listing._level_blocks(n))
+            assert "".join(blocks) == "".join(t + "\n" for t in ordered_level_texts(n)), n
+        named = []
+        monkeypatch.setattr(listing, "check_memory", lambda what, estimate: named.append(what))
+        for n in range(3, 7):
+            listing._check_listing(n)
+        assert named == [
+            "the listing of length 3",
+            "the listing of length 4",
+            "the listing of length 5 from level 2 (1 term)",
+            "the listing of length 6 from levels 2..3 (3 terms)",
+        ]
 
 
 class TestMemoryPrice:
