@@ -16,7 +16,7 @@ import sys
 import time
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TextIO
 
 from . import __version__
 from .errors import ExactDivisionError, FreeMagmaError
@@ -145,9 +145,21 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _csv_sink(fh: TextIO) -> Callable[[tuple[int, object]], object]:
+    """Write the ``n,value`` header to ``fh``, and return a sink that
+    writes one row, formatted as :func:`_csv_text` formats it."""
+    from .sequences import _CSV_HEADER, _csv_row
+
+    fh.write(_CSV_HEADER)
+    return lambda row: fh.write(_csv_row(*row))
+
+
 def _cmd_density(args: argparse.Namespace) -> int:
-    from .density import density_report, estimate_density, write_trace_csv
-    from .sequences import _atomic_write
+    """The trace CSVs are written as the estimate makes their rows."""
+    from contextlib import ExitStack
+
+    from .density import density_report, estimate_density
+    from .sequences import _atomic_file, _atomic_write
     from .subgroupoids import parse_family
 
     if args.precision < 6:
@@ -155,15 +167,18 @@ def _cmd_density(args: argparse.Namespace) -> int:
     family_n = parse_family(args.n)
     family_m = parse_family(args.m)
     out_dir = Path(args.out) if args.out else None
-    start = time.perf_counter()
-    est = estimate_density(family_n, family_m, args.nmax, precision=args.precision)
-    runtime = round(time.perf_counter() - start, 3)
     trace_path = accel_path = None
-    if out_dir is not None:
-        trace_path = str(out_dir / "density_trace.csv")
-        accel_path = str(out_dir / "density_accelerated.csv")
-        write_trace_csv(trace_path, est.trace.samples)
-        write_trace_csv(accel_path, est.accelerated)
+    sinks = [lambda row: None] * 2
+    start = time.perf_counter()
+    with ExitStack() as files:
+        if out_dir is not None:
+            trace_path = str(out_dir / "density_trace.csv")
+            accel_path = str(out_dir / "density_accelerated.csv")
+            sinks = [
+                _csv_sink(files.enter_context(_atomic_file(Path(p)))) for p in (trace_path, accel_path)
+            ]
+        est = estimate_density(family_n, family_m, args.nmax, args.precision, *sinks)
+    runtime = round(time.perf_counter() - start, 3)
     report = density_report(
         est, args.n, args.m, trace_path, accel_path, runtime_seconds=runtime
     )

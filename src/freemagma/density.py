@@ -4,30 +4,32 @@ The density of a nested pair of subgroupoids is the limit of the ratio of
 their growth (cumulative counting) sequences.  Ratios are exact big-integer
 quotients converted to fixed-precision decimals only at the boundary;
 Aitken's delta-squared process then extrapolates the slowly converging
-trace.  A growth sequence is constant between multiples of the gcd of the
-lengths at which its counts are nonzero, so the trace is accelerated on
-each residue class modulo the lcm p of the two periods.  When the class
-limits differ, as they do for a longitudinal family whose gcd exceeds 1,
-there is no density: the estimate reports the period and the per-residue
-values, whose exact closed forms :func:`longitudinal_asymptote` gives.
-The paper's nullity criterion and the longitudinal-convergence and
-density-algebra checks are in :mod:`freemagma.checks`.
+trace, each sample and accelerated value handed on as it is made.  A
+growth sequence is constant between multiples of the gcd of the lengths at
+which its counts are nonzero, so the trace is accelerated on each residue
+class modulo the lcm p of the two periods.  When the class limits differ,
+as they do for a longitudinal family whose gcd exceeds 1, there is no
+density: the estimate reports the period and the per-residue values, whose
+exact closed forms :func:`longitudinal_asymptote` gives.  The paper's
+nullity criterion and the other density checks are in :mod:`freemagma.checks`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict, deque
 from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .sequences import BigSeq, _atomic_write, _csv_text
 from .subgroupoids import GenFamily, Longitudinal, _counts, format_family
 
 DEFAULT_DECIMAL_DIGITS = 30
 LOG10_2 = math.log10(2)
+Sink = Callable[[tuple[int, Decimal]], object]
 
 
 def __getattr__(name: str):
@@ -67,15 +69,22 @@ def ratio_trace(
     to ``precision`` significant digits.  Indices where the denominator
     growth is still zero are skipped and flagged.
     """
-    ctx = Context(prec=precision, rounding=ROUND_HALF_EVEN)
-    samples: list[tuple[int, Decimal]] = []
     skipped: list[int] = []
+    samples = tuple(_ratio_samples(numer, denom, precision, skipped))
+    return RatioTrace(samples, tuple(skipped))
+
+
+def _ratio_samples(
+    numer: Iterable[int], denom: Iterable[int], precision: int, skipped: list[int]
+) -> Iterator[tuple[int, Decimal]]:
+    """The samples of :func:`ratio_trace` as they are made; the indices it
+    skips go to ``skipped``."""
+    ctx = Context(prec=precision, rounding=ROUND_HALF_EVEN)
     for n, (gn, gm) in enumerate(zip(accumulate(numer), accumulate(denom)), 1):
-        if gm == 0:
+        if gm:
+            yield n, _rounded_quotient(gn, gm, ctx)
+        else:
             skipped.append(n)
-            continue
-        samples.append((n, _rounded_quotient(gn, gm, ctx)))
-    return RatioTrace(tuple(samples), tuple(skipped))
 
 
 def _rounded_quotient(num: int, den: int, ctx: Context) -> Decimal:
@@ -99,26 +108,53 @@ def _rounded_quotient(num: int, den: int, ctx: Context) -> Decimal:
     return x.copy_negate() if (num < 0) != (den < 0) else x
 
 
-def aitken(xs: Sequence[Decimal], precision: int = DEFAULT_DECIMAL_DIGITS) -> list[Decimal | None]:
+def aitken(xs: Iterable[Decimal], precision: int = DEFAULT_DECIMAL_DIGITS) -> list[Decimal | None]:
     """Aitken delta-squared acceleration.
 
     y_n = (x_n x_{n+2} - x_{n+1}^2) / (x_n + x_{n+2} - 2 x_{n+1}); entries
     whose denominator is below 10^-max(precision - 6, 2) in absolute value
     are emitted as None (skipped) rather than divided.
     """
-    eps = Decimal(10) ** -(max(precision - 6, 2))
-    out: list[Decimal | None] = []
+    step = _Aitken(precision)
     with localcontext() as ctx:
         ctx.prec = precision
         ctx.rounding = ROUND_HALF_EVEN
-        for i in range(len(xs) - 2):
-            x0, x1, x2 = xs[i], xs[i + 1], xs[i + 2]
-            den = x0 + x2 - 2 * x1
-            if abs(den) < eps:
-                out.append(None)
-                continue
-            out.append((x0 * x2 - x1 * x1) / den)
-    return out
+        return [step(x) for x in xs][2:]
+
+
+class _Aitken:
+    """The steps of :func:`aitken` on values fed one at a time, under the
+    caller's context: it holds the last two values and the last five
+    accelerated ones."""
+
+    __slots__ = ("eps", "x0", "x1", "tail")
+
+    def __init__(self, precision: int):
+        self.eps = Decimal(10) ** -(max(precision - 6, 2))
+        self.x0 = self.x1 = None
+        self.tail: deque[Decimal] = deque(maxlen=5)
+
+    def __call__(self, x2: Decimal) -> Decimal | None:
+        x0, x1 = self.x0, self.x1
+        self.x0, self.x1 = x1, x2
+        if x0 is None:
+            return None
+        den = x0 + x2 - 2 * x1
+        if abs(den) < self.eps:
+            return None
+        self.tail.append((x0 * x2 - x1 * x1) / den)
+        return self.tail[-1]
+
+    def summary(self) -> tuple[Decimal, Decimal | None, Decimal | None]:
+        """The last accelerated value (the last value when every step was
+        skipped), the spread of the last five (None with fewer) and the
+        last step between them."""
+        tail = self.tail
+        if not tail:
+            return self.x1, None, None
+        spread = max(tail) - min(tail) if len(tail) == 5 else None
+        delta = abs(tail[-1] - tail[-2]) if len(tail) >= 2 else None
+        return tail[-1], spread, delta
 
 
 class LongitudinalAsymptote(NamedTuple):
@@ -180,48 +216,31 @@ class _Counts:
                 self.support_gcd = math.gcd(self.support_gcd, n)
             yield v
 
-    @property
-    def period(self) -> int:
-        return self.support_gcd or 1
-
-
-def _fit_class(
-    samples: list[tuple[int, Decimal]], digits: int
-) -> tuple[list[tuple[int, Decimal]], Decimal, Decimal | None, Decimal | None]:
-    """Aitken's process on the samples of one residue class: the accelerated
-    samples, the last accelerated value (the last sample when Aitken skips
-    every entry), the spread of the last five accelerated values (None with
-    fewer) and the last step between them."""
-    accel_raw = aitken([v for _, v in samples], precision=digits)
-    accelerated = [(samples[i + 2][0], y) for i, y in enumerate(accel_raw) if y is not None]
-    tail = [v for _, v in accelerated[-5:]]
-    if not tail:
-        return accelerated, samples[-1][1], None, None
-    spread = max(tail) - min(tail) if len(tail) == 5 else None
-    delta = abs(tail[-1] - tail[-2]) if len(tail) >= 2 else None
-    return accelerated, tail[-1], spread, delta
-
 
 def estimate_density(
     family_n: GenFamily,
     family_m: GenFamily,
     n_max: int,
     precision: int = 8,
+    trace_sink: Sink | None = None,
+    accelerated_sink: Sink | None = None,
 ) -> DensityEstimate:
     """Estimate the density of <family_n> with respect to <family_m>.
 
-    Reads both counting sequences to ``n_max`` in lockstep, as they are
-    made, and keeps only the growth-ratio trace.  Its period p is the lcm
-    of the two sequences' periods (:class:`_Counts`);
-    Aitken's process accelerates each class n mod p on its own.  The trace
-    is ``oscillating`` when every class has a full window of five
+    One pass reads both counting sequences to ``n_max`` in lockstep, as
+    they are made, and hands each trace sample and accelerated value to
+    ``trace_sink`` and ``accelerated_sink`` in increasing n, under the
+    pass's decimal context; a sink left None is a list returned in
+    ``trace`` or ``accelerated``.  The trace's
+    period p is the lcm of the two sequences' periods (:class:`_Counts`),
+    and Aitken's process accelerates each class n mod p on its own; the
+    samples are held only until both periods are 1, which is then final.
+    The trace is ``oscillating`` when every class has a full window of five
     accelerated values and the class estimates differ by more than
     10^-precision plus the largest class spread.  Otherwise the estimate is
     that of n_max's class, ``converged`` when every class has a full window
-    whose spread is within 10^-precision.  Callers are responsible for
-    actual nestedness of the two families; ratios outside [0, 1] are not
-    checked.  The point estimate is reported even when flagged
-    ``inconclusive``.
+    whose spread is within 10^-precision, and is reported even when
+    ``inconclusive``.  Nestedness and ratios outside [0, 1] are not checked.
     """
     if n_max < 3:
         raise ValueError(f"n_max must be >= 3, got {n_max}")
@@ -229,20 +248,40 @@ def estimate_density(
         raise ValueError(f"precision must be >= 1, got {precision}")
     digits = max(DEFAULT_DECIMAL_DIGITS, precision + 10)
     seq_n, seq_m = _Counts(_counts(family_n, n_max, 1)), _Counts(_counts(family_m, n_max, 1))
-    trace = ratio_trace(seq_n, seq_m, precision=digits)
-    if not trace.samples:
-        raise ValueError("denominator growth is identically zero; no trace")
-    p = math.lcm(seq_n.period, seq_m.period)
-    classes: dict[int, list[tuple[int, Decimal]]] = {}
-    for sample in trace.samples:
-        classes.setdefault(sample[0] % p, []).append(sample)
-    fits = {r: _fit_class(classes[r], digits) for r in sorted(classes)}
-    accelerated, estimates, spreads, _ = zip(*fits.values())
+    samples: list[tuple[int, Decimal]] = []
+    accelerated: list[tuple[int, Decimal]] = []
+    emit, emit_accelerated = trace_sink or samples.append, accelerated_sink or accelerated.append
+    fits: defaultdict[int, _Aitken] = defaultdict(lambda: _Aitken(digits))
+    held: list[tuple[int, Decimal]] = []  # all samples while p may exceed 1
+    skipped: list[int] = []
+
+    def fit(p: int) -> None:
+        for n, x in held:
+            y = fits[n % p](x)
+            if y is not None:
+                emit_accelerated((n, y))
+        held.clear()
+
+    n = 0
+    with localcontext() as ctx:
+        ctx.prec = digits
+        ctx.rounding = ROUND_HALF_EVEN
+        for n, x in _ratio_samples(seq_n, seq_m, digits, skipped):
+            emit((n, x))
+            held.append((n, x))
+            if seq_n.support_gcd == seq_m.support_gcd == 1:
+                fit(1)
+        if not n:
+            raise ValueError("denominator growth is identically zero; no trace")
+        p = math.lcm(seq_n.support_gcd or 1, seq_m.support_gcd or 1)
+        fit(p)
+    summaries = {r: fits[r].summary() for r in sorted(fits)}
+    estimates, spreads, _ = zip(*summaries.values())
     full = len(fits) == p and None not in spreads
     spread = max((s for s in spreads if s is not None), default=None)
     tol = Decimal(10) ** -precision
     oscillating = full and max(estimates) - min(estimates) > tol + spread
-    _, value, _, delta = fits[trace.samples[-1][0] % p]
+    value, _, delta = summaries[n % p]
     converged = full and spread <= tol
     status = "oscillating" if oscillating else "converged" if converged else "inconclusive"
     return DensityEstimate(
@@ -250,8 +289,8 @@ def estimate_density(
         status=status,
         n_max=n_max,
         precision=precision,
-        trace=trace,
-        accelerated=tuple(sorted(s for samples in accelerated for s in samples)),
+        trace=RatioTrace(tuple(samples), tuple(skipped)),
+        accelerated=tuple(accelerated),
         oscillation_period=p if oscillating else None,
         per_residue=estimates if oscillating else None,
         last_step_delta=delta,
@@ -268,11 +307,9 @@ def density_report(
     runtime_seconds: float | None = None,
 ) -> dict:
     """JSON-ready report of a density run."""
-    label_n = family_n if isinstance(family_n, str) else format_family(family_n)
-    label_m = family_m if isinstance(family_m, str) else format_family(family_m)
     report: dict = {
-        "family_n": label_n,
-        "family_m": label_m,
+        "family_n": family_n if isinstance(family_n, str) else format_family(family_n),
+        "family_m": family_m if isinstance(family_m, str) else format_family(family_m),
         "n_max": estimate.n_max,
         "precision": estimate.precision,
         "status": estimate.status,

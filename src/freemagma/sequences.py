@@ -35,7 +35,7 @@ from decimal import (
     Rounded,
 )
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, islice, repeat, starmap
 from math import gcd, lcm, log2
 from operator import sub
 from pathlib import Path
@@ -158,27 +158,20 @@ def cat_transform(a: BigSeq) -> BigSeq:
     Turns the counting sequence of a minimal generating set into the
     counting sequence of the subgroupoid it generates.  Schoolbook O(n^2)
     convolution (halved by symmetry); exact integers throughout.  It holds
-    every value, so it is priced (:func:`_check_transform`) before the
-    first product.
+    every value, so it is priced before the first product from |b_n| <=
+    A^n 5^n, A = max(1, max_i |a_i|^(1/i)): the transform has nonnegative
+    coefficients, Cat(A^n a_n) = A^n Cat(a_n) and Cat(1, 1, ...) <= 5^n.
     """
-    _check_transform(a.entries)
+    rate = max((log2(abs(v)) / i for i, v in enumerate(a, 1) if v), default=0) + log2(5)
+    check_memory(f"the schoolbook transform to length {len(a):,}", _ints_bytes(len(a), rate))
     return BigSeq(_schoolbook_transform(a.entries))
 
 
-def _check_transform(src: Sequence[int]) -> None:
-    """Price the values of :func:`cat_transform` on ``src`` from a bound on
-    their sizes.  The transform is a polynomial in a_1..a_n with
-    nonnegative coefficients and obeys the scaling law Cat(A^n a_n) =
-    A^n Cat(a_n), so with A = max(1, max_i |a_i|^(1/i)) its values satisfy
-    |b_n| <= A^n s_n, where s = Cat(1, 1, 1, ...) <= 5^n (its generating
-    function has radius 1/5).  So b_n has at most n*(log2 A + log2 5) + 1
-    bits: an int of B bits takes 28 bytes and 4 more per 30 bits, and it
-    has a slot in the list and one in the BigSeq's tuple (44 bytes with the
-    header's rounding)."""
-    n = len(src)
-    rate = max((log2(abs(v)) / i for i, v in enumerate(src, 1) if v), default=0) + log2(5)
-    estimate = 44 * n + int(4 * (rate * n * (n + 1) / 2 + n) / 30)
-    check_memory(f"the schoolbook transform to length {n:,}", estimate)
+def _ints_bytes(n: int, rate: float) -> int:
+    """A bound on n ints, entry k of at most rate*k + 1 bits, held in a list
+    and a tuple: an int of B bits takes 28 bytes and 4 more per 30 bits,
+    and a slot in each (44 bytes with the header's rounding)."""
+    return 44 * n + int(4 * (rate * n * (n + 1) / 2 + n) / 30)
 
 
 def _schoolbook_transform(src: Sequence[Rational]) -> list[Rational]:
@@ -341,22 +334,25 @@ def _in_place(path: Path) -> bool:
         return False
 
 
-def _atomic_write(path: Path, text: str | Iterable[str]) -> None:
-    """Write ``text`` (as for :func:`_write_lines`) newline-terminated to
-    ``path`` through a temp file in the same directory and a rename, so
-    readers never see a partial file.  The file gets the mode a plain
-    ``open`` would give it, 0666 less the umask, not ``mkstemp``'s 0600.
-    A FIFO or a device is written in place."""
+@contextmanager
+def _atomic_file(path: Path) -> Iterator[TextIO]:
+    """A text file whose contents appear at ``path`` only when the block
+    ends without an error: a temp file in the same directory, then renamed
+    over ``path`` (removed on an error), so readers never see a partial
+    file.  It gets the mode a plain ``open`` would give it, 0666 less the
+    umask, not ``mkstemp``'s 0600.  A FIFO or a device is written in place."""
     if _in_place(path):
         with open(path, "w") as fh:
-            _write_lines(fh, text)
+            yield fh
         return
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w") as fh:
-            os.fchmod(fh.fileno(), 0o666 & ~_umask())
-            _write_lines(fh, text)
+            mask = os.umask(0)  # reading the umask means setting it, so it is put back
+            os.umask(mask)
+            os.fchmod(fh.fileno(), 0o666 & ~mask)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -364,17 +360,19 @@ def _atomic_write(path: Path, text: str | Iterable[str]) -> None:
         raise
 
 
-def _umask() -> int:
-    """The process umask; reading it means setting it, so it is put back."""
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
+def _atomic_write(path: Path, text: str | Iterable[str]) -> None:
+    """:func:`_write_lines` through :func:`_atomic_file`."""
+    with _atomic_file(path) as fh:
+        _write_lines(fh, text)
+
+
+_CSV_HEADER, _csv_row = "n,value\n", "{},{}\n".format
 
 
 def _csv_text(rows: Iterable[tuple[int, object]]) -> Iterator[str]:
-    """The ``n,value`` header and one ``n,value`` line per row, as pieces
-    that are formatted only as they are written."""
-    return chain(("n,value\n",), (f"{n},{v}\n" for n, v in rows))
+    """The ``n,value`` header and one :func:`_csv_row` line per row, as
+    pieces that are formatted only as they are written."""
+    return chain((_CSV_HEADER,), starmap(_csv_row, rows))
 
 
 def write_sequence_csv(path: str | Path, seq: BigSeq) -> None:

@@ -28,6 +28,7 @@ from .sequences import (
     EXACT_DECIMAL,
     BigSeq,
     _catalan_series,
+    _ints_bytes,
     _quadratic_root,
     cat_transform,
     catalan_numbers,
@@ -306,7 +307,11 @@ def _generator_histogram(family: FiniteSet, n_max: int) -> list[int]:
 
 
 def counting_sequence(family: GenFamily, n_max: int) -> BigSeq:
-    """|N|_n for the subgroupoid N generated by ``family``."""
+    """|N|_n for the subgroupoid N generated by ``family``.  It holds every
+    count, so it is priced before the first is made, from |N|_n <= C_(n-1)
+    < 4^(n-1) and 16 KiB for the recurrence (an explicit generator list is
+    also priced by its transform); :func:`counting_texts` streams."""
+    check_memory(f"the counting sequence to length {n_max:,}", _ints_bytes(n_max, 2) + 16384)
     return BigSeq(_counts(family, n_max, 1))
 
 

@@ -490,6 +490,20 @@ class TestDensity:
         assert trace_a == trace_b
         assert report_a == report_b
 
+    def test_empty_trace_leaves_earlier_files(self, capsys, tmp_path):
+        # The CSVs are written as the rows come, through temp files that a
+        # failed run removes; an earlier run's trace is not replaced.
+        earlier = b"n,value\n1,0.5\n"
+        (tmp_path / "density_trace.csv").write_bytes(earlier)
+        code, _, err = run_cli(
+            capsys, "density", "--n", "full", "--m", "longitudinal:[7]", "--nmax", "5",
+            "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "denominator growth is identically zero" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["density_trace.csv"]
+        assert (tmp_path / "density_trace.csv").read_bytes() == earlier
+
     def test_precision_floor(self, capsys):
         code, _, err = run_cli(
             capsys, "density", "--n", "shifted:1", "--m", "full", "--nmax", "50",

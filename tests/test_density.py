@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import json
 import random
 import tracemalloc
 from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
@@ -33,7 +34,9 @@ from freemagma import (
     ratio_trace,
     right_comb,
 )
+from freemagma.cli import main
 from freemagma.density import _rounded_quotient, write_trace_csv
+from freemagma.subgroupoids import parse_family
 
 ONE = leaf()
 TWO = ONE + ONE
@@ -399,6 +402,76 @@ class TestEstimateDensity:
     def test_validation(self):
         with pytest.raises(ValueError):
             estimate_density(FiniteSet({ONE}), FiniteSet({ONE}), 2)
+
+
+# Numerator and denominator specs whose CLI run streams the trace: the
+# benchmark's four families, periodic and late-settling families, and a
+# numerator that is zero at the first samples over a denominator that
+# skips samples.
+STREAMED_CASES = [
+    ("shifted:1", "full"),
+    ("shifted:(1+1)", "full"),
+    ("shifted:(1+(1+1))", "full"),
+    ("finite:[(1+1),((1+1)+1),(1+(1+1))]", "full"),
+    ("longitudinal:[2]", "full"),
+    ("longitudinal:[4,6]", "full"),
+    ("longitudinal:[9]", "full"),
+    ("seq:[0,0,2]", "full"),
+    ("finite:[(1+1),(1+((1+1)+1))]", "full"),
+    ("finite:[((((1+1)+1)+1)+1)]", "longitudinal:[2]"),
+]
+
+
+def _discard(row):
+    pass
+
+
+class TestStreamedEstimate:
+    @pytest.mark.parametrize("n_max", [3, 4, 7, 300])
+    @pytest.mark.parametrize("numer, denom", STREAMED_CASES)
+    def test_cli_writes_what_the_library_holds(self, capsys, tmp_path, numer, denom, n_max):
+        out = tmp_path / "cli"
+        argv = ["density", "--n", numer, "--m", denom, "--nmax", str(n_max), "--out", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        family_n, family_m = parse_family(numer), parse_family(denom)
+        est = estimate_density(family_n, family_m, n_max, precision=8)
+        for name, rows in (("trace", est.trace.samples), ("accelerated", est.accelerated)):
+            write_trace_csv(tmp_path / f"{name}.csv", rows)
+            written = (out / f"density_{name}.csv").read_bytes()
+            assert written == (tmp_path / f"{name}.csv").read_bytes(), name
+        report = json.loads((out / "density_report.json").read_text())
+        paths = str(out / "density_trace.csv"), str(out / "density_accelerated.csv")
+        expected = density_report(est, numer, denom, *paths)
+        del report["runtime_seconds"], expected["runtime_seconds"]
+        assert report == expected
+        # The library's sinks get the same rows in the same order, and the
+        # estimate then holds none of them.
+        trace, accelerated = [], []
+        streamed = estimate_density(family_n, family_m, n_max, 8, trace.append, accelerated.append)
+        assert (trace, accelerated) == (list(est.trace.samples), list(est.accelerated))
+        assert streamed.trace.samples == streamed.accelerated == ()
+        assert streamed._replace(trace=est.trace, accelerated=est.accelerated) == est
+
+    def test_streamed_estimate_holds_a_window(self):
+        # A held trace costs over 300 bytes a sample (two 30-digit Decimals
+        # and their tuples).  The stream holds the few counts its
+        # recurrences read, whose digits grow with n: measured on Python
+        # 3.11, its peak grows by about 5 bytes per n, from 19 KB at
+        # n_max=1000 to 35 KB at n_max=4000.
+        family_n, family_m = parse_family("shifted:1"), parse_family("full")
+
+        def peak(n_max):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                estimate_density(family_n, family_m, n_max, 8, _discard, _discard)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1000)
+        assert peak(4000) - peak(1000) < 20 * 3000
 
 
 class TestDensityReport:

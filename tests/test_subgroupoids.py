@@ -2,8 +2,10 @@
 counting sequences, numerical semigroups, family syntax."""
 
 import copy
+import gc
 import math
 import pickle
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from freemagma import errors, listing, subgroupoids, terms
 from freemagma.reporting import _Record
+from freemagma.cli import main
 from freemagma.sequences import unlimited_int_digits
 from freemagma import (
     BigSeq,
@@ -242,6 +245,41 @@ class TestCountingSequence:
         assert counting_sequence(fam, 12) == cat_transform(
             generator_counting_sequence(fam, 12)
         )
+
+    def test_priced_before_counting(self, capsys, monkeypatch):
+        # It holds every count; count streams the same counts and is not refused.
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", 2**20)
+        with monkeypatch.context() as patched:
+            def refuse(*args):
+                raise AssertionError("a count was made before the price was checked")
+
+            patched.setattr(subgroupoids, "_counts", refuse)
+            with pytest.raises(
+                CapacityError, match=r"^the counting sequence to length 4,000 would take an estimated"
+            ):
+                counting_sequence(FiniteSet({ONE}), 4000)
+        assert main(["count", "--family", "full", "--n", "4000"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4001
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["full", "shifted:1", "shifted:(1+(1+1))", "finite:[(1+1),((1+1)+1),(1+(1+1))]",
+         "longitudinal:[2,3]"],
+    )
+    def test_price_bounds_the_memory(self, spec, monkeypatch):
+        prices = []
+        monkeypatch.setattr(subgroupoids, "check_memory", lambda what, price: prices.append(price))
+        family = parse_family(spec)
+        for n in (1, 50, 2000):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                counting_sequence(family, n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= prices[0], (spec, n)
+            prices.clear()
 
 
 # Shifts of length 1, 2, 3 and 5, and finite families whose minimal
