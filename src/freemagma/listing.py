@@ -37,7 +37,7 @@ marked levels 2..11 and peaks 0.9 MiB above that.
 
 Only the ``enumerate`` command and :func:`freemagma.terms.iter_level_texts`
 (behind :func:`~freemagma.terms.enumerate_terms` and
-:func:`~freemagma.terms.whole_levels`) import this module, so a counting
+:func:`~freemagma.terms.iter_terms_up_to`) import this module, so a counting
 or density run does not compile it.
 """
 

@@ -20,7 +20,7 @@ from collections import Counter
 from decimal import Decimal, setcontext
 from itertools import chain, count, islice, repeat, zip_longest
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 from .errors import UnsupportedVariantError, check_memory
 from .reporting import _Record
@@ -42,7 +42,6 @@ from .terms import (
     _whole_sizes,
     _wrap_texts,
     format_term,
-    grow_levels,
     iter_level_texts,
     leaf,
     parse_term,
@@ -122,16 +121,9 @@ def closure_up_to(gens: Iterable[Term], n_max: int) -> Levels:
     """Per-length slices (N)_1 .. (N)_{n_max} of N = <gens>.
 
     Returns a tuple indexed 0..n_max whose entry k is the set of length-k
-    members (entry 0 is empty).  The closure DP of :func:`grow_levels`, seeded
-    with the minimal generating set of ``gens``: a term of length k is in N
-    iff it is a generator or both root children are in N.
+    members (entry 0 is empty): :func:`family_levels` of ``FiniteSet(gens)``.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    by_len: dict[int, list[str]] = {}
-    for g in minimal_generators(gens):
-        by_len.setdefault(g.length, []).append(g.text)
-    return tuple(map(frozenset, grow_levels(lambda k: by_len.get(k, ()), n_max)))
+    return family_levels(FiniteSet(gens), n_max)
 
 
 def _children_in(texts: frozenset[str], text: str) -> bool:
@@ -221,23 +213,13 @@ def _rank(t: Term, size: list[int]) -> int:
 def family_levels(family: GenFamily, n_max: int) -> Levels:
     """Per-length slices of the subgroupoid generated by ``family``.
 
-    Only term-enumerable variants are supported (not ExplicitSeq).
+    Only term-enumerable variants are supported (not ExplicitSeq).  A finite
+    or shifted family is built by the closure DP (:func:`_closure_texts`)
+    from its minimal generating set: a term of length k is in N iff it is a
+    generator or both root children are in N.  Its levels are priced from
+    the counts of :func:`_counts` before any level is built, and wrapped
+    from the longest down.
     """
-    if isinstance(family, FiniteSet):
-        return closure_up_to(family.terms, n_max)
-    if isinstance(family, ShiftedFull):
-        # M+a is its own minimal generating set, so it seeds the closure DP
-        # at length k with y+a for y in level k - |a| of the whole magma.
-        # The whole levels and the shifted ones, whose seed counts are
-        # Catalan numbers, are priced together before either is built.
-        a, la = family.a.text, family.a.length
-        whole = _whole_sizes(n_max - la, f"levels 1..{n_max}")
-        shifted = counting_sequence(family, n_max)
-        _check_levels([s + w for s, w in zip_longest(shifted, whole, fillvalue=0)])
-        levels = grow_levels(
-            lambda k: [f"({y}+{a})" for y in iter_level_texts(k - la)] if k > la else (), n_max
-        )
-        return tuple(map(frozenset, levels))
     if isinstance(family, Longitudinal):
         # Levels 1..n_max are priced before the counts build the semigroup
         # table; then only the levels whose count is nonzero are listed.
@@ -246,9 +228,45 @@ def family_levels(family: GenFamily, n_max: int) -> Levels:
         return tuple(
             frozenset(_wrap_texts(iter_level_texts(k)) if c else ()) for k, c in enumerate(counts)
         )
-    raise UnsupportedVariantError(
-        f"{type(family).__name__} has no term-level representation"
-    )
+    if isinstance(family, ShiftedFull):
+        # M+a is its own minimal generating set: level k is seeded with y+a
+        # for y in level k - |a| of the whole magma, whose listing is priced
+        # with the closure.
+        a, la = family.a.text, family.a.length
+        whole = _whole_sizes(n_max - la, f"levels 1..{n_max}")
+        seeds = lambda k: (f"({y}+{a})" for y in iter_level_texts(k - la)) if k > la else ()
+    elif isinstance(family, FiniteSet):
+        whole = []
+        by_len: dict[int, list[str]] = {}
+        for g in minimal_generators(family.terms):
+            by_len.setdefault(g.length, []).append(g.text)
+        seeds = lambda k: by_len.get(k, ())
+    else:
+        raise UnsupportedVariantError(
+            f"{type(family).__name__} has no term-level representation"
+        )
+    sizes = _counts(family, n_max, 1)
+    _check_levels(s + w for s, w in zip_longest(sizes, whole, fillvalue=0))
+    texts = _closure_texts(seeds, n_max)
+    # Popped, a text list is freed once its terms are made, before their set.
+    levels = [frozenset(_wrap_texts(texts.pop())) for _ in range(n_max + 1)]
+    return tuple(reversed(levels))
+
+
+def _closure_texts(seeds: Callable[[int], Iterable[str]], n_max: int) -> list[list[str]]:
+    """The closure DP: text levels 0..n_max, entry 0 empty, in no set order.
+
+    Level k is the texts ``seeds(k)`` and the sums x+y of members whose
+    lengths add up to k.  ``seeds`` must give a minimal generating set:
+    then no seed is such a sum, and a sum splits uniquely at its root, so
+    no text is built twice.  Nothing is priced here.
+    """
+    levels: list[list[str]] = [[]]
+    for k in range(1, n_max + 1):
+        level = list(seeds(k))
+        level += [f"({x}+{y})" for i in range(1, k) for x in levels[i] for y in levels[k - i]]
+        levels.append(level)
+    return levels
 
 
 def minimal_generators(gens: Iterable[Term]) -> frozenset[Term]:

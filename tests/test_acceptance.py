@@ -6,8 +6,8 @@ frozen here independently of the library's own verification registry.
 
 The n=5000 density reproduction (criterion 5) is marked ``slow``, with
 seven multi-second memory-price and listing tests elsewhere in the suite.
-``pytest -m "not slow"`` skips those eight: 803 tests in 33 s against
-811 in 44-65 s for the whole suite (2-vCPU Xeon VM under a varying load,
+``pytest -m "not slow"`` skips those eight: 805 tests in 25-28 s against
+813 in 38-44 s for the whole suite (2-vCPU Xeon VM under a varying load,
 Python 3.11.7), of which the density reproduction takes under 1 s.
 """
 

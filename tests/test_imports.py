@@ -208,4 +208,4 @@ def test_exports_are_their_submodules_attributes():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         freemagma.no_such_name  # noqa: B018
-    assert not hasattr(freemagma, "_grow_texts")
+    assert not hasattr(freemagma, "_closure_texts")

@@ -11,7 +11,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freemagma import errors, listing, subgroupoids, terms
+from freemagma import errors, listing, sequences, subgroupoids, terms
 from freemagma.reporting import _Record
 from freemagma.cli import main
 from freemagma.sequences import unlimited_int_digits
@@ -103,11 +103,38 @@ class TestClosure:
         def refuse(*args):
             raise AssertionError("levels were built over the budget")
 
-        monkeypatch.setattr(terms, "_sum_texts", refuse)
+        monkeypatch.setattr(subgroupoids, "_closure_texts", refuse)
         monkeypatch.setattr(listing, "_level_blocks", refuse)
         monkeypatch.setattr(subgroupoids, "_apery_table", refuse)
         with pytest.raises(CapacityError, match="over the memory budget of 1024.0 MiB"):
             family_levels(family, 17)
+
+    def test_closures_run_no_schoolbook_transform(self, monkeypatch):
+        # Closure levels are sized by the linear counting path, so a refusal
+        # at n=4000 costs no quadratic transform of the seed counts.
+        expected = closure_up_to({TWO}, 24), family_levels(ShiftedFull(ONE), 12)
+
+        def refuse(*args):
+            raise AssertionError("a closure ran the schoolbook transform")
+
+        monkeypatch.setattr(sequences, "_schoolbook_transform", refuse)
+        assert (closure_up_to({TWO}, 24), family_levels(ShiftedFull(ONE), 12)) == expected
+        with pytest.raises(CapacityError) as refused:
+            closure_up_to([ONE], 4000)
+        assert str(refused.value).startswith("levels 1..4000 (1.29e+2402 terms)")
+
+    def test_refusal_holds_no_table_of_sizes(self):
+        # The level sizes are priced as they are made: refusing length 20000
+        # held 51.6 MiB of counts when they were listed first.
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=r"^levels 1\.\.20000 "):
+                closure_up_to([ONE], 20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_shifted_priced_before_any_text_level(self, monkeypatch):
         # The whole magma's levels 1..15 and the shifted levels 1..16 are
@@ -115,7 +142,7 @@ class TestClosure:
         def refuse(*args):
             raise AssertionError("a text level was built before the price was checked")
 
-        monkeypatch.setattr(terms, "_grow_texts", refuse)
+        monkeypatch.setattr(subgroupoids, "_closure_texts", refuse)
         monkeypatch.setattr(listing, "_level_blocks", refuse)
         with pytest.raises(
             CapacityError,
@@ -138,7 +165,7 @@ class TestClosure:
         def refuse(*args):
             raise AssertionError("levels were built over the budget")
 
-        monkeypatch.setattr(terms, "_sum_texts", refuse)
+        monkeypatch.setattr(subgroupoids, "_closure_texts", refuse)
         monkeypatch.setattr(listing, "_level_blocks", refuse)
         monkeypatch.setattr(subgroupoids, "_rank", refuse)
         monkeypatch.setattr(errors, "MEMORY_BUDGET", 2**20)
@@ -177,7 +204,7 @@ class TestClosure:
             monkeypatch.setattr(module, "catalan_numbers", bounded)
         for build in (
             lambda: list(listing._level_blocks(100000)),
-            lambda: terms.whole_levels(100000),
+            lambda: next(iter_terms_up_to(100000)),
             lambda: enumerate_terms(100000),
             lambda: brute_count([ONE], 100000),
             lambda: family_levels(ShiftedFull(ONE), 100000),
@@ -703,11 +730,11 @@ class TestBruteCount:
         def refuse(*args, **kwargs):
             raise AssertionError("the oracle built a term level")
 
-        monkeypatch.setattr(subgroupoids, "grow_levels", refuse)
-        monkeypatch.setattr(terms, "whole_levels", refuse)
-        monkeypatch.setattr(terms, "grow_levels", refuse)
+        monkeypatch.setattr(subgroupoids, "_closure_texts", refuse)
+        monkeypatch.setattr(subgroupoids, "iter_level_texts", refuse)
+        monkeypatch.setattr(terms, "iter_terms_up_to", refuse)
         monkeypatch.setattr(terms, "enumerate_terms", refuse)
-        monkeypatch.setattr(terms, "_sum_texts", refuse)
+        monkeypatch.setattr(listing, "_level_blocks", refuse)
         monkeypatch.setattr(terms.Term, "__init__", refuse)
         assert brute_count(gens, 12) == expected
 

@@ -35,7 +35,6 @@ from freemagma import (
     subgroupoids,
     terms,
 )
-from freemagma.terms import whole_levels
 
 ONE = leaf()
 TWO = sum_terms(ONE, ONE)
@@ -293,7 +292,7 @@ class TestEnumeration:
     def test_terms_of_length_16_refused_before_building(self, monkeypatch):
         # iter_level_texts(16) fits the budget; the 9.7M terms of level 16 do not.
         refuse_to_build(monkeypatch)
-        for build in (enumerate_terms, whole_levels):
+        for build in (enumerate_terms, lambda n: next(iter_terms_up_to(n))):
             with pytest.raises(CapacityError, match=r"levels 1\.\.16 \(13,402,697 terms\)"):
                 build(16)
 
@@ -434,13 +433,13 @@ class TestMemoryPrice:
     @pytest.mark.parametrize(
         "module, build",
         [
-            pytest.param(terms, lambda: whole_levels(13), marks=pytest.mark.slow),
+            pytest.param(terms, lambda: list(iter_terms_up_to(13)), marks=pytest.mark.slow),
             pytest.param(terms, lambda: closure_up_to({ONE}, 13), marks=pytest.mark.slow),
             (subgroupoids, lambda: brute_count({TWO}, 14)),
             *((subgroupoids, lambda n=n: brute_count({TWO}, n)) for n in (1, 7, 8, 9)),
             *((listing, lambda n=n: deque(iter_level_texts(n), maxlen=0)) for n in (2, 9, 13)),
         ],
-        ids=["whole_levels", "closure", "brute_count", "brute_count-1", "brute_count-7",
+        ids=["iter_terms_up_to", "closure", "brute_count", "brute_count-1", "brute_count-7",
              "brute_count-8", "brute_count-9", "listing-2", "listing-9", "listing-13"],
     )
     def test_price_covers_peak(self, monkeypatch, module, build):
@@ -557,8 +556,7 @@ class TestLevelDPOracle:
         expected = tuple_level(n)
         assert list(iter_level_texts(n)) == expected
         assert [t.text for t in enumerate_terms(n)] == expected
-        levels = [[t.text for t in level] for level in whole_levels(n)]
-        assert levels == [[]] + [tuple_level(k) for k in range(1, n + 1)]
+        levels = [tuple_level(k) for k in range(1, n + 1)]
         assert [t.text for t in iter_terms_up_to(n)] == [x for level in levels for x in level]
 
     @pytest.mark.parametrize(
@@ -576,16 +574,24 @@ class TestLevelDPOracle:
             members = sorted((t for t in tuple_trees(n) if tuple_member(gens, t)), key=tuple_code)
             assert levels[n] == {parse_term(tuple_text(t)) for t in members}, n
 
-    def test_seeded_levels_hold_the_members(self):
-        # The closure of {2, 4+, 4-}: both length-4 seeds are minimal, and
-        # each level holds every member once, in no set order.
+    def test_seeded_levels_hold_the_members(self, monkeypatch):
+        # The closure of {2, 4+, 4-}: all three are minimal generators, so
+        # they seed the DP, and each text level holds every member once.
         two = ((), ())
         gens = {two, ((), ((), two)), ((two, ()), ())}
-        seeds = {2: ["(1+1)"], 4: ["(((1+1)+1)+1)", "(1+(1+(1+1)))"]}
-        levels = terms.grow_levels(lambda k: seeds.get(k, ()), 9)
+        real, built = subgroupoids._closure_texts, []
+
+        def spy(seeds, n_max):
+            texts = real(seeds, n_max)
+            built.extend(texts)
+            return texts
+
+        monkeypatch.setattr(subgroupoids, "_closure_texts", spy)
+        levels = closure_up_to([parse_term(tuple_text(g)) for g in gens], 9)
         for n in range(1, 10):
             members = [tuple_text(t) for t in tuple_trees(n) if tuple_member(gens, t)]
-            assert sorted(t.text for t in levels[n]) == sorted(members), n
+            assert sorted(built[n]) == sorted(members), n
+            assert {t.text for t in levels[n]} == set(members), n
 
     def test_closure_on_the_oracle_sets(self):
         # The 60 generator sets of the counting oracle, all single terms, all
@@ -631,7 +637,7 @@ class TestCollectorPause:
 
         monkeypatch.setattr(terms, "Term", spy)
         (gc.enable if enabled else gc.disable)()
-        assert len(whole_levels(6)[6]) == 42
+        assert len(list(iter_terms_up_to(6))) == 65
         assert gc.isenabled() is enabled
         assert len(enumerate_terms(6)) == 42
         assert gc.isenabled() is enabled
@@ -644,10 +650,10 @@ class TestCollectorPause:
 
         (gc.enable if enabled else gc.disable)()
         with pytest.raises(CapacityError, match="over the memory budget"):
-            whole_levels(16)
+            next(iter_terms_up_to(16))
         assert gc.isenabled() is enabled
         monkeypatch.setattr(terms, "Term", refuse)
-        for build in (whole_levels, enumerate_terms):
+        for build in (lambda n: list(iter_terms_up_to(n)), enumerate_terms):
             with pytest.raises(CapacityError, match="refused while wrapping"):
                 build(6)
             assert gc.isenabled() is enabled
