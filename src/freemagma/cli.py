@@ -10,7 +10,6 @@ failure, 2 usage error (bad arguments, unparsable input, unwritable output),
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -62,6 +61,14 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
         _write_lines(sys.stdout, text)
 
 
+def _json_text(obj: dict) -> str:
+    """``json.dumps(obj, indent=2)``; only a run that writes JSON loads the
+    json module (0.13 MB of RSS)."""
+    import json
+
+    return json.dumps(obj, indent=2)
+
+
 def _json_pieces(meta: dict, key: str, empty: list | dict, entries: Iterable[str]) -> Iterator[str]:
     """The bytes of ``json.dumps({**meta, key: value}, indent=2)``, where
     ``value`` is a list or dict like ``empty`` given as its encoded
@@ -69,7 +76,7 @@ def _json_pieces(meta: dict, key: str, empty: list | dict, entries: Iterable[str
     of them already joined by ``",\\n    "``.  Only the head goes through
     ``json.dumps``; the entries are streamed, never held at once.  Term
     texts and decimal texts need no escaping."""
-    text = json.dumps({**meta, key: empty}, indent=2)
+    text = _json_text({**meta, key: empty})
     pieces = iter(entries)
     first = next(pieces, None)
     if first is None:
@@ -121,7 +128,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_count(args: argparse.Namespace) -> int:
     from .subgroupoids import counting_texts, parse_family
 
-    family = parse_family(args.family)
+    family = parse_family(args.family, args.n)
     texts = counting_texts(family, args.n)
     text = _sequence_text(texts, args.format, {"family": args.family, "n_max": args.n})
     _emit(text, args.out)
@@ -129,20 +136,16 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
-    from .sequences import BigSeq, cat_transform, read_sequence_csv, unlimited_int_digits
+    from .sequences import BigSeq, _exact_texts, _histogram_counts, read_sequence_csv, unlimited_int_digits
 
     if args.seqfile:
         seq = read_sequence_csv(args.seqfile, args.n if args.n > 0 else None)
     else:
         with unlimited_int_digits():
             seq = BigSeq(int(v) for v in args.values.split(","))
-    if args.n:
-        seq = seq.padded(args.n)
-    out = cat_transform(seq)
-    with unlimited_int_digits():
-        texts = [str(v) for v in out]
-    text = _sequence_text(texts, args.format, {"n_max": len(out)})
-    _emit(text, args.out)
+    seq = seq.padded(args.n or len(seq))
+    texts = _exact_texts(_histogram_counts, seq.entries, len(seq))
+    _emit(_sequence_text(texts, args.format, {"n_max": len(seq)}), args.out)
     return EXIT_OK
 
 
@@ -165,8 +168,8 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
     if args.precision < 6:
         raise FreeMagmaError(f"precision must be >= 6 significant digits, got {args.precision}")
-    family_n = parse_family(args.n)
-    family_m = parse_family(args.m)
+    family_n = parse_family(args.n, args.nmax)
+    family_m = parse_family(args.m, args.nmax)
     out_dir = Path(args.out) if args.out else None
     trace_path = accel_path = None
     sinks = [lambda row: None] * 2
@@ -183,7 +186,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
     report = density_report(
         est, args.n, args.m, trace_path, accel_path, runtime_seconds=runtime
     )
-    report_text = json.dumps(report, indent=2)
+    report_text = _json_text(report)
     if args.format == "plain":
         if est.status == "oscillating":
             residues = ", ".join(str(v) for v in est.per_residue or ())
@@ -229,7 +232,7 @@ def _cmd_longitudinal(args: argparse.Namespace) -> int:
     elif texts is not None:
         text = _json_pieces(payload, "counting", {}, (f'"{n}": "{v}"' for n, v in enumerate(texts, 1)))
     else:
-        text = json.dumps(payload, indent=2)
+        text = _json_text(payload)
     _emit(text, args.out)
     return EXIT_OK
 
@@ -256,7 +259,7 @@ def _cmd_motzkin(args: argparse.Namespace) -> int:
     else:
         payload = {"length": args.length, "count": count_paths(spec)}
         with unlimited_int_digits():
-            text = json.dumps(payload, indent=2) if args.format == "json" else str(payload["count"])
+            text = _json_text(payload) if args.format == "json" else str(payload["count"])
     _emit(text, args.out)
     return EXIT_OK
 
@@ -267,13 +270,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     reports = verify_all(args.scope)
     ok = all(r.passed for r in reports)
     if args.format == "json":
-        text = json.dumps(
+        text = _json_text(
             {
                 "scope": args.scope,
                 "passed": ok,
                 "checks": [r.as_dict() for r in reports],
-            },
-            indent=2,
+            }
         )
     else:
         lines = []

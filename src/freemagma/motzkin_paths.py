@@ -23,19 +23,19 @@ from __future__ import annotations
 import operator
 from collections import deque
 from functools import reduce
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Union
 
-from .errors import check_memory, figure
+from .errors import ExactDivisionError, check_memory, figure
 from .reporting import _Record
 from .sequences import (
     _poly_add,
     _poly_mul,
-    _poly_quotient,
     _poly_sub,
-    _primitive_gcd,
     _quadratic_root,
     _series_quotient,
+    _trim,
 )
 
 STEPS = ("U", "D", "F")
@@ -159,6 +159,37 @@ def _path_equation(spec: PathSpec) -> tuple[list[int], list[int], list[int]]:
     common = [gcd(*(c for poly in coeffs for c in poly)) * c for c in common]
     alpha, beta, gamma = (_poly_quotient(poly, common) for poly in coeffs)
     return alpha, beta, gamma
+
+
+def _primitive_gcd(xs: list[int], ys: list[int]) -> list[int]:
+    """The primitive greatest common divisor of two integer polynomials,
+    with a positive leading coefficient: Euclid over the rationals, then
+    denominators and content cleared.  [] when both are 0."""
+    xs, ys = [Fraction(c) for c in _trim(xs)], [Fraction(c) for c in _trim(ys)]
+    while ys:
+        while len(xs) >= len(ys):
+            f = xs[-1] / ys[-1]
+            shift = len(xs) - len(ys)
+            for i, c in enumerate(ys):
+                xs[shift + i] -= f * c
+            xs = _trim(xs)
+        xs, ys = ys, xs
+    if not xs:
+        return []
+    scale = lcm(*(c.denominator for c in xs))
+    ints = [int(c * scale) for c in xs]
+    g = gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return [c // g for c in ints]
+
+
+def _poly_quotient(xs: list[int], ys: list[int]) -> list[int]:
+    """xs / ys for integer polynomials, ys with a nonzero leading
+    coefficient, without trailing zeros: the series quotient to degree
+    len(xs) - len(ys), which must multiply back to xs."""
+    out = list(_series_quotient(xs, ys, max(len(xs) - len(ys), -1)))
+    if any(_poly_sub(xs, _poly_mul(out, ys))):
+        raise ExactDivisionError(f"polynomial {ys} does not divide {xs}")
+    return _trim(out)
 
 
 def _equation_counts(spec: PathSpec) -> Iterator[int]:

@@ -17,6 +17,7 @@ the number of terms of length ``k``, i.e. the (k-1)-th Catalan number.
 
 from __future__ import annotations
 
+import contextvars
 import os
 import stat
 import sys
@@ -33,13 +34,15 @@ from decimal import (
     Inexact,
     InvalidOperation,
     Rounded,
+    setcontext,
 )
 from fractions import Fraction
+from functools import partial
 from itertools import chain, islice, repeat, starmap
-from math import gcd, lcm, log2
+from math import log2
 from operator import sub
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO, Union
+from typing import Callable, Iterable, Iterator, Sequence, TextIO, Union
 
 from .errors import ExactDivisionError, check_memory
 
@@ -157,13 +160,18 @@ def cat_transform(a: BigSeq) -> BigSeq:
     Turns the counting sequence of a minimal generating set into the
     counting sequence of the subgroupoid it generates.  Schoolbook O(n^2)
     convolution (halved by symmetry); exact integers throughout.  It holds
-    every value, so it is priced before the first product from |b_n| <=
-    A^n 5^n, A = max(1, max_i |a_i|^(1/i)): the transform has nonnegative
-    coefficients, Cat(A^n a_n) = A^n Cat(a_n) and Cat(1, 1, ...) <= 5^n.
+    every value, so it is priced before the first product at the rate of
+    :func:`_transform_rate`.
     """
-    rate = max((log2(abs(v)) / i for i, v in enumerate(a, 1) if v), default=0) + log2(5)
-    check_memory(f"the schoolbook transform to length {len(a):,}", _ints_bytes(len(a), rate))
+    price = _ints_bytes(len(a), _transform_rate(a))
+    check_memory(f"the schoolbook transform to length {len(a):,}", price)
     return BigSeq(_schoolbook_transform(a.entries))
+
+
+def _transform_rate(a: Iterable[int]) -> float:
+    """Bits per length of the transform of ``a``: |b_n| <= (5A)^n, A = max(1, max_i |a_i|^(1/i)),
+    as its coefficients are >= 0, Cat(A^n a_n) = A^n Cat(a_n) and Cat(1, 1, ...) <= 5^n."""
+    return max((log2(abs(v)) / i for i, v in enumerate(a, 1) if v), default=0) + log2(5)
 
 
 def _ints_bytes(n: int, rate: float) -> int:
@@ -208,18 +216,52 @@ def _quadratic_root(
     return _series_quotient(num, [2 * c for c in alpha], n_max)
 
 
+# Past n_max / _DENSE_SHARE nonzero entries a histogram takes the schoolbook;
+# the timings that set it are in docs/counting.md, "The square-root form".
+_DENSE_SHARE = 5
+
+
+def _histogram_counts(hist: Sequence[int], n_max: int, one: int) -> Iterator[int]:
+    """b_1..b_{n_max} of :func:`cat_transform` of ``hist`` (read to n_max),
+    made from ``one`` as they are read: the Catalan series for the leaf
+    alone, else the schoolbook or :func:`_quadratic_root`, priced at once."""
+    hist = _trim(list(hist[:n_max]))
+    if hist == [1]:
+        return _catalan_series(n_max, one)
+    if _DENSE_SHARE * (len(hist) - hist.count(0)) > n_max:
+        # ``one * v`` is a Decimal made without text.
+        return (one * v for v in cat_transform(BigSeq(hist).padded(n_max)))
+    # It holds len(hist) values of Q = 1 - 2*Psi of rate*n_max + 2 bits or less, at
+    # 4 bytes per 30 bits (a Decimal takes less) and 112 for a header and a slot.
+    size = len(hist) * (112 + int(4 * (_transform_rate(hist) * n_max + 2) / 30))
+    check_memory(f"the recurrence window of {len(hist):,} counts to length {n_max:,}", size)
+    return islice(_quadratic_root([1], [-1], [1] + [-4 * c for c in hist], [0], n_max, one), 1, None)
+
+
+def _exact_texts(counts: Callable[..., Iterator[Decimal]], *args) -> Iterator[str]:
+    """The texts of ``counts(*args, Decimal(1))``, called at once; each value
+    is made under EXACT_DECIMAL in a context entered for that step, not the
+    reader's, and its ``str`` is linear in its digits."""
+    exact = contextvars.Context()
+    exact.run(setcontext, EXACT_DECIMAL.copy())
+    values = exact.run(counts, *args, Decimal(1))
+    return map(str, iter(partial(exact.run, next, values, None), None))
+
+
 def _sqrt_series(p0: Sequence[int], p1: Sequence[int], n_max: int, one: int = 1) -> Iterator[int]:
     """q_0, ..., q_{n_max} of the power series Q with Q(0) = 1 and
     Q^2 = p0 + p1*S, S = sqrt(1-4x), for integer polynomials ``p0`` and
     ``p1`` (index = power) with p0(0) = 1 and p1(0) = 0, with Q and T
-    started from ``one``; ``Decimal(1)`` under EXACT_DECIMAL
-    runs the same steps in base 10.  The polynomials are those of
-    docs/counting.md ("Derivation"), for T = S*Q; T is only carried when
-    p1 != 0.  The input is checked at once; the values are made as they are
-    read, and only the last deg D of q and of t are held."""
+    started from ``one``; ``Decimal(1)`` under EXACT_DECIMAL runs the same
+    steps in base 10.  When p1 = 0, Q^2 = p0 gives 2*p0*Q' = p0'*Q, a window
+    of deg p0; else T = S*Q is carried with the polynomials of
+    docs/counting.md ("Derivation") and a window of deg D.  The input is
+    checked at once, and the values are made as they are read."""
     p0, p1 = list(p0) or [0], list(p1) or [0]
     if p0[0] != 1 or p1[0] != 0:
         raise ValueError("the square-root series needs p0(0) = 1 and p1(0) = 0")
+    if not any(p1):
+        return _sqrt_steps(n_max, one, [_recurrence_terms(_poly_deriv(p0), [2 * c for c in p0])])
     w = [1, -4]
     alpha = _poly_deriv(p0)
     beta = _poly_sub(_poly_mul(_poly_deriv(p1), w), [2 * c for c in p1])
@@ -228,27 +270,23 @@ def _sqrt_series(p0: Sequence[int], p1: Sequence[int], n_max: int, one: int = 1)
     v = _poly_sub(_poly_mul(beta, p0), _poly_mul(_poly_mul(alpha, p1), w))
     d = _poly_mul([2 * c for c in norm], w)
     uw = _poly_mul(u, w)
-    # Coefficient of the term s steps back is c0 + c1*(n - s); c1 = -D_s
-    # moves D's tail to the right-hand side.
-    terms = [_recurrence_terms(uw, d)]
-    if any(p1):
-        terms.append(_recurrence_terms(v, [0]))
-        terms.append(_recurrence_terms(_poly_mul(v, w), [0]))
-        terms.append(_recurrence_terms(_poly_sub(uw, [4 * c for c in norm]), d))
-    return _sqrt_steps(n_max, one, terms)
+    terms = [(uw, d), (v, [0]), (_poly_mul(v, w), [0]), (_poly_sub(uw, [4 * c for c in norm]), d)]
+    return _sqrt_steps(n_max, one, list(starmap(_recurrence_terms, terms)))
 
 
 def _sqrt_steps(n_max: int, one: int, terms: list[list[tuple[int, int, int]]]) -> Iterator[int]:
-    """The steps of :func:`_sqrt_series` from the terms of its recurrence:
-    q from q and, when T is carried, q from t, t from q and t from t.  The
-    windows of q and t reach back as far as the furthest term."""
+    """The steps of :func:`_sqrt_series` from its terms, made in the type of
+    ``one``: q from q and, when T is carried, q from t, t from q and t from t.
+    Each window reaches the furthest term; a step that none reaches is +0."""
+    zero = one - one
+    terms = [[(s, zero + c0, zero + c1) for s, c0, c1 in part] for part in terms]
     q_from_q, *with_t = terms
     q_from_t, t_from_q, t_from_t = with_t or ([], [], [])
     window = max((s for part in terms for s, _, _ in part), default=1)
     q, t = deque([one], maxlen=window), deque([one], maxlen=window)
     yield one
     for n in range(1, n_max + 1):
-        acc = _recurrence_step(q_from_q, q, n)
+        acc = _recurrence_step(q_from_q, q, n) or zero
         if with_t:
             acc += _recurrence_step(q_from_t, t, n)
             t.append(
@@ -430,37 +468,6 @@ def _trim(xs: list) -> list:
     while top and not xs[top - 1]:
         top -= 1
     return xs[:top]
-
-
-def _primitive_gcd(xs: list[int], ys: list[int]) -> list[int]:
-    """The primitive greatest common divisor of two integer polynomials,
-    with a positive leading coefficient: Euclid over the rationals, then
-    denominators and content cleared.  [] when both are 0."""
-    xs, ys = [Fraction(c) for c in _trim(xs)], [Fraction(c) for c in _trim(ys)]
-    while ys:
-        while len(xs) >= len(ys):
-            f = xs[-1] / ys[-1]
-            shift = len(xs) - len(ys)
-            for i, c in enumerate(ys):
-                xs[shift + i] -= f * c
-            xs = _trim(xs)
-        xs, ys = ys, xs
-    if not xs:
-        return []
-    scale = lcm(*(c.denominator for c in xs))
-    ints = [int(c * scale) for c in xs]
-    g = gcd(*ints) * (1 if ints[-1] > 0 else -1)
-    return [c // g for c in ints]
-
-
-def _poly_quotient(xs: list[int], ys: list[int]) -> list[int]:
-    """xs / ys for integer polynomials, ys with a nonzero leading
-    coefficient, without trailing zeros: the series quotient to degree
-    len(xs) - len(ys), which must multiply back to xs."""
-    out = list(_series_quotient(xs, ys, max(len(xs) - len(ys), -1)))
-    if any(_poly_sub(xs, _poly_mul(out, ys))):
-        raise ExactDivisionError(f"polynomial {ys} does not divide {xs}")
-    return _trim(out)
 
 
 def _series_quotient(num: Iterable[int], den: Sequence[int], n_max: int) -> Iterator[int]:

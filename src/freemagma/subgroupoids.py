@@ -13,11 +13,9 @@ generator-counting sequence.
 
 from __future__ import annotations
 
-import contextvars
 import math
 import operator
 from collections import Counter
-from decimal import Decimal, setcontext
 from itertools import chain, count, islice, repeat, zip_longest
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
@@ -25,12 +23,13 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Union
 from .errors import UnsupportedVariantError, check_memory
 from .reporting import _Record
 from .sequences import (
-    EXACT_DECIMAL,
     BigSeq,
     _catalan_series,
+    _exact_texts,
+    _histogram_counts,
     _ints_bytes,
     _quadratic_root,
-    cat_transform,
+    _transform_rate,
     catalan_numbers,
     read_sequence_csv,
     unlimited_int_digits,
@@ -327,44 +326,29 @@ def _generator_histogram(family: FiniteSet, n_max: int) -> list[int]:
 
 def counting_sequence(family: GenFamily, n_max: int) -> BigSeq:
     """|N|_n for the subgroupoid N generated by ``family``.  It holds every
-    count, so it is priced before the first is made, from |N|_n <= C_(n-1)
-    < 4^(n-1) and 16 KiB for the recurrence (an explicit generator list is
-    also priced by its transform); :func:`counting_texts` streams."""
-    check_memory(f"the counting sequence to length {n_max:,}", _ints_bytes(n_max, 2) + 16384)
+    count, so it is priced before the first is made, at 16 KiB and the rate
+    of :func:`_transform_rate` for an explicit generator list, or of |N|_n <=
+    C_(n-1) < 4^(n-1) for any other family; :func:`counting_texts` streams."""
+    rate = _transform_rate(family.seq.entries[:n_max]) if isinstance(family, ExplicitSeq) else 2
+    check_memory(f"the counting sequence to length {n_max:,}", _ints_bytes(n_max, rate) + 16384)
     return BigSeq(_counts(family, n_max, 1))
 
 
 def counting_texts(family: GenFamily, n_max: int) -> Iterator[str]:
-    """The decimal texts of :func:`counting_sequence`, each made as it is
-    read from a ``Decimal`` count, whose ``str`` is linear in the digit
-    count: no binary integer is converted.  The counts are made under
-    EXACT_DECIMAL in a context entered for each step, not in the reader's."""
-    exact = contextvars.Context()
-    exact.run(setcontext, EXACT_DECIMAL.copy())
-    values = exact.run(_counts, family, n_max, Decimal(1))
-    return _texts(exact, values)
-
-
-def _texts(exact: contextvars.Context, values: Iterator[Decimal]) -> Iterator[str]:
-    while (value := exact.run(next, values, None)) is not None:
-        yield str(value)
+    """The decimal texts of :func:`counting_sequence`, made as they are read
+    by :func:`_exact_texts`; the family and the horizon are checked at once."""
+    return _exact_texts(_counts, family, n_max)
 
 
 def _counts(family: GenFamily, n_max: int, one: int) -> Iterator[int]:
-    """The one place that decides how a family is counted, with every
-    count made from ``one`` (int or Decimal).  The family and the horizon
-    are checked at once, and the counts |N|_1..|N|_{n_max} are then made as
-    they are read.
-
-    Psi is the root of Psi^2 - Psi + Phi = 0 with Psi(0) = 0, whose
-    discriminant 1 - 4*Phi is algebraic for finite and shifted families, so
-    those are solved by the linear-time :func:`_quadratic_root` with
-    alpha = 1, beta = -1.  A longitudinal family keeps the Catalan count at
+    """The one place that decides how a family is counted, every count made
+    from ``one`` (int or Decimal); the family and the horizon are checked at
+    once, and |N|_1..|N|_{n_max} are made as they are read.  A finite set's
+    minimal generators and an explicit sequence are finite histograms
+    (:func:`_histogram_counts`); a shifted family's 1 - 4*Phi is algebraic
+    (:func:`_quadratic_root`); a longitudinal family is the Catalan count at
     the lengths admitted by the :func:`_apery_table` of its reduced lengths,
-    a table of a <= n_max entries, since none is built when every length
-    exceeds n_max.  An explicit generator sequence goes through the int
-    schoolbook :func:`cat_transform`; ``one * v`` is a Decimal made without text.
-    """
+    of a <= n_max entries, none when every length exceeds n_max."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if isinstance(family, Longitudinal):
@@ -374,19 +358,13 @@ def _counts(family: GenFamily, n_max: int, one: int) -> Iterator[int]:
         least = _apery_table(sorted(v // g for v in family.lengths))
         member = (n % g == 0 and n // g >= least[n // g % len(least)] for n in count(1))
         return (c if m else 0 for c, m in zip(_catalan_series(n_max, one), member))
-    if isinstance(family, ExplicitSeq):
-        return (one * v for v in cat_transform(family.seq.padded(n_max)))
     if isinstance(family, ShiftedFull):
         # Phi = x^k * (1 - S)/2, so 1 - 4*Phi = (1 - 2x^k) + 2x^k * S.
         k = family.a.length
         p0, p1 = [1] + [0] * (k - 1) + [-2], [0] * k + [2]
-    else:
-        hist = _generator_histogram(family, n_max)
-        if hist[:1] == [1]:
-            # The leaf generates the whole magma.
-            return _catalan_series(n_max, one)
-        p0, p1 = [1] + [-4 * c for c in hist], [0]
-    return islice(_quadratic_root([1], [-1], p0, p1, n_max, one), 1, None)
+        return islice(_quadratic_root([1], [-1], p0, p1, n_max, one), 1, None)
+    hist = family.seq.entries if isinstance(family, ExplicitSeq) else _generator_histogram(family, n_max)
+    return _histogram_counts(hist, n_max, one)
 
 
 def longitudinal_counting(lengths: Iterable[int], n_max: int) -> BigSeq:
@@ -432,11 +410,12 @@ def _apery_table(reduced: list[int]) -> list[float]:
 # ---------------------------------------------------------------------------
 # Text syntax for generating families
 
-def parse_family(text: str) -> GenFamily:
+def parse_family(text: str, n_max: int | None = None) -> GenFamily:
     """Parse the CLI family syntax.
 
     ``full`` | ``finite:[(1+1),(1+(1+1))]`` | ``shifted:(1+1)`` |
-    ``longitudinal:[2,3]`` | ``seq:[0,1,1]`` | ``seqfile:path.csv``
+    ``longitudinal:[2,3]`` | ``seq:[0,1,1]`` | ``seqfile:path.csv``; a
+    file's rows past a horizon ``n_max`` >= 1 are not read.
     """
     text = text.strip()
     if text == "full":
@@ -463,7 +442,7 @@ def parse_family(text: str) -> GenFamily:
     if kind == "seqfile":
         if not Path(body).is_file():
             raise ValueError(f"sequence file not found: {body!r}")
-        return ExplicitSeq(read_sequence_csv(body))
+        return ExplicitSeq(read_sequence_csv(body, n_max))
     raise ValueError(f"unknown family kind {kind!r} in {text!r}")
 
 

@@ -6,9 +6,9 @@ frozen here independently of the library's own verification registry.
 
 The n=5000 density reproduction (criterion 5) is marked ``slow``, with
 seven multi-second memory-price and listing tests elsewhere in the suite.
-``pytest -m "not slow"`` skips those eight: 805 tests in 25-28 s against
-813 in 38-44 s for the whole suite (2-vCPU Xeon VM under a varying load,
-Python 3.11.7), of which the density reproduction takes under 1 s.
+``pytest -m "not slow"`` skips those eight: 886 tests in 38 s against
+894 in 44 s for the whole suite (2-vCPU Xeon VM, one run each, Python
+3.11.7), of which the density reproduction takes under 1 s.
 """
 
 import random

@@ -11,6 +11,8 @@ import pytest
 
 from freemagma import (
     BigSeq,
+    ExplicitSeq,
+    cat_transform,
     catalan_c,
     catalan_numbers,
     cli,
@@ -390,28 +392,63 @@ class TestTransform:
         digest = "06589aedaeac9c833ae8b3d5b0be7e26d03f295357b0039a7b2f860dac738900"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("command", ["transform", "count"])
     @pytest.mark.parametrize(
-        "argv",
+        "hist, refused",
         [
-            ("transform", "--values", "0,1,1", "--n", "100000"),
-            ("count", "--family", "seq:[0,1,1]", "--n", "100000"),
+            # 100,000 ones are a dense histogram, so they take the schoolbook,
+            # which holds every value; |b_n| <= 5^n prices it at 1480.5 MiB.
+            ([1] * 100_000, "the schoolbook transform to length 100,000 would take an estimated 1480.5 MiB"),
+            # Two nonzero entries take the recurrence, whose window holds the
+            # last 100,000 values, each of up to 2.33 bits per length.
+            (
+                [1] + [0] * 99_998 + [1],
+                "the recurrence window of 100,000 counts to length 100,000 would take an estimated 2963.2 MiB",
+            ),
         ],
-        ids=["transform", "count"],
+        ids=["schoolbook", "window"],
     )
-    def test_schoolbook_refused_before_any_value(self, capsys, monkeypatch, argv):
-        # The schoolbook holds every value; |b_n| <= 5^n prices these at
-        # 1480.5 MiB, so the request is refused before the first product.
+    def test_histogram_refused_before_any_value(self, capsys, monkeypatch, tmp_path, command, hist, refused):
+        # The request is refused before the first product.
         def no_values(*args):
-            raise AssertionError("the schoolbook ran over the budget")
+            raise AssertionError("a count was made over the budget")
 
+        src = tmp_path / "hist.csv"
+        write_sequence_csv(src, BigSeq(hist))
         monkeypatch.setattr(sequences, "_schoolbook_transform", no_values)
+        monkeypatch.setattr(sequences, "_recurrence_step", no_values)
+        argv = {
+            "transform": ("transform", "--seqfile", str(src)),
+            "count": ("count", "--family", f"seqfile:{src}", "--n", "100000"),
+        }[command]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert (
-            "the schoolbook transform to length 100,000 would take an estimated 1480.5 MiB, "
-            "over the memory budget of 1024.0 MiB"
-        ) in err
+        assert f"{refused}, over the memory budget of 1024.0 MiB" in err
+
+    def test_short_histogram_streams_at_any_horizon(self, monkeypatch):
+        # [0, 1, 1] takes the recurrence, which holds a window: its first
+        # text comes at once at the horizon the schoolbook is refused at.
+        def no_values(*args):
+            raise AssertionError("the schoolbook ran")
+
+        monkeypatch.setattr(sequences, "_schoolbook_transform", no_values)
+        assert next(counting_texts(ExplicitSeq(BigSeq([0, 1, 1])), 100_000)) == "0"
+
+    @pytest.mark.parametrize("values", ["1,-1", "-1", "2,-3,1", "0,-1,0,0,2"])
+    def test_signed_values_print_the_schoolbook(self, capsys, values):
+        hist = BigSeq(int(v) for v in values.split(",")).padded(60)
+        code, out, err = run_cli(capsys, "transform", "--values", values, "--n", "60")
+        assert code == 0, err
+        assert out == "n,value\n" + "".join(f"{n},{v}\n" for n, v in enumerate(cat_transform(hist), 1))
+        assert ",-0\n" not in out
+
+    @pytest.mark.parametrize("values", ["0,1,1", "1", "3,0,0,7,0,0,0,0,1", ",".join(["1"] * 40)])
+    def test_values_print_as_the_seq_family(self, capsys, values):
+        transform = run_cli(capsys, "transform", "--values", values, "--n", "120")
+        count = run_cli(capsys, "count", "--family", f"seq:[{values}]", "--n", "120")
+        assert transform[0] == count[0] == 0
+        assert transform[1] == count[1]
 
     def test_seqfile_rows_past_horizon_not_read(self, capsys, tmp_path):
         src = tmp_path / "gen.csv"
@@ -420,6 +457,16 @@ class TestTransform:
         assert code == 0
         assert [int(line.split(",")[1]) for line in out.splitlines()[1:]] == [0, 1, 1]
         code, out, err = run_cli(capsys, "transform", "--seqfile", str(src))
+        assert code == 2
+        assert out == "" and "non-consecutive index at row 4" in err
+
+    def test_seq_family_rows_past_horizon_not_read(self, capsys, tmp_path):
+        src = tmp_path / "gen.csv"
+        src.write_text("n,value\n1,0\n2,1\n3,1\n5,oops\n")
+        code, out, _ = run_cli(capsys, "count", "--family", f"seqfile:{src}", "--n", "3")
+        assert code == 0
+        assert [int(line.split(",")[1]) for line in out.splitlines()[1:]] == [0, 1, 1]
+        code, out, err = run_cli(capsys, "count", "--family", f"seqfile:{src}", "--n", "4")
         assert code == 2
         assert out == "" and "non-consecutive index at row 4" in err
 

@@ -26,10 +26,10 @@ from freemagma import (
 from freemagma import sequences
 from freemagma.errors import CapacityError, ExactDivisionError
 from freemagma.checks import PI_LOWER, PI_UPPER
+from freemagma.motzkin_paths import _poly_quotient
 from freemagma.sequences import (
     EXACT_DECIMAL,
     _exact_div,
-    _poly_quotient,
     _quadratic_root,
     _series_quotient,
     _sqrt_series,
@@ -502,7 +502,7 @@ class TestCsvRoundTrip:
             read_sequence_csv(path, 0)
 
     def test_whole_file_validated_without_horizon(self, tmp_path):
-        # Without a horizon, and for seqfile: families, a bad late row fails.
+        # Without a horizon, for a file or a seqfile: family, a bad late row fails.
         path = tmp_path / "seq.csv"
         path.write_text("n,value\n1,7\n2,9\n4,oops\n")
         with pytest.raises(ValueError, match="non-consecutive index at row 3"):

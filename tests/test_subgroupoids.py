@@ -5,6 +5,7 @@ import copy
 import gc
 import math
 import pickle
+import random
 import tracemalloc
 from itertools import combinations
 
@@ -360,6 +361,39 @@ RECURRENCE_FAMILIES = [ShiftedFull(a) for a in (ONE, TWO, THREE_PLUS, left_comb(
 ]
 
 
+def _explicit_histograms():
+    """Fixed-seed lists of 1 to 200 entries in 0..9, with a_1 zero and
+    nonzero, at five horizons and two of them at n = 2000, lists just
+    below, at and just above the schoolbook's share of nonzero entries at
+    n = 300, and [0, 1, 1] and 17 ones at n = 17."""
+    rng = random.Random(7477)
+    cases = []
+    for size in (1, 2, 3, 7, 50, 200):
+        for first in (0, rng.randint(1, 9)):
+            hist = [first] + [rng.randint(0, 9) for _ in range(size - 1)]
+            cases += [(hist, n) for n in (1, 2, 3, 50, 300)]
+    cases += [(cases[-1][0], 2000), ([0] * 3 + [rng.randint(0, 2) for _ in range(40)], 2000)]
+    crossover = 300 // sequences._DENSE_SHARE
+    for nonzero in (crossover - 1, crossover, crossover + 1):
+        cases.append(([0, 0] + [rng.randint(1, 9) for _ in range(nonzero)], 300))
+    return cases + [([0, 1, 1], 17), ([1] * 17, 17)]
+
+
+EXPLICIT_HISTOGRAMS = _explicit_histograms()
+
+
+def _hist_id(value):
+    return f"{len(value)}-entries" if isinstance(value, list) else f"n{value}"
+
+
+def _spy_on_schoolbook(monkeypatch) -> list[int]:
+    """The lengths of the cat_transform calls made from now on."""
+    calls = []
+    real = sequences.cat_transform
+    monkeypatch.setattr(sequences, "cat_transform", lambda seq: calls.append(len(seq)) or real(seq))
+    return calls
+
+
 class TestCountingRecurrence:
     """Finite and shifted families run the sqrt-series recurrence; it must
     reproduce the schoolbook transform bit for bit."""
@@ -379,22 +413,48 @@ class TestCountingRecurrence:
         schoolbook = cat_transform(generator_counting_sequence(family, n_max))
         assert counting_sequence(family, n_max) == schoolbook
 
-    def test_only_explicit_sequences_use_schoolbook(self, monkeypatch):
-        calls = []
-
-        def spy(seq):
-            calls.append(len(seq))
-            return cat_transform(seq)
-
-        monkeypatch.setattr(subgroupoids, "cat_transform", spy)
+    def test_finite_and_shifted_families_use_no_schoolbook(self, monkeypatch):
+        calls = _spy_on_schoolbook(monkeypatch)
         for family in RECURRENCE_FAMILIES + [FiniteSet({ONE}), FiniteSet(())]:
             counting_sequence(family, 40)
         assert calls == []
-        explicit = ExplicitSeq(BigSeq([0, 1, 1]))
-        assert counting_sequence(explicit, 17).entries == (
-            0, 1, 1, 1, 2, 3, 6, 11, 22, 44, 90, 187, 392, 832, 1778, 3831, 8304
-        )
-        assert calls == [17]
+
+    @pytest.mark.parametrize("hist, n_max", EXPLICIT_HISTOGRAMS, ids=_hist_id)
+    def test_explicit_histograms(self, hist, n_max, monkeypatch):
+        # Counts and texts equal the schoolbook's and its str, and only a
+        # histogram with more than n_max / _DENSE_SHARE nonzero entries
+        # takes it; the leaf alone is the Catalan series.
+        expected = cat_transform(BigSeq(hist).padded(n_max))
+        calls = _spy_on_schoolbook(monkeypatch)
+        family = ExplicitSeq(BigSeq(hist))
+        assert counting_sequence(family, n_max) == expected
+        with unlimited_int_digits():
+            assert list(counting_texts(family, n_max)) == [str(v) for v in expected]
+        leaf_alone = hist[0] == 1 and not any(hist[1:n_max])
+        share = sequences._DENSE_SHARE
+        dense = share * sum(map(bool, hist[:n_max])) > n_max and not leaf_alone
+        assert calls == ([n_max] * 2 if dense else [])
+
+    def test_single_long_generator_is_not_dense(self, monkeypatch):
+        # One generator of length 2000 counts C_(k-1) at length 2000k; by
+        # degree it would be dense, and the schoolbook would multiply zeros.
+        calls = _spy_on_schoolbook(monkeypatch)
+        family = ExplicitSeq(BigSeq([0] * 1999 + [1]))
+        counts = counting_sequence(family, 5000)
+        assert [n for n, v in enumerate(counts, 1) if v] == [2000, 4000]
+        assert counts[2000] == counts[4000] == 1
+        assert list(counting_texts(family, 5000)) == list(map(str, counts))
+        assert calls == []
+
+    def test_explicit_sequence_priced_at_its_transform_rate(self, monkeypatch):
+        # |b_n| <= (9 * 5)^n prices [9] to 60,000 at 1259.5 MiB, where
+        # the rate 2 of a family's counts would admit it at about 460 MiB.
+        def no_counts(*args):
+            raise AssertionError("a count was made")
+
+        monkeypatch.setattr(subgroupoids, "_counts", no_counts)
+        with pytest.raises(CapacityError, match=r"^the counting sequence to length 60,000 .* 1259\.5 MiB"):
+            counting_sequence(ExplicitSeq(BigSeq([9])), 60000)
 
 
 def _oracle_generator_sets():
@@ -461,17 +521,9 @@ class TestCountingTexts:
         assert len(texts[-1]) > 4300
         assert texts == _int_texts(FiniteSet({ONE}), 7300)
 
-    def test_explicit_sequence_uses_int_schoolbook(self, monkeypatch):
-        calls = []
-
-        def spy(seq):
-            calls.append(len(seq))
-            return cat_transform(seq)
-
-        monkeypatch.setattr(subgroupoids, "cat_transform", spy)
+    def test_explicit_sequence_texts(self):
         texts = list(counting_texts(ExplicitSeq(BigSeq([0, 1, 1])), 17))
         assert texts == [str(v) for v in A007477_PREFIX]
-        assert calls == [17]
 
     def test_rejects_bad_horizon(self):
         # Every kind is refused when it is called, before a count is read.
