@@ -237,7 +237,8 @@ def estimate_density(
     accelerated values and the class estimates differ by more than
     10^-precision plus the largest class spread.  Otherwise the estimate is
     that of n_max's class, ``converged`` when every class has a full window
-    whose spread is within 10^-precision, and is reported even when
+    whose spread is within 10^-precision and whose last value lies within
+    10^-precision of the last at n <= n_max // 2, and is reported even when
     ``inconclusive``.  Nestedness and ratios outside [0, 1] are not checked.
     """
     if n_max < 3:
@@ -250,6 +251,7 @@ def estimate_density(
     accelerated: list[tuple[int, Decimal]] = []
     emit, emit_accelerated = trace_sink or samples.append, accelerated_sink or accelerated.append
     fits: defaultdict[int, _Aitken] = defaultdict(lambda: _Aitken(digits))
+    halves: dict[int, Decimal] = {}  # each class's last accelerated value at n <= n_max // 2
     held: list[tuple[int, Decimal]] = []  # all samples while p may exceed 1
     skipped: list[int] = []
 
@@ -258,6 +260,8 @@ def estimate_density(
             y = fits[n % p](x)
             if y is not None:
                 emit_accelerated((n, y))
+                if n <= n_max // 2:
+                    halves[n % p] = y
         held.clear()
 
     n = 0
@@ -280,7 +284,11 @@ def estimate_density(
     tol = Decimal(10) ** -precision
     oscillating = full and max(estimates) - min(estimates) > tol + spread
     value, _, delta = summaries[n % p]
-    converged = full and spread <= tol
+    # A ratio d + e/n leaves Aitken's values near d + e/(2n): their window
+    # agrees long before that bias is small, but the gap to half the
+    # horizon tracks it.
+    settled = all(r in halves and abs(summaries[r][0] - halves[r]) <= tol for r in summaries)
+    converged = full and spread <= tol and settled
     status = "oscillating" if oscillating else "converged" if converged else "inconclusive"
     return DensityEstimate(
         value=None if oscillating else value,

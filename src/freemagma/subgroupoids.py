@@ -16,11 +16,11 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from itertools import chain, count, islice, repeat, zip_longest
+from itertools import count, islice, repeat, zip_longest
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
-from .errors import UnsupportedVariantError, check_memory
+from .errors import UnsupportedVariantError, check_length, check_memory
 from .reporting import _Record
 from .sequences import (
     BigSeq,
@@ -212,18 +212,20 @@ def _rank(t: Term, size: list[int]) -> int:
 def family_levels(family: GenFamily, n_max: int) -> Levels:
     """Per-length slices of the subgroupoid generated by ``family``.
 
-    Only term-enumerable variants are supported (not ExplicitSeq).  A finite
-    or shifted family is built by the closure DP (:func:`_closure_texts`)
-    from its minimal generating set: a term of length k is in N iff it is a
-    generator or both root children are in N.  Its levels are priced from
-    the counts of :func:`_counts` before any level is built, and wrapped
-    from the longest down.
+    Only term-enumerable variants are supported (not ExplicitSeq).  Levels
+    are bounded in length, then priced from the counts of :func:`_counts`,
+    before any is built.  A finite or shifted family is built by the closure
+    DP (:func:`_closure_texts`) from its minimal generating set: a term of
+    length k is in N iff it is a generator or both root children are in N;
+    its levels are wrapped from the longest down.
     """
     if isinstance(family, Longitudinal):
-        # Levels 1..n_max are priced before the counts build the semigroup
-        # table; then only the levels whose count is nonzero are listed.
-        _check_levels(_whole_sizes(n_max, f"levels 1..{n_max}"))
-        counts = chain([0], _counts(family, n_max, 1))
+        # The longest multiple of its shortest length is a member, whose
+        # level is the whole magma's; the levels whose count is nonzero are
+        # priced, then listed.
+        check_length(f"levels 1..{n_max}", n_max - n_max % min(family.lengths))
+        counts = [0, *_counts(family, n_max, 1)]
+        _check_levels(islice(counts, 1, None))
         return tuple(
             frozenset(_wrap_texts(iter_level_texts(k)) if c else ()) for k, c in enumerate(counts)
         )
@@ -239,6 +241,9 @@ def family_levels(family: GenFamily, n_max: int) -> Levels:
         by_len: dict[int, list[str]] = {}
         for g in minimal_generators(family.terms):
             by_len.setdefault(g.length, []).append(g.text)
+        # With l the shortest length, level l*m holds the C_(m-1) bracketings
+        # of m copies of a shortest generator.
+        check_length(f"levels 1..{n_max}", n_max // min(by_len, default=n_max + 1))
         seeds = lambda k: by_len.get(k, ())
     else:
         raise UnsupportedVariantError(

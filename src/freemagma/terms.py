@@ -229,12 +229,13 @@ def _check_levels(sizes: Iterable[int]) -> None:
     to 8) and its list slot, which tracemalloc puts at 0.97-0.99 times the
     peak of the text DP alone; a Term (40) and its tuple slot (8); a 16-byte
     set entry in a table at least 1/4 full, beside the one it replaces
-    (64 + 32).  The whole price is 1.37-1.44 times the closure's peak.
+    (64 + 32); and each level's own list, set and their slots, 288 bytes
+    when empty.  The whole price is 1.37-1.44 times the closure's peak.
     Each size is read once, as it is made, so no table of them is held."""
     k = total = estimate = 0
     for k, c in enumerate(sizes, 1):
         total += c
-        estimate += c * ((46 + 4 * k + 7) // 8 * 8 + 8 + 144)
+        estimate += c * ((46 + 4 * k + 7) // 8 * 8 + 8 + 144) + 288
     check_memory(f"levels 1..{k} ({figure(total)} terms)", estimate)
 
 

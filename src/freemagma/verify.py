@@ -4,7 +4,9 @@ Each check recomputes a known quantity (a sequence prefix, a path count,
 an asymptote, a density window) from scratch and compares exactly or
 within a stated tolerance.  ``fast`` scope keeps horizons at or below 300
 so the whole suite stays under a minute; ``full`` scope runs the
-reproduction horizons (density at n = 5000) and takes minutes.
+reproduction horizons (density at n = 5000).  A check raises
+:class:`_Mismatch` at its first disagreement, and :func:`verify_all`
+builds every report under its registry name.
 """
 
 from __future__ import annotations
@@ -76,6 +78,11 @@ DENSITY_WINDOWS_FAST = {
 }
 
 
+class _Mismatch(Exception):
+    """A check's first disagreement, raised with its details text and, for
+    an entry-wise check, the first index at which it diverged."""
+
+
 def _two() -> Term:
     return leaf() + leaf()
 
@@ -85,7 +92,7 @@ def _shift_term(k: int) -> Term:
     return {1: leaf(), 2: _two(), 3: right_comb(3)}[k]
 
 
-def check_sequence_fixtures(scope: str) -> CheckReport:
+def check_sequence_fixtures(scope: str) -> str:
     fixtures = [
         ("aerated Catalan numbers", BigSeq([0, 1] + [0] * 10), AERATED_PREFIX),
         ("A007477 prefix", BigSeq([0, 1, 1] + [0] * 14), TWO_THREEPLUS_PREFIX),
@@ -95,30 +102,26 @@ def check_sequence_fixtures(scope: str) -> CheckReport:
     for label, gen_seq, expected in fixtures:
         got = cat_transform(gen_seq).entries
         if got != expected:
-            return CheckReport("sequence-fixtures", False, f"{label} mismatch: {got}")
+            raise _Mismatch(f"{label} mismatch: {got}")
     shifted = counting_sequence(ShiftedFull(leaf()), 14)
     if shifted.entries != SHIFTED_FULL_PREFIX:
-        return CheckReport("sequence-fixtures", False, f"shifted-full mismatch: {shifted.entries}")
+        raise _Mismatch(f"shifted-full mismatch: {shifted.entries}")
     cats = catalan_numbers(20)
     if cats[19] != 1767263190 or catalan_c(7).entries != (1, 1, 2, 5, 14, 42, 132):
-        return CheckReport("sequence-fixtures", False, "Catalan table mismatch")
+        raise _Mismatch("Catalan table mismatch")
     # Closed form at multiples of 3 for the two-generator length-3 family.
     both3 = cat_transform(BigSeq([0, 0, 2] + [0] * 18))
     for n in range(1, 22):
         expected_n = 2 ** (n // 3) * cats[n // 3 - 1] if n % 3 == 0 else 0
         if both3[n] != expected_n:
-            return CheckReport("sequence-fixtures", False, f"closed form fails at n={n}")
+            raise _Mismatch(f"closed form fails at n={n}")
     for lengths, expected in (({2, 3}, LONGITUDINAL_23_PREFIX), ({4, 6}, LONGITUDINAL_46_PREFIX)):
         got = counting_sequence(Longitudinal(lengths), 14).entries
         if got != expected:
-            return CheckReport(
-                "sequence-fixtures", False, f"longitudinal {sorted(lengths)} mismatch: {got}"
-            )
+            raise _Mismatch(f"longitudinal {sorted(lengths)} mismatch: {got}")
     if motzkin_numbers(11) != list(MOTZKIN_PREFIX):
-        return CheckReport("sequence-fixtures", False, "Motzkin prefix mismatch")
-    return CheckReport(
-        "sequence-fixtures", True, "all reference prefixes reproduced exactly"
-    )
+        raise _Mismatch("Motzkin prefix mismatch")
+    return "all reference prefixes reproduced exactly"
 
 
 def check_motzkin_identities(scope: str) -> CheckReport:
@@ -130,7 +133,7 @@ def check_catalan_bounds(scope: str) -> CheckReport:
     return catalan_bounds_check(300)
 
 
-def check_scaling_law(scope: str) -> CheckReport:
+def check_scaling_law(scope: str) -> str:
     n = 30
     base = [Fraction(1)] + [Fraction(0)] * (n - 1)
     plain = cat_transform_signed(base)
@@ -139,15 +142,15 @@ def check_scaling_law(scope: str) -> CheckReport:
         lhs = cat_transform_signed(scaled_input)
         rhs = [alpha ** (k + 1) * plain[k] for k in range(n)]
         if lhs != rhs:
-            return CheckReport("scaling-law", False, f"fails for alpha={alpha}")
+            raise _Mismatch(f"fails for alpha={alpha}")
     signed = cat_transform_signed([-1] + [0] * (n - 1))
     cats = catalan_numbers(n)
     if any(signed[k] != (-1) ** (k + 1) * cats[k] for k in range(n)):
-        return CheckReport("scaling-law", False, "signed identity fails")
-    return CheckReport("scaling-law", True, "Cat(alpha^n a_n) = alpha^n Cat(a_n) to n=30")
+        raise _Mismatch("signed identity fails")
+    return "Cat(alpha^n a_n) = alpha^n Cat(a_n) to n=30"
 
 
-def check_series_identities(scope: str) -> CheckReport:
+def check_series_identities(scope: str) -> str:
     order = 32
     fixtures = [
         ("full magma", BigSeq([1] + [0] * (order - 1))),
@@ -159,11 +162,11 @@ def check_series_identities(scope: str) -> CheckReport:
     for label, seq in fixtures:
         rep = series_identity_check(seq, order)
         if not rep.passed:
-            return CheckReport("series-identities", False, f"{label}: {rep.details}")
-    return CheckReport("series-identities", True, f"Psi = Psi^2 + Phi to order {order} on {len(fixtures)} fixtures")
+            raise _Mismatch(f"{label}: {rep.details}")
+    return f"Psi = Psi^2 + Phi to order {order} on {len(fixtures)} fixtures"
 
 
-def check_motzkin_paths(scope: str) -> CheckReport:
+def check_motzkin_paths(scope: str) -> str | CheckReport:
     specs = [
         PathSpec(14),
         PathSpec(14, forbidden_bigrams=("FU", "FF")),
@@ -172,21 +175,17 @@ def check_motzkin_paths(scope: str) -> CheckReport:
     counts = [_path_counts(spec) for spec in specs]
     at4 = tuple(c[4] for c in counts)
     if at4 != (9, 3, 6):
-        return CheckReport("motzkin-paths", False, f"length-4 counts (9,3,6) != {at4}")
+        raise _Mismatch(f"length-4 counts (9,3,6) != {at4}")
     if counts[0] != motzkin_numbers(15):
-        return CheckReport("motzkin-paths", False, "plain counts != M_0..M_14")
+        raise _Mismatch("plain counts != M_0..M_14")
     for spec, row in zip(specs, counts):
         if list(_equation_counts(spec)) != row:
-            return CheckReport(
-                "motzkin-paths", False, "equation counts != height DP at some length <= 14"
-            )
+            raise _Mismatch("equation counts != height DP at some length <= 14")
     for spec, row in zip(specs, counts):
         for n in range(11):
             listed = enumerate_paths(PathSpec(n, spec.forbidden_bigrams, spec.color_multiplicity))
             if len(listed) != row[n]:
-                return CheckReport(
-                    "motzkin-paths", False, f"enumeration count mismatch at length {n}"
-                )
+                raise _Mismatch(f"enumeration count mismatch at length {n}")
     n_max = 14 if scope == "fast" else 1000
     r1 = crosscheck_subgroupoid(
         PathSpec(0, forbidden_bigrams=("FU", "FF")),
@@ -204,11 +203,9 @@ def check_motzkin_paths(scope: str) -> CheckReport:
     )
     if not r2.passed:
         return r2
-    return CheckReport(
-        "motzkin-paths",
-        True,
+    return (
         f"counts 9/3/6, equation = height DP to length 14 and both subgroupoid "
-        f"crosschecks to n={n_max}",
+        f"crosschecks to n={n_max}"
     )
 
 
@@ -225,25 +222,19 @@ def _oracle_sets(scope: str) -> tuple[list[frozenset[Term]], int]:
     return sets, 12
 
 
-def check_oracle_equivalence(scope: str) -> CheckReport:
+def check_oracle_equivalence(scope: str) -> str:
     sets, horizon = _oracle_sets(scope)
     for gens in sets:
         by_enum = brute_count(gens, horizon)
         by_counting = counting_sequence(FiniteSet(gens), horizon)
         if by_enum != by_counting:
-            return CheckReport(
-                "oracle-equivalence",
-                False,
-                f"mismatch for generators {sorted(gens)}: {by_enum.entries} vs {by_counting.entries}",
+            raise _Mismatch(
+                f"mismatch for generators {sorted(gens)}: {by_enum.entries} vs {by_counting.entries}"
             )
-    return CheckReport(
-        "oracle-equivalence",
-        True,
-        f"{len(sets)} generator sets agree with enumeration to n={horizon}",
-    )
+    return f"{len(sets)} generator sets agree with enumeration to n={horizon}"
 
 
-def check_recurrence_vs_schoolbook(scope: str) -> CheckReport:
+def check_recurrence_vs_schoolbook(scope: str) -> str:
     """A longitudinal family has no finite generator histogram to transform:
     its counts are pinned in :func:`check_sequence_fixtures`, and here only
     its decimal texts are compared, with the ``str`` of its int counts."""
@@ -269,22 +260,18 @@ def check_recurrence_vs_schoolbook(scope: str) -> CheckReport:
             None,
         )
         if first is not None:
-            return CheckReport(
-                "recurrence-vs-schoolbook",
-                False,
+            raise _Mismatch(
                 f"{format_family(family)}: recurrence or its decimal texts and the "
                 f"reference counts differ at n={first}",
-                first_failure=first,
+                first,
             )
-    return CheckReport(
-        "recurrence-vs-schoolbook",
-        True,
+    return (
         f"{len(families) - 1} families: recurrence equals the schoolbook transform, and "
-        f"the decimal texts of all {len(families)} equal their counts, to n={horizon}",
+        f"the decimal texts of all {len(families)} equal their counts, to n={horizon}"
     )
 
 
-def check_multinomial_formula(scope: str) -> CheckReport:
+def check_multinomial_formula(scope: str) -> str:
     fixtures = [
         [2],
         [2, 3],
@@ -300,39 +287,28 @@ def check_multinomial_formula(scope: str) -> CheckReport:
         expected = cat_transform(BigSeq(hist))
         for n in range(1, 15):
             if multinomial_count(alphas, n) != expected[n]:
-                return CheckReport(
-                    "multinomial-formula",
-                    False,
-                    f"alphas={alphas}: mismatch at n={n}",
-                    first_failure=n,
-                )
-    return CheckReport(
-        "multinomial-formula", True, f"{len(fixtures)} length profiles match the transform to n=14"
-    )
+                raise _Mismatch(f"alphas={alphas}: mismatch at n={n}", n)
+    return f"{len(fixtures)} length profiles match the transform to n=14"
 
 
-def check_longitudinal_asymptotes(scope: str) -> CheckReport:
+def check_longitudinal_asymptotes(scope: str) -> str:
     a2 = longitudinal_asymptote({2})
     a3 = longitudinal_asymptote({3})
     a46 = longitudinal_asymptote({4, 6})
     if a2.per_residue != (Fraction(4, 5), Fraction(1, 5)):
-        return CheckReport("longitudinal-asymptotes", False, f"p=2 gives {a2.per_residue}")
+        raise _Mismatch(f"p=2 gives {a2.per_residue}")
     if a3.per_residue != (Fraction(16, 21), Fraction(4, 21), Fraction(1, 21)):
-        return CheckReport("longitudinal-asymptotes", False, f"p=3 gives {a3.per_residue}")
+        raise _Mismatch(f"p=3 gives {a3.per_residue}")
     if a46.p != 2 or a46.per_residue != a2.per_residue:
-        return CheckReport("longitudinal-asymptotes", False, "gcd reduction failed for {4,6}")
+        raise _Mismatch("gcd reduction failed for {4,6}")
     for p in range(1, 17):
         asym = longitudinal_asymptote({p})
         if asym.mean() != Fraction(1, p):
-            return CheckReport(
-                "longitudinal-asymptotes", False, f"mean of residues != 1/{p}"
-            )
-    return CheckReport(
-        "longitudinal-asymptotes", True, "exact residue values and mean 1/p for p=1..16"
-    )
+            raise _Mismatch(f"mean of residues != 1/{p}")
+    return "exact residue values and mean 1/p for p=1..16"
 
 
-def check_longitudinal_convergence(scope: str) -> CheckReport:
+def check_longitudinal_convergence(scope: str) -> str | CheckReport:
     if scope == "fast":
         plan = [({2}, 300, 5e-3), ({3}, 300, 5e-3)]
     else:
@@ -341,14 +317,10 @@ def check_longitudinal_convergence(scope: str) -> CheckReport:
         rep = longitudinal_convergence_check(lengths, n_max, tol)
         if not rep.passed:
             return rep
-    return CheckReport(
-        "longitudinal-convergence",
-        True,
-        f"{len(plan)} families within tolerance of their exact asymptotes",
-    )
+    return f"{len(plan)} families within tolerance of their exact asymptotes"
 
 
-def check_nullity_criterion(scope: str) -> CheckReport:
+def check_nullity_criterion(scope: str) -> str:
     two = _two()
     null_fixtures = [
         frozenset({two}),
@@ -359,12 +331,12 @@ def check_nullity_criterion(scope: str) -> CheckReport:
     ]
     for gens in null_fixtures:
         if fg_null_density_test(gens) is not NullDensityVerdict.NULL_BY_THEOREM:
-            return CheckReport("nullity-criterion", False, f"{sorted(gens)} not certified null")
+            raise _Mismatch(f"{sorted(gens)} not certified null")
     example16 = frozenset({right_comb(3)} | {product(two, right_comb(k)) for k in range(2, 17)})
     if fg_null_density_test(example16) is not NullDensityVerdict.INCONCLUSIVE:
-        return CheckReport("nullity-criterion", False, "rank-16 example should be inconclusive")
+        raise _Mismatch("rank-16 example should be inconclusive")
     if fg_null_density_test({leaf()}) is not NullDensityVerdict.INCONCLUSIVE:
-        return CheckReport("nullity-criterion", False, "<1> should be inconclusive")
+        raise _Mismatch("<1> should be inconclusive")
     # Consistency: certified-null families have tiny growth ratio at n=300.
     cats = catalan_c(300)
     for gens in null_fixtures:
@@ -373,23 +345,15 @@ def check_nullity_criterion(scope: str) -> CheckReport:
         g_m = growth(cats)
         ratio = Fraction(g_n[300], g_m[300])
         if ratio >= Fraction(1, 100):
-            return CheckReport(
-                "nullity-criterion",
-                False,
-                f"{sorted(gens)} ratio at 300 is {float(ratio):.3f} >= 0.01",
-            )
-    return CheckReport(
-        "nullity-criterion",
-        True,
-        "verdicts match the rank/length bound; certified families are < 0.01 at n=300",
-    )
+            raise _Mismatch(f"{sorted(gens)} ratio at 300 is {float(ratio):.3f} >= 0.01")
+    return "verdicts match the rank/length bound; certified families are < 0.01 at n=300"
 
 
 def check_density_algebra(scope: str) -> CheckReport:
     return density_algebra_checks()
 
 
-def check_semigroup_info(scope: str) -> CheckReport:
+def check_semigroup_info(scope: str) -> str:
     cases = [
         ({3, 5}, 1, frozenset({3, 5}), 7),
         ({4, 6}, 2, frozenset({2, 3}), 1),
@@ -399,15 +363,11 @@ def check_semigroup_info(scope: str) -> CheckReport:
     for lengths, g, reduced, frob in cases:
         info = semigroup_info(lengths)
         if (info.gcd, info.reduced_generators, info.frobenius) != (g, reduced, frob):
-            return CheckReport(
-                "semigroup-info",
-                False,
-                f"{sorted(lengths)} -> gcd={info.gcd}, F={info.frobenius}",
-            )
-    return CheckReport("semigroup-info", True, f"{len(cases)} gcd/Frobenius cases verified")
+            raise _Mismatch(f"{sorted(lengths)} -> gcd={info.gcd}, F={info.frobenius}")
+    return f"{len(cases)} gcd/Frobenius cases verified"
 
 
-def check_shifted_minimality(scope: str) -> CheckReport:
+def check_shifted_minimality(scope: str) -> str:
     for shift in (leaf(), _two()):
         n_max = 7
         family = ShiftedFull(shift)
@@ -415,75 +375,57 @@ def check_shifted_minimality(scope: str) -> CheckReport:
         expected = generator_counting_sequence(family, n_max)
         for k in range(1, n_max + 1):
             if len(gen_levels[k]) != expected[k]:
-                return CheckReport(
-                    "shifted-minimality",
-                    False,
+                raise _Mismatch(
                     f"shift of length {shift.length}: level {k} has "
                     f"{len(gen_levels[k])} minimal generators, expected {expected[k]}",
-                    first_failure=k,
+                    k,
                 )
-    return CheckReport(
-        "shifted-minimality", True, "M+a is its own minimal generating set at small n"
-    )
+    return "M+a is its own minimal generating set at small n"
 
 
-def check_density_estimates(scope: str) -> CheckReport:
+def check_density_estimates(scope: str) -> tuple[str, dict]:
     horizon = 300 if scope == "fast" else 5000
     observed = {}
     for k in (1, 2, 3):
         est = estimate_density(ShiftedFull(_shift_term(k)), FiniteSet({leaf()}), horizon, precision=6)
         if est.value is None:
-            return CheckReport("density-estimates", False, f"shift {k}: no point estimate")
+            raise _Mismatch(f"shift {k}: no point estimate")
         observed[k] = est.value
         if scope == "fast":
             lo, hi = DENSITY_WINDOWS_FAST[k]
         else:
             _, lo, hi = DENSITY_WINDOWS[k]
         if not (lo <= est.value <= hi):
-            return CheckReport(
-                "density-estimates",
-                False,
-                f"shift {k}: estimate {est.value} outside [{lo}, {hi}] at n={horizon}",
-            )
+            raise _Mismatch(f"shift {k}: estimate {est.value} outside [{lo}, {hi}] at n={horizon}")
     vals = [observed[k] for k in (1, 2, 3)]
     if not (vals[0] > vals[1] > vals[2]):
-        return CheckReport("density-estimates", False, "estimates not decreasing in shift length")
+        raise _Mismatch("estimates not decreasing in shift length")
     details = ", ".join(
         f"shift {k}: {str(observed[k])[:9]} (reference {DENSITY_WINDOWS[k][0]})" for k in (1, 2, 3)
     )
-    return CheckReport("density-estimates", True, f"n={horizon}: {details}", data={
+    return f"n={horizon}: {details}", {
         "horizon": horizon,
         "estimates": {k: str(observed[k]) for k in observed},
         "references": {k: DENSITY_WINDOWS[k][0] for k in DENSITY_WINDOWS},
-    })
+    }
 
 
-def check_oscillation_detection(scope: str) -> CheckReport:
+def check_oscillation_detection(scope: str) -> str:
     for lengths, n_max in (({2}, 300), ({9}, 100)):
         est = estimate_density(Longitudinal(lengths), FiniteSet({leaf()}), n_max, precision=6)
         a = longitudinal_asymptote(lengths)
         if est.status != "oscillating" or est.oscillation_period != a.p:
-            return CheckReport(
-                "oscillation-detection",
-                False,
-                f"period-{a.p} family reported {est.status} (period {est.oscillation_period})",
+            raise _Mismatch(
+                f"period-{a.p} family reported {est.status} (period {est.oscillation_period})"
             )
         for r, (got, exact) in enumerate(zip(est.per_residue, a.per_residue)):
             target = Decimal(exact.numerator) / Decimal(exact.denominator)
             if abs(got - target) > Decimal("0.01"):
-                return CheckReport(
-                    "oscillation-detection",
-                    False,
-                    f"period {a.p}: residue {r} estimate {got} far from {target}",
-                )
-    return CheckReport(
-        "oscillation-detection",
-        True,
-        "periods 2 and 9 detected with residue estimates within 0.01 of the exact asymptotes",
-    )
+                raise _Mismatch(f"period {a.p}: residue {r} estimate {got} far from {target}")
+    return "periods 2 and 9 detected with residue estimates within 0.01 of the exact asymptotes"
 
 
-CHECKS: list[tuple[str, Callable[[str], CheckReport]]] = [
+CHECKS: list[tuple[str, Callable[[str], str | tuple[str, dict] | CheckReport]]] = [
     ("sequence-fixtures", check_sequence_fixtures),
     ("motzkin-identities", check_motzkin_identities),
     ("catalan-bounds", check_catalan_bounds),
@@ -505,7 +447,9 @@ CHECKS: list[tuple[str, Callable[[str], CheckReport]]] = [
 
 
 def verify_all(scope: str) -> list[CheckReport]:
-    """Run every registered check at the given scope ('fast' or 'full')."""
+    """Run every registered check at the given scope ('fast' or 'full').  A
+    check that passes returns its details text (with its data), or a library
+    check's report, pass or fail, which keeps its verdict."""
     if scope not in ("fast", "full"):
         raise ValueError(f"scope must be 'fast' or 'full', got {scope!r}")
     reports = []
@@ -513,8 +457,13 @@ def verify_all(scope: str) -> list[CheckReport]:
         start = time.perf_counter()
         try:
             report = fn(scope)
+        except _Mismatch as miss:
+            report = CheckReport(name, False, *miss.args)
         except Exception as exc:  # a crashing check is a failing check
             report = CheckReport(name, False, f"raised {type(exc).__name__}: {exc}")
+        if not isinstance(report, CheckReport):
+            details, data = report if isinstance(report, tuple) else (report, None)
+            report = CheckReport(name, True, details, data=data)
         # A check may return a library report under that report's own name.
         report.name = name
         report.data.setdefault("elapsed_s", round(time.perf_counter() - start, 3))

@@ -763,6 +763,9 @@ class TestVerify:
         def fail(name):
             return lambda *args, **kwargs: CheckReport(name, False, "forced failure")
 
+        def boom(lengths):
+            raise RuntimeError("boom")
+
         # Each library check reports under a name of its own.
         for attr, name in [
             ("longitudinal_convergence_check", "longitudinal-convergence-p2"),
@@ -770,16 +773,39 @@ class TestVerify:
             ("catalan_motzkin_identities", "catalan-motzkin-identities"),
         ]:
             monkeypatch.setattr(verify, attr, fail(name))
+        # A check's own mismatch, with its first index, and a crash.
+        monkeypatch.setattr(verify, "multinomial_count", lambda alphas, n: -1)
+        monkeypatch.setattr(verify, "semigroup_info", boom)
         registry = [
             entry
             for entry in verify.CHECKS
             if entry[0] in ("longitudinal-convergence", "motzkin-paths", "motzkin-identities")
         ]
-        monkeypatch.setattr(verify, "CHECKS", registry)
+        own = [e for e in verify.CHECKS if e[0] in ("multinomial-formula", "semigroup-info")]
+        monkeypatch.setattr(verify, "CHECKS", registry + own)
         reports = verify.verify_all("fast")
-        assert [r.name for r in reports] == [n for n, _ in registry]
-        assert not any(r.passed for r in reports)
-        assert all(r.details == "forced failure" for r in reports)
+        delegated, own = reports[: len(registry)], reports[len(registry) :]
+        assert [r.name for r in delegated] == [n for n, _ in registry]
+        assert not any(r.passed for r in delegated)
+        assert all(r.details == "forced failure" for r in delegated)
+        failed = [r.as_dict() for r in own]
+        for report in failed:
+            del report["data"]["elapsed_s"]
+        assert failed == [
+            {
+                "name": "multinomial-formula",
+                "passed": False,
+                "details": "alphas=[2]: mismatch at n=1",
+                "first_failure": 1,
+                "data": {},
+            },
+            {
+                "name": "semigroup-info",
+                "passed": False,
+                "details": "raised RuntimeError: boom",
+                "data": {},
+            },
+        ]
 
     def test_broken_reachability_fails_sequence_fixtures(self, monkeypatch):
         from freemagma import subgroupoids, verify
@@ -795,7 +821,9 @@ class TestVerify:
 
         monkeypatch.setattr(subgroupoids, "_apery_table", seven_left_out)
         assert subgroupoids.counting_sequence(subgroupoids.Longitudinal({2, 3}), 9)[7] == 0
-        report = verify.check_sequence_fixtures("fast")
+        registry = [e for e in verify.CHECKS if e[0] == "sequence-fixtures"]
+        monkeypatch.setattr(verify, "CHECKS", registry)
+        (report,) = verify.verify_all("fast")
         assert not report.passed
         assert "longitudinal [2, 3]" in report.details
 
@@ -810,7 +838,10 @@ class TestVerify:
             return estimate(family_n, family_m, n_max, precision)
 
         monkeypatch.setattr(verify, "estimate_density", recording)
-        assert verify.check_oscillation_detection("fast").passed
+        registry = [e for e in verify.CHECKS if e[0] == "oscillation-detection"]
+        monkeypatch.setattr(verify, "CHECKS", registry)
+        (report,) = verify.verify_all("fast")
+        assert report.passed
         assert (verify.Longitudinal({9}), 100) in runs
 
     def test_reports_do_not_share_data(self, monkeypatch):

@@ -362,6 +362,22 @@ class TestEstimateDensity:
             assert est.status == "inconclusive", n_max
             assert est.window_spread is None, n_max
 
+    @pytest.mark.parametrize(
+        "family, n_max, status",
+        [
+            ("shifted:(1+(1+1))", 5000, "inconclusive"),
+            ("finite:[(1+1),((1+1)+1),(1+(1+1))]", 2000, "converged"),
+        ],
+        ids=["shift-3", "finite"],
+    )
+    def test_converged_needs_the_half_horizon_to_agree(self, capsys, family, n_max, status):
+        # Shift 3's last five Aitken values at n=5000 agree to 5.8e-9, but
+        # lie 7.3e-6 above the closed form sqrt(1/3968) = 0.0158750159; the
+        # value at n=2500 is 7.28e-6 below the last.
+        argv = ["density", "--n", family, "--m", "full", "--nmax", str(n_max), "--precision", "8"]
+        assert main(argv + ["--format", "plain"]) == 0
+        assert f"({status}, n_max={n_max})" in capsys.readouterr().out
+
     # sha256 of density_accelerated.csv at n=300, precision 8, for the
     # benchmark's four density families, whose traces have period 1.
     ACCELERATED_DIGESTS = {

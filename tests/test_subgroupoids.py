@@ -104,9 +104,10 @@ class TestClosure:
         def refuse(*args):
             raise AssertionError("levels were built over the budget")
 
+        # A longitudinal family's levels are priced from its counts, which
+        # read its semigroup's Apery table (at most 64 residues here).
         monkeypatch.setattr(subgroupoids, "_closure_texts", refuse)
         monkeypatch.setattr(listing, "_level_blocks", refuse)
-        monkeypatch.setattr(subgroupoids, "_apery_table", refuse)
         with pytest.raises(CapacityError, match="over the memory budget of 1024.0 MiB"):
             family_levels(family, 17)
 
@@ -122,7 +123,7 @@ class TestClosure:
         assert (closure_up_to({TWO}, 24), family_levels(ShiftedFull(ONE), 12)) == expected
         with pytest.raises(CapacityError) as refused:
             closure_up_to([ONE], 4000)
-        assert str(refused.value).startswith("levels 1..4000 (1.29e+2402 terms)")
+        assert str(refused.value).startswith("levels 1..4000 would hold over 10^33 terms")
 
     def test_refusal_holds_no_table_of_sizes(self):
         # The level sizes are priced as they are made: refusing length 20000
@@ -159,8 +160,11 @@ class TestClosure:
             lambda: family_levels(ShiftedFull(ONE), 12),
             lambda: family_levels(Longitudinal({2}), 11),
             lambda: brute_count({TWO}, 14),
+            # Empty levels are priced too, at 288 bytes each.
+            lambda: closure_up_to((), 4000),
+            lambda: family_levels(Longitudinal({10**9}), 4000),
         ],
-        ids=["closure", "shifted", "longitudinal", "brute_count"],
+        ids=["closure", "shifted", "longitudinal", "brute_count", "empty", "empty-longitudinal"],
     )
     def test_small_budget_refuses_before_building(self, build, monkeypatch):
         def refuse(*args):
@@ -177,10 +181,7 @@ class TestClosure:
     @pytest.mark.parametrize(
         "build, message",
         [
-            (
-                lambda: closure_up_to([ONE], 600),
-                "levels 1..600 (2.21e+356 terms) would take an estimated 5.47e+353 MiB",
-            ),
+            (lambda: closure_up_to([ONE], 600), "levels 1..600 would hold over 10^33 terms"),
             (lambda: brute_count([ONE], 9000), "brute_count to length 9000 would hold over 10^33 terms"),
             (lambda: family_levels(ShiftedFull(ONE), 9000), "levels 1..9000 would hold over 10^33 terms"),
             (lambda: family_levels(Longitudinal({2}), 9000), "levels 1..9000 would hold over 10^33 terms"),
@@ -201,8 +202,12 @@ class TestClosure:
             assert n <= errors.LONGEST_PRICED, f"a Catalan table of length {n}"
             return catalan_numbers(n)
 
+        def uncounted(*args):
+            raise AssertionError("a closure was counted before its length was bounded")
+
         for module in (listing, terms, subgroupoids):
             monkeypatch.setattr(module, "catalan_numbers", bounded)
+        monkeypatch.setattr(subgroupoids, "_counts", uncounted)
         for build in (
             lambda: list(listing._level_blocks(100000)),
             lambda: next(iter_terms_up_to(100000)),
@@ -210,6 +215,7 @@ class TestClosure:
             lambda: brute_count([ONE], 100000),
             lambda: family_levels(ShiftedFull(ONE), 100000),
             lambda: family_levels(Longitudinal({2}), 100000),
+            lambda: closure_up_to([ONE], 100000),
         ):
             with pytest.raises(CapacityError, match="would hold over 10\\^33 terms"):
                 build()
@@ -584,9 +590,12 @@ class TestLongitudinal:
         assert sizes == counting_sequence(Longitudinal(lengths), 12)
 
     @pytest.mark.parametrize(
-        ("lengths", "n_max", "listed"), [({13}, 12, []), ({4, 6}, 13, [4, 6, 8, 10, 12])], ids=str
+        ("lengths", "n_max", "listed"),
+        [({13}, 12, []), ({4, 6}, 13, [4, 6, 8, 10, 12]), ({100}, 65, [])],
+        ids=str,
     )
     def test_lists_only_levels_in_the_semigroup(self, lengths, n_max, listed, monkeypatch):
+        # No level of {100} reaches length 65, so none is priced or refused.
         listed_lengths = []
         level_blocks = listing._level_blocks
 
@@ -595,8 +604,10 @@ class TestLongitudinal:
             return level_blocks(n)
 
         monkeypatch.setattr(listing, "_level_blocks", spy)
-        family_levels(Longitudinal(lengths), n_max)
+        levels = family_levels(Longitudinal(lengths), n_max)
         assert listed_lengths == listed
+        assert len(levels) == n_max + 1
+        assert [k for k, level in enumerate(levels) if level] == listed
 
     def test_every_length_beyond_frobenius_bound_attained(self):
         lengths = {4, 6}

@@ -27,10 +27,12 @@ from freemagma import (
 )
 from freemagma import (
     FiniteSet,
+    Longitudinal,
     brute_count,
     closure_up_to,
     counting_sequence,
     errors,
+    family_levels,
     listing,
     subgroupoids,
     terms,
@@ -435,11 +437,12 @@ class TestMemoryPrice:
         [
             pytest.param(terms, lambda: list(iter_terms_up_to(13)), marks=pytest.mark.slow),
             pytest.param(terms, lambda: closure_up_to({ONE}, 13), marks=pytest.mark.slow),
+            (terms, lambda: family_levels(Longitudinal({2}), 13)),
             (subgroupoids, lambda: brute_count({TWO}, 14)),
             *((subgroupoids, lambda n=n: brute_count({TWO}, n)) for n in (1, 7, 8, 9)),
             *((listing, lambda n=n: deque(iter_level_texts(n), maxlen=0)) for n in (2, 9, 13)),
         ],
-        ids=["iter_terms_up_to", "closure", "brute_count", "brute_count-1", "brute_count-7",
+        ids=["iter_terms_up_to", "closure", "longitudinal", "brute_count", "brute_count-1", "brute_count-7",
              "brute_count-8", "brute_count-9", "listing-2", "listing-9", "listing-13"],
     )
     def test_price_covers_peak(self, monkeypatch, module, build):
