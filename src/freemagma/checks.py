@@ -4,6 +4,9 @@ the multinomial formula, series verification and the Catalan bounds; the
 nullity criterion and the longitudinal and density-algebra checks; and the
 height DP of Motzkin paths with the subgroupoid crosscheck that reads it.
 
+Each check raises :class:`Mismatch` at its first disagreement and
+otherwise returns its details text, or ``(details, data)``.
+
 No other command imports this module.  The eight of its names that the
 benchmark traces under :mod:`~freemagma.sequences`, :mod:`~freemagma.density`
 and :mod:`~freemagma.motzkin_paths` also resolve there, by ``__getattr__``.
@@ -21,7 +24,6 @@ from typing import Iterable, Sequence
 from .density import longitudinal_asymptote
 from .errors import check_memory
 from .motzkin_paths import _DELTA, STEPS, PathSpec
-from .reporting import CheckReport
 from .sequences import (
     BigSeq,
     _exact_div,
@@ -42,6 +44,15 @@ from .subgroupoids import (
     semigroup_info,
 )
 from .terms import Term, leaf, product, right_comb
+
+
+class Mismatch(Exception):
+    """A check's first disagreement: its details text, the first index at
+    which an entry-wise check diverged, when that applies, and its data."""
+
+    def __init__(self, details: str, first_failure: int | None = None, data: dict | None = None):
+        super().__init__(details, first_failure, data)
+        self.details, self.first_failure, self.data = details, first_failure, data
 
 
 def catalan_c(n_max: int) -> BigSeq:
@@ -75,7 +86,7 @@ def motzkin_numbers(count: int) -> list[int]:
 MOTZKIN_TO_CATALAN_OFFSET = 1
 
 
-def catalan_motzkin_identities(n_max: int) -> CheckReport:
+def catalan_motzkin_identities(n_max: int) -> str:
     """Entry-wise check of both Catalan/Motzkin binomial identities.
 
     Identity 1: M_n = sum_{k<=n/2} binom(n,2k) C_k.
@@ -86,25 +97,15 @@ def catalan_motzkin_identities(n_max: int) -> CheckReport:
     for n in range(n_max + 1):
         lhs = sum(comb(n, 2 * k) * cats[k] for k in range(n // 2 + 1))
         if lhs != mots[n]:
-            return CheckReport(
-                name="catalan-motzkin-identities",
-                passed=False,
-                details=f"M_n = sum binom(n,2k) C_k fails at n={n}",
-                first_failure=n,
-            )
+            raise Mismatch(f"M_n = sum binom(n,2k) C_k fails at n={n}", n)
         rhs = sum(comb(n, k) * mots[k] for k in range(n + 1))
         if rhs != cats[n + MOTZKIN_TO_CATALAN_OFFSET]:
-            return CheckReport(
-                name="catalan-motzkin-identities",
-                passed=False,
-                details=f"C_(n+{MOTZKIN_TO_CATALAN_OFFSET}) = sum binom(n,k) M_k fails at n={n}",
-                first_failure=n,
+            raise Mismatch(
+                f"C_(n+{MOTZKIN_TO_CATALAN_OFFSET}) = sum binom(n,k) M_k fails at n={n}", n
             )
-    return CheckReport(
-        name="catalan-motzkin-identities",
-        passed=True,
-        details=f"both identities hold for 0 <= n <= {n_max} "
-        f"(Catalan offset +{MOTZKIN_TO_CATALAN_OFFSET})",
+    return (
+        f"both identities hold for 0 <= n <= {n_max} "
+        f"(Catalan offset +{MOTZKIN_TO_CATALAN_OFFSET})"
     )
 
 
@@ -156,7 +157,7 @@ def multinomial_count(alphas: Sequence[int], n: int) -> int:
     return total
 
 
-def series_identity_check(a: BigSeq, order: int = 64) -> CheckReport:
+def series_identity_check(a: BigSeq, order: int = 64) -> str:
     """Verify Psi = Psi^2 + Phi coefficient-wise, where Phi is the ordinary
     generating function of ``a`` (constant term 0) and Psi that of its
     transform.
@@ -170,17 +171,8 @@ def series_identity_check(a: BigSeq, order: int = 64) -> CheckReport:
     psi_sq = _poly_mul(psi, psi)[: eff + 1]
     for n in range(eff + 1):
         if psi[n] != psi_sq[n] + phi[n]:
-            return CheckReport(
-                name="series-identity",
-                passed=False,
-                details=f"Psi != Psi^2 + Phi at order {n}",
-                first_failure=n,
-            )
-    return CheckReport(
-        name="series-identity",
-        passed=True,
-        details=f"Psi = Psi^2 + Phi holds to order {eff}",
-    )
+            raise Mismatch(f"Psi != Psi^2 + Phi at order {n}", n)
+    return f"Psi = Psi^2 + Phi holds to order {eff}"
 
 
 # Rational enclosure of pi, 40 significant digits (truncation < true value).
@@ -188,7 +180,7 @@ PI_LOWER = Fraction(3141592653589793238462643383279502884197, 10**39)
 PI_UPPER = PI_LOWER + Fraction(1, 10**39)
 
 
-def catalan_bounds_check(n_max: int) -> CheckReport:
+def catalan_bounds_check(n_max: int) -> str:
     """Exact verification of the Catalan bounds.
 
     Weak form (for 4 <= n <= n_max): 4^n / (n+1)^2 < C_n < 4^n, checked in
@@ -205,29 +197,15 @@ def catalan_bounds_check(n_max: int) -> CheckReport:
         c = cats[n]
         p4 = 4**n
         if not (p4 < c * (n + 1) ** 2 and c < p4):
-            return CheckReport(
-                name="catalan-bounds",
-                passed=False,
-                details=f"weak bound fails at n={n}",
-                first_failure=n,
-            )
+            raise Mismatch(f"weak bound fails at n={n}", n)
     for n in range(1, n_max + 1):
         c2 = Fraction(cats[n] ** 2 * (n + 1) ** 2)
         p16 = Fraction(4 ** (2 * n))
         lower_ok = p16 < c2 * PI_LOWER * n * Fraction(4 * n, 4 * n - 1)
         upper_ok = c2 * PI_UPPER * n * Fraction(4 * n + 1, 4 * n) < p16
         if not (lower_ok and upper_ok):
-            return CheckReport(
-                name="catalan-bounds",
-                passed=False,
-                details=f"sharp bound fails at n={n}",
-                first_failure=n,
-            )
-    return CheckReport(
-        name="catalan-bounds",
-        passed=True,
-        details=f"weak bounds (4..{n_max}) and sharp bounds (1..{n_max}) hold",
-    )
+            raise Mismatch(f"sharp bound fails at n={n}", n)
+    return f"weak bounds (4..{n_max}) and sharp bounds (1..{n_max}) hold"
 
 
 class NullDensityVerdict(Enum):
@@ -250,12 +228,12 @@ def fg_null_density_test(gens: Iterable[Term]) -> NullDensityVerdict:
 
 def longitudinal_convergence_check(
     lengths: Iterable[int], n_max: int, tolerance: float
-) -> CheckReport:
+) -> tuple[str, dict]:
     """Empirical ratio trace vs. the exact asymptote, per residue class.
 
     Also checks the supporting limit c_{kp} / (c_p + ... + c_{kp}) ->
     1 - 4^-p at the horizon.  All comparisons are exact rationals against
-    the given tolerance.
+    the given tolerance; the errors go with the details, pass or fail.
     """
     lset = Longitudinal(lengths).lengths
     asym = longitudinal_asymptote(lset)
@@ -282,29 +260,27 @@ def longitudinal_convergence_check(
     k_top = n_max - (n_max % p)
     tail = Fraction(cats[k_top - 1], sum(cats[k - 1] for k in range(p, k_top + 1, p)))
     aux_err = abs(tail - (1 - Fraction(1, 4**p)))
-    passed = worst_err <= tol and aux_err <= tol
-    return CheckReport(
-        name=f"longitudinal-convergence-p{p}",
-        passed=passed,
-        details=(
-            f"worst residue {worst_residue}: |ratio - asymptote| = {float(worst_err):.2e}, "
-            f"aux limit error {float(aux_err):.2e}, tolerance {tolerance}"
-        ),
-        data={
-            "p": p,
-            "n_max": n_max,
-            "worst_error": float(worst_err),
-            "aux_error": float(aux_err),
-            "tolerance": tolerance,
-        },
+    details = (
+        f"worst residue {worst_residue}: |ratio - asymptote| = {float(worst_err):.2e}, "
+        f"aux limit error {float(aux_err):.2e}, tolerance {tolerance}"
     )
+    data = {
+        "p": p,
+        "n_max": n_max,
+        "worst_error": float(worst_err),
+        "aux_error": float(aux_err),
+        "tolerance": tolerance,
+    }
+    if worst_err > tol or aux_err > tol:
+        raise Mismatch(details, None, data)
+    return details, data
 
 
 def density_algebra_checks(
     translation_fixtures: Sequence[tuple[Term, frozenset[Term], int]] | None = None,
     nested_fixtures: Sequence[tuple[frozenset[Term], frozenset[Term], frozenset[Term], int]]
     | None = None,
-) -> CheckReport:
+) -> str:
     """Finite-horizon checks of the density algebra on exact level sizes.
 
     Translation: |aH|_{len(a) n} = |H|_n entry-wise, and |aH|_m = 0 away
@@ -334,12 +310,7 @@ def density_algebra_checks(
         for m in range(1, la * n_max + 1):
             expected = len(base[m // la]) if m % la == 0 else 0
             if len(shifted[m]) != expected:
-                return CheckReport(
-                    name="density-algebra",
-                    passed=False,
-                    details=f"translation identity fails at length {m}",
-                    first_failure=m,
-                )
+                raise Mismatch(f"translation identity fails at length {m}", m)
     for inner, middle, outer, n_max in nested_fixtures:
         counts = [brute_count(g, n_max) for g in (inner, middle, outer)]
         growths = zip(*map(accumulate, counts))
@@ -348,29 +319,15 @@ def density_algebra_checks(
                 continue
             r_outer = Fraction(sums[0], sums[2])
             if not (0 <= r_outer <= 1):
-                return CheckReport(
-                    name="density-algebra",
-                    passed=False,
-                    details=f"ratio outside [0,1] at n={n}",
-                    first_failure=n,
-                )
+                raise Mismatch(f"ratio outside [0,1] at n={n}", n)
             if sums[1] == 0:
                 continue
             lhs = Fraction(sums[0], sums[1]) * Fraction(sums[1], sums[2])
             if lhs != r_outer:
-                return CheckReport(
-                    name="density-algebra",
-                    passed=False,
-                    details=f"ratio product does not telescope at n={n}",
-                    first_failure=n,
-                )
-    return CheckReport(
-        name="density-algebra",
-        passed=True,
-        details=(
-            f"translation identity and ratio multiplicativity hold on "
-            f"{len(translation_fixtures)} + {len(nested_fixtures)} fixtures"
-        ),
+                raise Mismatch(f"ratio product does not telescope at n={n}", n)
+    return (
+        f"translation identity and ratio multiplicativity hold on "
+        f"{len(translation_fixtures)} + {len(nested_fixtures)} fixtures"
     )
 
 
@@ -409,7 +366,7 @@ def _path_counts(spec: PathSpec) -> list[int]:
 
 def crosscheck_subgroupoid(
     spec: PathSpec, family: GenFamily, offset: int, n_max: int
-) -> CheckReport:
+) -> str:
     """Assert the path counts at lengths n - offset, all from one DP pass,
     equal the counting sequence of the family at 1 <= n <= n_max (negative
     lengths count 0).  Both are priced first, ints at 28 bytes and 4 more
@@ -428,18 +385,9 @@ def crosscheck_subgroupoid(
     got = [paths[n - offset] if n >= offset else 0 for n in range(1, n_max + 1)]
     first = next((n for n, (g, e) in enumerate(zip(got, seq), 1) if g != e), None)
     if first is not None:
-        return CheckReport(
-            name="motzkin-crosscheck",
-            passed=False,
-            details=(
-                f"{format_family(family)}: path count {got[first - 1]} != "
-                f"|N|_{first} = {seq[first]} (offset {offset})"
-            ),
-            first_failure=first,
+        raise Mismatch(
+            f"{format_family(family)}: path count {got[first - 1]} != "
+            f"|N|_{first} = {seq[first]} (offset {offset})",
+            first,
         )
-    return CheckReport(
-        name="motzkin-crosscheck",
-        passed=True,
-        details=f"{format_family(family)} matches path counts for n <= {n_max} "
-        f"(offset {offset})",
-    )
+    return f"{format_family(family)} matches path counts for n <= {n_max} (offset {offset})"

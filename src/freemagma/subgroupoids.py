@@ -263,12 +263,18 @@ def _closure_texts(seeds: Callable[[int], Iterable[str]], n_max: int) -> list[li
     Level k is the texts ``seeds(k)`` and the sums x+y of members whose
     lengths add up to k.  ``seeds`` must give a minimal generating set:
     then no seed is such a sum, and a sum splits uniquely at its root, so
-    no text is built twice.  Nothing is priced here.
+    no text is built twice.  Only the lengths whose level has members are
+    split at, in increasing order.  Nothing is priced here.
     """
     levels: list[list[str]] = [[]]
+    filled: list[int] = []
     for k in range(1, n_max + 1):
         level = list(seeds(k))
-        level += [f"({x}+{y})" for i in range(1, k) for x in levels[i] for y in levels[k - i]]
+        level += [
+            f"({x}+{y})" for i in filled if levels[k - i] for x in levels[i] for y in levels[k - i]
+        ]
+        if level:
+            filled.append(k)
         levels.append(level)
     return levels
 

@@ -4,9 +4,10 @@ Each check recomputes a known quantity (a sequence prefix, a path count,
 an asymptote, a density window) from scratch and compares exactly or
 within a stated tolerance.  ``fast`` scope keeps horizons at or below 300
 so the whole suite stays under a minute; ``full`` scope runs the
-reproduction horizons (density at n = 5000).  A check raises
-:class:`_Mismatch` at its first disagreement, and :func:`verify_all`
-builds every report under its registry name.
+reproduction horizons (density at n = 5000).  A check, here or in
+:mod:`freemagma.checks`, raises :class:`~freemagma.checks.Mismatch` at its
+first disagreement, and :func:`verify_all` builds every report under its
+registry name.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from itertools import combinations
 from typing import Callable
 
 from .checks import (
+    Mismatch,
     NullDensityVerdict,
     _path_counts,
     cat_transform_signed,
@@ -78,11 +80,6 @@ DENSITY_WINDOWS_FAST = {
 }
 
 
-class _Mismatch(Exception):
-    """A check's first disagreement, raised with its details text and, for
-    an entry-wise check, the first index at which it diverged."""
-
-
 def _two() -> Term:
     return leaf() + leaf()
 
@@ -102,34 +99,34 @@ def check_sequence_fixtures(scope: str) -> str:
     for label, gen_seq, expected in fixtures:
         got = cat_transform(gen_seq).entries
         if got != expected:
-            raise _Mismatch(f"{label} mismatch: {got}")
+            raise Mismatch(f"{label} mismatch: {got}")
     shifted = counting_sequence(ShiftedFull(leaf()), 14)
     if shifted.entries != SHIFTED_FULL_PREFIX:
-        raise _Mismatch(f"shifted-full mismatch: {shifted.entries}")
+        raise Mismatch(f"shifted-full mismatch: {shifted.entries}")
     cats = catalan_numbers(20)
     if cats[19] != 1767263190 or catalan_c(7).entries != (1, 1, 2, 5, 14, 42, 132):
-        raise _Mismatch("Catalan table mismatch")
+        raise Mismatch("Catalan table mismatch")
     # Closed form at multiples of 3 for the two-generator length-3 family.
     both3 = cat_transform(BigSeq([0, 0, 2] + [0] * 18))
     for n in range(1, 22):
         expected_n = 2 ** (n // 3) * cats[n // 3 - 1] if n % 3 == 0 else 0
         if both3[n] != expected_n:
-            raise _Mismatch(f"closed form fails at n={n}")
+            raise Mismatch(f"closed form fails at n={n}")
     for lengths, expected in (({2, 3}, LONGITUDINAL_23_PREFIX), ({4, 6}, LONGITUDINAL_46_PREFIX)):
         got = counting_sequence(Longitudinal(lengths), 14).entries
         if got != expected:
-            raise _Mismatch(f"longitudinal {sorted(lengths)} mismatch: {got}")
+            raise Mismatch(f"longitudinal {sorted(lengths)} mismatch: {got}")
     if motzkin_numbers(11) != list(MOTZKIN_PREFIX):
-        raise _Mismatch("Motzkin prefix mismatch")
+        raise Mismatch("Motzkin prefix mismatch")
     return "all reference prefixes reproduced exactly"
 
 
-def check_motzkin_identities(scope: str) -> CheckReport:
+def check_motzkin_identities(scope: str) -> str:
     n_max = 30 if scope == "fast" else 100
     return catalan_motzkin_identities(n_max)
 
 
-def check_catalan_bounds(scope: str) -> CheckReport:
+def check_catalan_bounds(scope: str) -> str:
     return catalan_bounds_check(300)
 
 
@@ -142,11 +139,11 @@ def check_scaling_law(scope: str) -> str:
         lhs = cat_transform_signed(scaled_input)
         rhs = [alpha ** (k + 1) * plain[k] for k in range(n)]
         if lhs != rhs:
-            raise _Mismatch(f"fails for alpha={alpha}")
+            raise Mismatch(f"fails for alpha={alpha}")
     signed = cat_transform_signed([-1] + [0] * (n - 1))
     cats = catalan_numbers(n)
     if any(signed[k] != (-1) ** (k + 1) * cats[k] for k in range(n)):
-        raise _Mismatch("signed identity fails")
+        raise Mismatch("signed identity fails")
     return "Cat(alpha^n a_n) = alpha^n Cat(a_n) to n=30"
 
 
@@ -160,13 +157,14 @@ def check_series_identities(scope: str) -> str:
         ("shifted full", generator_counting_sequence(ShiftedFull(leaf()), order)),
     ]
     for label, seq in fixtures:
-        rep = series_identity_check(seq, order)
-        if not rep.passed:
-            raise _Mismatch(f"{label}: {rep.details}")
+        try:
+            series_identity_check(seq, order)
+        except Mismatch as miss:
+            raise Mismatch(f"{label}: {miss.details}") from None
     return f"Psi = Psi^2 + Phi to order {order} on {len(fixtures)} fixtures"
 
 
-def check_motzkin_paths(scope: str) -> str | CheckReport:
+def check_motzkin_paths(scope: str) -> str:
     specs = [
         PathSpec(14),
         PathSpec(14, forbidden_bigrams=("FU", "FF")),
@@ -175,34 +173,30 @@ def check_motzkin_paths(scope: str) -> str | CheckReport:
     counts = [_path_counts(spec) for spec in specs]
     at4 = tuple(c[4] for c in counts)
     if at4 != (9, 3, 6):
-        raise _Mismatch(f"length-4 counts (9,3,6) != {at4}")
+        raise Mismatch(f"length-4 counts (9,3,6) != {at4}")
     if counts[0] != motzkin_numbers(15):
-        raise _Mismatch("plain counts != M_0..M_14")
+        raise Mismatch("plain counts != M_0..M_14")
     for spec, row in zip(specs, counts):
         if list(_equation_counts(spec)) != row:
-            raise _Mismatch("equation counts != height DP at some length <= 14")
+            raise Mismatch("equation counts != height DP at some length <= 14")
     for spec, row in zip(specs, counts):
         for n in range(11):
             listed = enumerate_paths(PathSpec(n, spec.forbidden_bigrams, spec.color_multiplicity))
             if len(listed) != row[n]:
-                raise _Mismatch(f"enumeration count mismatch at length {n}")
+                raise Mismatch(f"enumeration count mismatch at length {n}")
     n_max = 14 if scope == "fast" else 1000
-    r1 = crosscheck_subgroupoid(
+    crosscheck_subgroupoid(
         PathSpec(0, forbidden_bigrams=("FU", "FF")),
         FiniteSet({_two(), right_comb(3)}),
         offset=2,
         n_max=n_max,
     )
-    if not r1.passed:
-        return r1
-    r2 = crosscheck_subgroupoid(
+    crosscheck_subgroupoid(
         PathSpec(0, forbidden_bigrams=("FU", "FF"), color_multiplicity={"F": 2}),
         FiniteSet({_two(), left_comb(3), right_comb(3)}),
         offset=2,
         n_max=n_max,
     )
-    if not r2.passed:
-        return r2
     return (
         f"counts 9/3/6, equation = height DP to length 14 and both subgroupoid "
         f"crosschecks to n={n_max}"
@@ -228,7 +222,7 @@ def check_oracle_equivalence(scope: str) -> str:
         by_enum = brute_count(gens, horizon)
         by_counting = counting_sequence(FiniteSet(gens), horizon)
         if by_enum != by_counting:
-            raise _Mismatch(
+            raise Mismatch(
                 f"mismatch for generators {sorted(gens)}: {by_enum.entries} vs {by_counting.entries}"
             )
     return f"{len(sets)} generator sets agree with enumeration to n={horizon}"
@@ -260,7 +254,7 @@ def check_recurrence_vs_schoolbook(scope: str) -> str:
             None,
         )
         if first is not None:
-            raise _Mismatch(
+            raise Mismatch(
                 f"{format_family(family)}: recurrence or its decimal texts and the "
                 f"reference counts differ at n={first}",
                 first,
@@ -287,7 +281,7 @@ def check_multinomial_formula(scope: str) -> str:
         expected = cat_transform(BigSeq(hist))
         for n in range(1, 15):
             if multinomial_count(alphas, n) != expected[n]:
-                raise _Mismatch(f"alphas={alphas}: mismatch at n={n}", n)
+                raise Mismatch(f"alphas={alphas}: mismatch at n={n}", n)
     return f"{len(fixtures)} length profiles match the transform to n=14"
 
 
@@ -296,27 +290,25 @@ def check_longitudinal_asymptotes(scope: str) -> str:
     a3 = longitudinal_asymptote({3})
     a46 = longitudinal_asymptote({4, 6})
     if a2.per_residue != (Fraction(4, 5), Fraction(1, 5)):
-        raise _Mismatch(f"p=2 gives {a2.per_residue}")
+        raise Mismatch(f"p=2 gives {a2.per_residue}")
     if a3.per_residue != (Fraction(16, 21), Fraction(4, 21), Fraction(1, 21)):
-        raise _Mismatch(f"p=3 gives {a3.per_residue}")
+        raise Mismatch(f"p=3 gives {a3.per_residue}")
     if a46.p != 2 or a46.per_residue != a2.per_residue:
-        raise _Mismatch("gcd reduction failed for {4,6}")
+        raise Mismatch("gcd reduction failed for {4,6}")
     for p in range(1, 17):
         asym = longitudinal_asymptote({p})
         if asym.mean() != Fraction(1, p):
-            raise _Mismatch(f"mean of residues != 1/{p}")
+            raise Mismatch(f"mean of residues != 1/{p}")
     return "exact residue values and mean 1/p for p=1..16"
 
 
-def check_longitudinal_convergence(scope: str) -> str | CheckReport:
+def check_longitudinal_convergence(scope: str) -> str:
     if scope == "fast":
         plan = [({2}, 300, 5e-3), ({3}, 300, 5e-3)]
     else:
         plan = [({2}, 2000, 2e-3), ({3}, 2000, 2e-3), ({4}, 2000, 2e-3), ({4, 6}, 2000, 2e-3)]
     for lengths, n_max, tol in plan:
-        rep = longitudinal_convergence_check(lengths, n_max, tol)
-        if not rep.passed:
-            return rep
+        longitudinal_convergence_check(lengths, n_max, tol)
     return f"{len(plan)} families within tolerance of their exact asymptotes"
 
 
@@ -331,12 +323,12 @@ def check_nullity_criterion(scope: str) -> str:
     ]
     for gens in null_fixtures:
         if fg_null_density_test(gens) is not NullDensityVerdict.NULL_BY_THEOREM:
-            raise _Mismatch(f"{sorted(gens)} not certified null")
+            raise Mismatch(f"{sorted(gens)} not certified null")
     example16 = frozenset({right_comb(3)} | {product(two, right_comb(k)) for k in range(2, 17)})
     if fg_null_density_test(example16) is not NullDensityVerdict.INCONCLUSIVE:
-        raise _Mismatch("rank-16 example should be inconclusive")
+        raise Mismatch("rank-16 example should be inconclusive")
     if fg_null_density_test({leaf()}) is not NullDensityVerdict.INCONCLUSIVE:
-        raise _Mismatch("<1> should be inconclusive")
+        raise Mismatch("<1> should be inconclusive")
     # Consistency: certified-null families have tiny growth ratio at n=300.
     cats = catalan_c(300)
     for gens in null_fixtures:
@@ -345,11 +337,11 @@ def check_nullity_criterion(scope: str) -> str:
         g_m = growth(cats)
         ratio = Fraction(g_n[300], g_m[300])
         if ratio >= Fraction(1, 100):
-            raise _Mismatch(f"{sorted(gens)} ratio at 300 is {float(ratio):.3f} >= 0.01")
+            raise Mismatch(f"{sorted(gens)} ratio at 300 is {float(ratio):.3f} >= 0.01")
     return "verdicts match the rank/length bound; certified families are < 0.01 at n=300"
 
 
-def check_density_algebra(scope: str) -> CheckReport:
+def check_density_algebra(scope: str) -> str:
     return density_algebra_checks()
 
 
@@ -363,7 +355,7 @@ def check_semigroup_info(scope: str) -> str:
     for lengths, g, reduced, frob in cases:
         info = semigroup_info(lengths)
         if (info.gcd, info.reduced_generators, info.frobenius) != (g, reduced, frob):
-            raise _Mismatch(f"{sorted(lengths)} -> gcd={info.gcd}, F={info.frobenius}")
+            raise Mismatch(f"{sorted(lengths)} -> gcd={info.gcd}, F={info.frobenius}")
     return f"{len(cases)} gcd/Frobenius cases verified"
 
 
@@ -375,7 +367,7 @@ def check_shifted_minimality(scope: str) -> str:
         expected = generator_counting_sequence(family, n_max)
         for k in range(1, n_max + 1):
             if len(gen_levels[k]) != expected[k]:
-                raise _Mismatch(
+                raise Mismatch(
                     f"shift of length {shift.length}: level {k} has "
                     f"{len(gen_levels[k])} minimal generators, expected {expected[k]}",
                     k,
@@ -389,17 +381,17 @@ def check_density_estimates(scope: str) -> tuple[str, dict]:
     for k in (1, 2, 3):
         est = estimate_density(ShiftedFull(_shift_term(k)), FiniteSet({leaf()}), horizon, precision=6)
         if est.value is None:
-            raise _Mismatch(f"shift {k}: no point estimate")
+            raise Mismatch(f"shift {k}: no point estimate")
         observed[k] = est.value
         if scope == "fast":
             lo, hi = DENSITY_WINDOWS_FAST[k]
         else:
             _, lo, hi = DENSITY_WINDOWS[k]
         if not (lo <= est.value <= hi):
-            raise _Mismatch(f"shift {k}: estimate {est.value} outside [{lo}, {hi}] at n={horizon}")
+            raise Mismatch(f"shift {k}: estimate {est.value} outside [{lo}, {hi}] at n={horizon}")
     vals = [observed[k] for k in (1, 2, 3)]
     if not (vals[0] > vals[1] > vals[2]):
-        raise _Mismatch("estimates not decreasing in shift length")
+        raise Mismatch("estimates not decreasing in shift length")
     details = ", ".join(
         f"shift {k}: {str(observed[k])[:9]} (reference {DENSITY_WINDOWS[k][0]})" for k in (1, 2, 3)
     )
@@ -415,17 +407,17 @@ def check_oscillation_detection(scope: str) -> str:
         est = estimate_density(Longitudinal(lengths), FiniteSet({leaf()}), n_max, precision=6)
         a = longitudinal_asymptote(lengths)
         if est.status != "oscillating" or est.oscillation_period != a.p:
-            raise _Mismatch(
+            raise Mismatch(
                 f"period-{a.p} family reported {est.status} (period {est.oscillation_period})"
             )
         for r, (got, exact) in enumerate(zip(est.per_residue, a.per_residue)):
             target = Decimal(exact.numerator) / Decimal(exact.denominator)
             if abs(got - target) > Decimal("0.01"):
-                raise _Mismatch(f"period {a.p}: residue {r} estimate {got} far from {target}")
+                raise Mismatch(f"period {a.p}: residue {r} estimate {got} far from {target}")
     return "periods 2 and 9 detected with residue estimates within 0.01 of the exact asymptotes"
 
 
-CHECKS: list[tuple[str, Callable[[str], str | tuple[str, dict] | CheckReport]]] = [
+CHECKS: list[tuple[str, Callable[[str], str | tuple[str, dict]]]] = [
     ("sequence-fixtures", check_sequence_fixtures),
     ("motzkin-identities", check_motzkin_identities),
     ("catalan-bounds", check_catalan_bounds),
@@ -448,24 +440,21 @@ CHECKS: list[tuple[str, Callable[[str], str | tuple[str, dict] | CheckReport]]] 
 
 def verify_all(scope: str) -> list[CheckReport]:
     """Run every registered check at the given scope ('fast' or 'full').  A
-    check that passes returns its details text (with its data), or a library
-    check's report, pass or fail, which keeps its verdict."""
+    check that passes returns its details text (with its data); one that
+    fails raises :class:`Mismatch`, and one that crashes fails too."""
     if scope not in ("fast", "full"):
         raise ValueError(f"scope must be 'fast' or 'full', got {scope!r}")
     reports = []
     for name, fn in CHECKS:
         start = time.perf_counter()
         try:
-            report = fn(scope)
-        except _Mismatch as miss:
+            result = fn(scope)
+            details, data = result if isinstance(result, tuple) else (result, None)
+            report = CheckReport(name, True, details, data=data)
+        except Mismatch as miss:
             report = CheckReport(name, False, *miss.args)
         except Exception as exc:  # a crashing check is a failing check
             report = CheckReport(name, False, f"raised {type(exc).__name__}: {exc}")
-        if not isinstance(report, CheckReport):
-            details, data = report if isinstance(report, tuple) else (report, None)
-            report = CheckReport(name, True, details, data=data)
-        # A check may return a library report under that report's own name.
-        report.name = name
         report.data.setdefault("elapsed_s", round(time.perf_counter() - start, 3))
         reports.append(report)
     return reports

@@ -757,22 +757,16 @@ class TestVerify:
         assert [c["name"] for c in json.loads(out)["checks"]] == [n for n, _ in CHECKS]
 
     def test_failing_delegated_check_keeps_registry_name(self, monkeypatch):
-        from freemagma import verify
-        from freemagma.reporting import CheckReport
-
-        def fail(name):
-            return lambda *args, **kwargs: CheckReport(name, False, "forced failure")
+        from freemagma import checks, verify
 
         def boom(lengths):
             raise RuntimeError("boom")
 
-        # Each library check reports under a name of its own.
-        for attr, name in [
-            ("longitudinal_convergence_check", "longitudinal-convergence-p2"),
-            ("crosscheck_subgroupoid", "motzkin-crosscheck"),
-            ("catalan_motzkin_identities", "catalan-motzkin-identities"),
-        ]:
-            monkeypatch.setattr(verify, attr, fail(name))
+        # Library checks fail through their own comparisons: a wrong Catalan
+        # table and a wrong path count.
+        real_cats, real_paths = checks.catalan_numbers, checks._path_counts
+        monkeypatch.setattr(checks, "catalan_numbers", lambda n: [2 * c for c in real_cats(n)])
+        monkeypatch.setattr(checks, "_path_counts", lambda spec: [v + 1 for v in real_paths(spec)])
         # A check's own mismatch, with its first index, and a crash.
         monkeypatch.setattr(verify, "multinomial_count", lambda alphas, n: -1)
         monkeypatch.setattr(verify, "semigroup_info", boom)
@@ -787,7 +781,7 @@ class TestVerify:
         delegated, own = reports[: len(registry)], reports[len(registry) :]
         assert [r.name for r in delegated] == [n for n, _ in registry]
         assert not any(r.passed for r in delegated)
-        assert all(r.details == "forced failure" for r in delegated)
+        assert not any(r.details.startswith("raised") for r in delegated)
         failed = [r.as_dict() for r in own]
         for report in failed:
             del report["data"]["elapsed_s"]
@@ -806,6 +800,108 @@ class TestVerify:
                 "data": {},
             },
         ]
+
+    @pytest.mark.parametrize(
+        "entry, attr, forge, expected",
+        [
+            (
+                "motzkin-identities",
+                "catalan_numbers",
+                lambda real: lambda n: [c + (k == 5) for k, c in enumerate(real(n))],
+                {
+                    "details": "C_(n+1) = sum binom(n,k) M_k fails at n=4",
+                    "first_failure": 4,
+                },
+            ),
+            (
+                "catalan-bounds",
+                "catalan_numbers",
+                lambda real: lambda n: [4**k if k == 7 else c for k, c in enumerate(real(n))],
+                {"details": "weak bound fails at n=7", "first_failure": 7},
+            ),
+            (
+                "series-identities",
+                "cat_transform",
+                lambda real: lambda a: BigSeq(
+                    [v + (n == 5) for n, v in enumerate(real(a).entries, 1)]
+                ),
+                {"details": "full magma: Psi != Psi^2 + Phi at order 5"},
+            ),
+            (
+                "longitudinal-convergence",
+                "catalan_numbers",
+                lambda real: lambda n: [2 * c for c in real(n)],
+                {
+                    "details": "worst residue 0: |ratio - asymptote| = 4.00e-01, "
+                    "aux limit error 6.31e-04, tolerance 0.005",
+                    "data": {
+                        "p": 2,
+                        "n_max": 300,
+                        "worst_error": 0.40040178895551265,
+                        "aux_error": 0.0006310681414868092,
+                        "tolerance": 0.005,
+                    },
+                },
+            ),
+            (
+                "density-algebra",
+                "brute_count",
+                # Four times the counts of <(1+1)> pass those of the whole magma.
+                lambda real: lambda gens, n: BigSeq([4 * v for v in real(gens, n).entries])
+                if {format_term(g) for g in gens} == {"(1+1)"}
+                else real(gens, n),
+                {"details": "ratio outside [0,1] at n=2", "first_failure": 2},
+            ),
+            (
+                "motzkin-paths",
+                "_path_counts",
+                lambda real: lambda spec: [v + (m == 5) for m, v in enumerate(real(spec))],
+                {
+                    "details": "finite:[(1+1),(1+(1+1))]: path count 7 != |N|_7 = 6 (offset 2)",
+                    "first_failure": 7,
+                },
+            ),
+        ],
+    )
+    def test_library_check_fails_at_its_first_mismatch(
+        self, monkeypatch, entry, attr, forge, expected
+    ):
+        # Each library check in freemagma.checks, made to fail through its
+        # own comparison, gives this report under its registry name.
+        from freemagma import checks, verify
+
+        monkeypatch.setattr(checks, attr, forge(getattr(checks, attr)))
+        monkeypatch.setattr(verify, "CHECKS", [e for e in verify.CHECKS if e[0] == entry])
+        (report,) = verify.verify_all("fast")
+        got = report.as_dict()
+        del got["data"]["elapsed_s"]
+        assert got == {"name": entry, "passed": False, "data": {}, **expected}
+
+    def test_only_verify_all_builds_reports(self):
+        # Every check fails by raising; verify_all alone makes the reports.
+        import ast
+        from pathlib import Path
+
+        import freemagma
+
+        def report_builders(node, where):
+            # The qualified name of the scope around each call of CheckReport.
+            if isinstance(node, ast.Call) and "CheckReport" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None),
+            ):
+                yield where
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                where = f"{where}.{node.name}"
+            for child in ast.iter_child_nodes(node):
+                yield from report_builders(child, where)
+
+        found = [
+            where
+            for module in sorted(Path(freemagma.__file__).parent.glob("*.py"))
+            for where in report_builders(ast.parse(module.read_text()), module.stem)
+        ]
+        assert found and set(found) == {"verify.verify_all"}
 
     def test_broken_reachability_fails_sequence_fixtures(self, monkeypatch):
         from freemagma import subgroupoids, verify
@@ -846,9 +942,7 @@ class TestVerify:
 
     def test_reports_do_not_share_data(self, monkeypatch):
         from freemagma import verify
-        from freemagma.reporting import CheckReport
-
-        check = ("always", lambda scope: CheckReport("always", True))
+        check = ("always", lambda scope: "always passes")
         monkeypatch.setattr(verify, "CHECKS", [check, check])
         first, second = verify.verify_all("fast")
         assert first.data is not second.data

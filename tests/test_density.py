@@ -34,6 +34,7 @@ from freemagma import (
     ratio_trace,
     right_comb,
 )
+from freemagma.checks import Mismatch
 from freemagma.cli import main
 from freemagma.density import _rounded_quotient, write_trace_csv
 from freemagma.subgroupoids import parse_family
@@ -283,17 +284,17 @@ class TestLongitudinalAsymptote:
 
 class TestLongitudinalConvergence:
     def test_period_two_at_300(self):
-        assert longitudinal_convergence_check({2}, 300, 5e-3).passed
+        longitudinal_convergence_check({2}, 300, 5e-3)
 
     def test_period_three_at_300(self):
-        assert longitudinal_convergence_check({3}, 300, 5e-3).passed
+        longitudinal_convergence_check({3}, 300, 5e-3)
 
     def test_gcd_two_family(self):
-        assert longitudinal_convergence_check({4, 6}, 300, 5e-3).passed
+        longitudinal_convergence_check({4, 6}, 300, 5e-3)
 
     def test_tight_tolerance_fails_at_small_horizon(self):
-        report = longitudinal_convergence_check({2}, 60, 1e-6)
-        assert not report.passed
+        with pytest.raises(Mismatch):
+            longitudinal_convergence_check({2}, 60, 1e-6)
 
     # The report data of the fast-scope and full-scope verify families, as
     # computed when every ratio of the trace was built.
@@ -308,10 +309,9 @@ class TestLongitudinalConvergence:
 
     @pytest.mark.parametrize("lengths, n_max, tol, worst, aux", PINNED_DATA)
     def test_data_pinned(self, lengths, n_max, tol, worst, aux):
-        report = longitudinal_convergence_check(lengths, n_max, tol)
+        _, data = longitudinal_convergence_check(lengths, n_max, tol)
         p = longitudinal_asymptote(lengths).p
-        assert report.passed
-        assert report.data == {
+        assert data == {
             "p": p, "n_max": n_max, "worst_error": worst, "aux_error": aux, "tolerance": tol
         }
 
@@ -517,7 +517,7 @@ class TestDensityReport:
 
 class TestDensityAlgebra:
     def test_default_fixtures_pass(self):
-        assert density_algebra_checks().passed
+        density_algebra_checks()
 
     def test_lists_no_magma(self):
         # The nested fixture's outer set {1} generates the whole magma.  Its
@@ -526,18 +526,17 @@ class TestDensityAlgebra:
         gc.collect()
         tracemalloc.start()
         try:
-            assert density_algebra_checks().passed
+            density_algebra_checks()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 100_000
 
     def test_custom_translation_fixture(self):
-        report = density_algebra_checks(
+        density_algebra_checks(
             translation_fixtures=[(TWO, frozenset({TWO}), 7)],
             nested_fixtures=[],
         )
-        assert report.passed
 
     def test_translation_identity_by_hand(self):
         # |2H|_{2n} = |H|_n for H = <2, 3_+>, via plain closure counting.

@@ -9,7 +9,7 @@ from itertools import product
 import pytest
 
 from freemagma import checks, errors, motzkin_paths
-from freemagma.checks import _path_counts
+from freemagma.checks import Mismatch, _path_counts
 from freemagma.motzkin_paths import _equation_counts, _path_equation
 from freemagma import (
     CapacityError,
@@ -321,22 +321,20 @@ class TestPathSpecValidation:
 
 class TestCrosschecks:
     def test_two_threeplus_family(self):
-        report = crosscheck_subgroupoid(
+        crosscheck_subgroupoid(
             PathSpec(0, forbidden_bigrams=PRUNED),
             FiniteSet({TWO, right_comb(3)}),
             offset=2,
             n_max=16,
         )
-        assert report.passed, report.details
 
     def test_bicolored_family(self):
-        report = crosscheck_subgroupoid(
+        crosscheck_subgroupoid(
             PathSpec(0, forbidden_bigrams=PRUNED, color_multiplicity={"F": 2}),
             FiniteSet({TWO, left_comb(3), right_comb(3)}),
             offset=2,
             n_max=14,
         )
-        assert report.passed, report.details
 
     def test_one_path_count_pass(self, monkeypatch):
         calls = []
@@ -344,10 +342,9 @@ class TestCrosschecks:
         monkeypatch.setattr(
             checks, "_path_counts", lambda spec: calls.append(spec.length) or real(spec)
         )
-        report = crosscheck_subgroupoid(
+        crosscheck_subgroupoid(
             PathSpec(0, forbidden_bigrams=PRUNED), FiniteSet({TWO, right_comb(3)}), 2, 300
         )
-        assert report.passed, report.details
         assert calls == [298]
 
     def test_priced_before_building(self, monkeypatch):
@@ -355,7 +352,7 @@ class TestCrosschecks:
         # neither is built over the budget.
         spec, family = PathSpec(0, forbidden_bigrams=PRUNED), FiniteSet({TWO, right_comb(3)})
         monkeypatch.setattr(errors, "MEMORY_BUDGET", 100_000)
-        assert crosscheck_subgroupoid(spec, family, 2, 100).passed
+        crosscheck_subgroupoid(spec, family, 2, 100)
 
         def refuse(*args):
             raise AssertionError("built over the budget")
@@ -368,18 +365,18 @@ class TestCrosschecks:
 
     def test_horizon_below_offset_counts_zero(self):
         # Every length n - 4 is negative, so every path count is 0.
-        assert crosscheck_subgroupoid(PathSpec(0), FiniteSet({right_comb(3)}), 4, 2).passed
-        report = crosscheck_subgroupoid(PathSpec(0), FiniteSet({TWO}), 4, 3)
-        assert not report.passed
-        assert report.first_failure == 2
-        assert report.details == "finite:[(1+1)]: path count 0 != |N|_2 = 1 (offset 4)"
+        crosscheck_subgroupoid(PathSpec(0), FiniteSet({right_comb(3)}), 4, 2)
+        with pytest.raises(Mismatch) as failed:
+            crosscheck_subgroupoid(PathSpec(0), FiniteSet({TWO}), 4, 3)
+        assert failed.value.first_failure == 2
+        assert failed.value.details == "finite:[(1+1)]: path count 0 != |N|_2 = 1 (offset 4)"
 
     def test_mismatch_reports_first_divergence(self):
-        report = crosscheck_subgroupoid(
-            PathSpec(0),  # plain Motzkin does not count this family
-            FiniteSet({TWO, right_comb(3)}),
-            offset=2,
-            n_max=10,
-        )
-        assert not report.passed
-        assert report.first_failure == 4  # M_2 = 2 vs |N|_4 = 1
+        with pytest.raises(Mismatch) as failed:
+            crosscheck_subgroupoid(
+                PathSpec(0),  # plain Motzkin does not count this family
+                FiniteSet({TWO, right_comb(3)}),
+                offset=2,
+                n_max=10,
+            )
+        assert failed.value.first_failure == 4  # M_2 = 2 vs |N|_4 = 1

@@ -6,6 +6,7 @@ import gc
 import math
 import pickle
 import random
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -88,6 +89,14 @@ class TestClosure:
     def test_shifted_full_is_closure_of_its_truncation(self, shift):
         truncation = {y + shift for k in range(1, 10 - shift.length) for y in enumerate_terms(k)}
         assert family_levels(ShiftedFull(shift), 9) == closure_up_to(truncation, 9)
+
+    def test_empty_levels_cost_no_splits(self):
+        # The DP splits a length only where both parts have members: with
+        # every split of every level visited, length 20000 took 10 s.
+        start = time.perf_counter()
+        levels = closure_up_to([], 20000)
+        assert time.perf_counter() - start < 1
+        assert len(levels) == 20001 and not any(levels)
 
     def test_cap(self):
         with pytest.raises(CapacityError, match="over the memory budget of 1024.0 MiB"):
