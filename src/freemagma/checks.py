@@ -249,13 +249,9 @@ def longitudinal_convergence_check(
     # Only the last ratio of each residue class is read: keep the last p sums.
     last = deque(zip(range(1, n_max + 1), accumulate(counting), accumulate(cats)), maxlen=p)
     latest = {n % p: Fraction(gl, gm) for n, gl, gm in last}
-    worst_err = Fraction(0)
-    worst_residue = -1
-    for r in range(p):
-        err = abs(latest[r] - asym.per_residue[r])
-        if err > worst_err:
-            worst_err = err
-            worst_residue = r
+    errs = [abs(latest[r] - asym.per_residue[r]) for r in range(p)]
+    worst_err = max(errs)
+    worst_residue = errs.index(worst_err)
     # Supporting limit, evaluated at the largest multiple of p in range.
     k_top = n_max - (n_max % p)
     tail = Fraction(cats[k_top - 1], sum(cats[k - 1] for k in range(p, k_top + 1, p)))

@@ -1,16 +1,18 @@
 """Command-line front end.
 
 Subcommands: enumerate, count, transform, density, longitudinal, motzkin,
-verify.  Outputs are deterministic for a given configuration and written
-atomically (temp file + rename).  Exit codes: 0 success, 1 verification
-failure, 2 usage error (bad arguments, unparsable input, unwritable output),
-3 internal arithmetic fault (an exact division left a remainder).
+verify.  Outputs are deterministic for a given configuration.  An output
+file is opened before the work, so an unwritable one fails first; it is
+written as a temp file ``.NAME.XXXXXX`` beside it, renamed over it when the
+command ends and removed on any failure.  Exit codes: 0 success,
+1 verification failure, 2 usage error (bad arguments, unparsable input,
+unwritable output), 3 internal arithmetic fault (an exact division left a
+remainder).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from itertools import chain
@@ -27,38 +29,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
-
-
-def _ensure_writable_dir(path: Path) -> None:
-    import tempfile
-
-    path.mkdir(parents=True, exist_ok=True)
-    try:
-        fd, probe = tempfile.mkstemp(dir=path, prefix=".write-probe-")
-    except OSError as exc:
-        raise FreeMagmaError(f"output directory {path} is not writable: {exc}") from exc
-    os.close(fd)
-    os.unlink(probe)
-
-
-def _ensure_writable_file(path: Path) -> None:
-    """A FIFO or a device is written in place, so it must itself be
-    writable; any other file is written through its directory."""
-    from .sequences import _in_place
-
-    if not _in_place(path):
-        _ensure_writable_dir(path.parent)
-    elif not os.access(path, os.W_OK):
-        raise FreeMagmaError(f"output {path} is not writable")
-
-
-def _emit(text: str | Iterable[str], out: str | None) -> None:
-    from .sequences import _atomic_write, _write_lines
-
-    if out:
-        _atomic_write(Path(out), text)
-    else:
-        _write_lines(sys.stdout, text)
 
 
 def _json_text(obj: dict) -> str:
@@ -101,11 +71,11 @@ def _sequence_text(texts: Iterable[str], fmt: str, meta: dict) -> Iterable[str]:
     return (f"n={n} {v}\n" for n, v in rows)
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: argparse.Namespace, out: TextIO) -> int:
     """Plain output is the level's blocks as they come, and each JSON
     entry is a block's texts joined by one ``replace``.  CSV numbers its
     rows, so it is formatted one text at a time."""
-    from .sequences import catalan_numbers
+    from .sequences import _write_lines, catalan_numbers
     from .listing import _level_blocks
 
     pieces: Iterable[str]
@@ -121,22 +91,25 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         pieces = chain(("index,term\n",), (f"{i},{t}\n" for i, t in enumerate(texts, start=1)))
     else:
         pieces = _level_blocks(args.n)
-    _emit(pieces, args.out)
+    _write_lines(out, pieces)
     return EXIT_OK
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: argparse.Namespace, out: TextIO) -> int:
+    from .sequences import _write_lines
     from .subgroupoids import counting_texts, parse_family
 
     family = parse_family(args.family, args.n)
     texts = counting_texts(family, args.n)
     text = _sequence_text(texts, args.format, {"family": args.family, "n_max": args.n})
-    _emit(text, args.out)
+    _write_lines(out, text)
     return EXIT_OK
 
 
-def _cmd_transform(args: argparse.Namespace) -> int:
-    from .sequences import BigSeq, _exact_texts, _histogram_counts, read_sequence_csv, unlimited_int_digits
+def _cmd_transform(args: argparse.Namespace, out: TextIO) -> int:
+    from .sequences import (
+        BigSeq, _exact_texts, _histogram_counts, _write_lines, read_sequence_csv, unlimited_int_digits,
+    )
 
     if args.seqfile:
         seq = read_sequence_csv(args.seqfile, args.n if args.n > 0 else None)
@@ -145,7 +118,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
             seq = BigSeq(int(v) for v in args.values.split(","))
     seq = seq.padded(args.n or len(seq))
     texts = _exact_texts(_histogram_counts, seq.entries, len(seq))
-    _emit(_sequence_text(texts, args.format, {"n_max": len(seq)}), args.out)
+    _write_lines(out, _sequence_text(texts, args.format, {"n_max": len(seq)}))
     return EXIT_OK
 
 
@@ -158,35 +131,40 @@ def _csv_sink(fh: TextIO) -> Callable[[tuple[int, object]], object]:
     return lambda row: fh.write(_csv_row(*row))
 
 
-def _cmd_density(args: argparse.Namespace) -> int:
-    """The trace CSVs are written as the estimate makes their rows."""
+def _cmd_density(args: argparse.Namespace, out: TextIO) -> int:
+    """``--out`` is a directory: its three files are opened before the
+    work, the report first so that it is renamed last, and the trace CSVs
+    are written as the estimate makes their rows."""
     from contextlib import ExitStack
 
     from .density import density_report, estimate_density
-    from .sequences import _atomic_file, _atomic_write
+    from .sequences import _atomic_file, _write_lines
     from .subgroupoids import parse_family
 
-    if args.precision < 6:
-        raise FreeMagmaError(f"precision must be >= 6 significant digits, got {args.precision}")
-    family_n = parse_family(args.n, args.nmax)
-    family_m = parse_family(args.m, args.nmax)
     out_dir = Path(args.out) if args.out else None
     trace_path = accel_path = None
     sinks = [lambda row: None] * 2
-    start = time.perf_counter()
     with ExitStack() as files:
         if out_dir is not None:
+            report_file = files.enter_context(_atomic_file(out_dir / "density_report.json"))
             trace_path = str(out_dir / "density_trace.csv")
             accel_path = str(out_dir / "density_accelerated.csv")
             sinks = [
                 _csv_sink(files.enter_context(_atomic_file(Path(p)))) for p in (trace_path, accel_path)
             ]
+        if args.precision < 6:
+            raise FreeMagmaError(f"precision must be >= 6 significant digits, got {args.precision}")
+        family_n = parse_family(args.n, args.nmax)
+        family_m = parse_family(args.m, args.nmax)
+        start = time.perf_counter()
         est = estimate_density(family_n, family_m, args.nmax, args.precision, *sinks)
-    runtime = round(time.perf_counter() - start, 3)
-    report = density_report(
-        est, args.n, args.m, trace_path, accel_path, runtime_seconds=runtime
-    )
-    report_text = _json_text(report)
+        runtime = round(time.perf_counter() - start, 3)
+        report = density_report(
+            est, args.n, args.m, trace_path, accel_path, runtime_seconds=runtime
+        )
+        report_text = _json_text(report)
+        if out_dir is not None:
+            _write_lines(report_file, report_text)
     if args.format == "plain":
         if est.status == "oscillating":
             residues = ", ".join(str(v) for v in est.per_residue or ())
@@ -198,14 +176,13 @@ def _cmd_density(args: argparse.Namespace) -> int:
             text = f"density ~= {est.value} ({est.status}, n_max={est.n_max})"
     else:
         text = report_text
-    if out_dir is not None:
-        _atomic_write(out_dir / "density_report.json", report_text)
-    _emit(text, None)
+    _write_lines(out, text)
     return EXIT_OK
 
 
-def _cmd_longitudinal(args: argparse.Namespace) -> int:
+def _cmd_longitudinal(args: argparse.Namespace, out: TextIO) -> int:
     from .density import longitudinal_asymptote
+    from .sequences import _write_lines
     from .subgroupoids import Longitudinal, counting_texts, semigroup_info
 
     lengths = sorted({int(v) for v in args.lengths.split(",")})
@@ -233,13 +210,13 @@ def _cmd_longitudinal(args: argparse.Namespace) -> int:
         text = _json_pieces(payload, "counting", {}, (f'"{n}": "{v}"' for n, v in enumerate(texts, 1)))
     else:
         text = _json_text(payload)
-    _emit(text, args.out)
+    _write_lines(out, text)
     return EXIT_OK
 
 
-def _cmd_motzkin(args: argparse.Namespace) -> int:
+def _cmd_motzkin(args: argparse.Namespace, out: TextIO) -> int:
     from .motzkin_paths import PathSpec, count_paths, enumerate_paths
-    from .sequences import unlimited_int_digits
+    from .sequences import _write_lines, unlimited_int_digits
 
     bigrams = [b.strip() for b in args.forbid.split(",") if b.strip()] if args.forbid else []
     colors = {}
@@ -260,11 +237,12 @@ def _cmd_motzkin(args: argparse.Namespace) -> int:
         payload = {"length": args.length, "count": count_paths(spec)}
         with unlimited_int_digits():
             text = _json_text(payload) if args.format == "json" else str(payload["count"])
-    _emit(text, args.out)
+    _write_lines(out, text)
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
+    from .sequences import _write_lines
     from .verify import verify_all
 
     reports = verify_all(args.scope)
@@ -284,7 +262,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             lines.append(f"{status}  {r.name}: {r.details}")
         lines.append(f"{'OK' if ok else 'FAILED'}: {sum(r.passed for r in reports)}/{len(reports)} checks passed")
         text = "\n".join(lines)
-    _emit(text, args.out)
+    _write_lines(out, text)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
@@ -364,13 +342,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # Fail on unwritable output locations before any computation runs.
-        out = getattr(args, "out", None)
-        if out and args.command == "density":
-            _ensure_writable_dir(Path(out))
-        elif out:
-            _ensure_writable_file(Path(out))
-        return args.fn(args)
+        from contextlib import nullcontext
+
+        from .sequences import _atomic_file
+
+        # The output is open before the work starts; density opens its own
+        # directory's files.
+        to_file = args.out and args.command != "density"
+        with _atomic_file(Path(args.out)) if to_file else nullcontext(sys.stdout) as out:
+            return args.fn(args, out)
     except ExactDivisionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

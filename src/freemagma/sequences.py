@@ -137,7 +137,10 @@ def _exact_div(num: int, den: int) -> int:
 
 
 def catalan_numbers(count: int) -> list[int]:
-    """[C_0, C_1, ..., C_{count-1}]: the values of :func:`_catalan_series`."""
+    """[C_0, C_1, ..., C_{count-1}]: the values of :func:`_catalan_series`,
+    priced first as a counting sequence of ``count`` entries is priced, at
+    16 KiB and the rate of C_n < 4^n."""
+    check_memory(f"the first {count:,} Catalan numbers", _ints_bytes(count, 2) + 16384)
     return list(_catalan_series(count))
 
 

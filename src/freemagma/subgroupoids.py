@@ -381,7 +381,7 @@ def _counts(family: GenFamily, n_max: int, one: int) -> Iterator[int]:
 def longitudinal_counting(lengths: Iterable[int], n_max: int) -> BigSeq:
     """Counting sequence of the longitudinal subgroupoid: the full Catalan
     count at lengths inside the subsemigroup, zero elsewhere."""
-    return BigSeq(_counts(Longitudinal(lengths), n_max, 1))
+    return counting_sequence(Longitudinal(lengths), n_max)
 
 
 def semigroup_info(lengths: Iterable[int]) -> NumericalSemigroupInfo:

@@ -979,21 +979,57 @@ class TestOutputProbe:
             "density_report.json", "density_trace.csv",
         ]
 
-    def test_density_probes_once(self, capsys, tmp_path, monkeypatch):
-        probed = []
-        real = cli._ensure_writable_dir
+    def test_density_opens_each_output_once(self, capsys, tmp_path, monkeypatch):
+        from freemagma import sequences
+
+        opened = []
+        real = sequences._atomic_file
 
         def spy(path):
-            probed.append(path)
-            real(path)
+            opened.append(path)
+            return real(path)
 
-        monkeypatch.setattr(cli, "_ensure_writable_dir", spy)
+        monkeypatch.setattr(sequences, "_atomic_file", spy)
         code, _, _ = run_cli(
             capsys, "density", "--n", "shifted:1", "--m", "full", "--nmax", "50",
             "--precision", "6", "--out", str(tmp_path / "out"),
         )
         assert code == 0
-        assert probed == [tmp_path / "out"]
+        names = ("density_accelerated.csv", "density_report.json", "density_trace.csv")
+        assert sorted(opened) == [tmp_path / "out" / name for name in names]
+
+    # Each command with the function that starts its work.
+    WORK = [
+        (("count", "--family", "full", "--n", "5"), "subgroupoids", "counting_texts"),
+        (("transform", "--values", "0,1,1"), "sequences", "_histogram_counts"),
+        (("enumerate", "--n", "5"), "listing", "_level_blocks"),
+        (("longitudinal", "--lengths", "2,3", "--nmax", "10"), "subgroupoids", "semigroup_info"),
+        (("motzkin", "--length", "5"), "motzkin_paths", "count_paths"),
+        (("verify", "--scope", "fast"), "verify", "verify_all"),
+        (("density", "--n", "shifted:1", "--m", "full", "--nmax", "50"), "density", "estimate_density"),
+    ]
+
+    @pytest.mark.parametrize("argv, module, work", WORK, ids=[w[0][0] for w in WORK])
+    def test_unwritable_out_fails_before_the_work(self, capsys, tmp_path, monkeypatch, argv, module, work):
+        import importlib
+
+        def started(*args, **kwargs):
+            pytest.fail(f"{module}.{work} ran although --out cannot be written")
+
+        monkeypatch.setattr(importlib.import_module(f"freemagma.{module}"), work, started)
+        regular = tmp_path / "F"
+        regular.write_text("")
+        code, out, err = run_cli(capsys, *argv, "--out", str(regular / "x"))
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv", [("enumerate", "--n", "20"), ("motzkin", "--length", "3000", "--list")]
+    )
+    def test_refused_request_leaves_no_file(self, capsys, tmp_path, argv):
+        code, out, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "F"))
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX FIFOs")
     def test_fifo_is_written_in_place(self, capsys, tmp_path):

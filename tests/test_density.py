@@ -296,6 +296,12 @@ class TestLongitudinalConvergence:
         with pytest.raises(Mismatch):
             longitudinal_convergence_check({2}, 60, 1e-6)
 
+    def test_worst_residue_exists_when_every_error_is_zero(self):
+        # {1} has period 1 and its ratio is exactly 1 = its asymptote.
+        details, data = longitudinal_convergence_check({1}, 10, 0.1)
+        assert details.startswith("worst residue 0: ")
+        assert data["worst_error"] == 0.0
+
     # The report data of the fast-scope and full-scope verify families, as
     # computed when every ratio of the trace was built.
     PINNED_DATA = [

@@ -347,6 +347,33 @@ class TestCountingSequence:
         assert main(["count", "--family", "full", "--n", "4000"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 4001
 
+    # Each builds the whole list of a family's counts: it is priced as
+    # counting_sequence prices that family.
+    LIST_BUILDERS = [
+        ("longitudinal_counting", lambda n: longitudinal_counting({1}, n), Longitudinal({1})),
+        ("catalan_numbers", catalan_numbers, FiniteSet({ONE})),
+        ("catalan_c", catalan_c, FiniteSet({ONE})),
+        (
+            "shifted-generators",
+            lambda n: generator_counting_sequence(ShiftedFull(ONE), n),
+            ShiftedFull(ONE),
+        ),
+    ]
+
+    @pytest.mark.parametrize("build, family", [b[1:] for b in LIST_BUILDERS], ids=[b[0] for b in LIST_BUILDERS])
+    def test_count_lists_are_priced_like_counting_sequence(self, monkeypatch, build, family):
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", 2**20)
+        with monkeypatch.context() as patched:
+            def refuse(*args):
+                raise AssertionError("a count was made before the price was checked")
+
+            patched.setattr(sequences, "_catalan_series", refuse)
+            patched.setattr(subgroupoids, "_counts", refuse)
+            for refused in (build, lambda n: counting_sequence(family, n)):
+                with pytest.raises(CapacityError, match=r"over the memory budget of 1\.0 MiB$"):
+                    refused(5000)
+        assert len(build(1000)) == len(counting_sequence(family, 1000)) == 1000
+
     @pytest.mark.parametrize(
         "spec",
         ["full", "shifted:1", "shifted:(1+(1+1))", "finite:[(1+1),((1+1)+1),(1+(1+1))]",
