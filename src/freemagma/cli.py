@@ -266,7 +266,61 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each command's help and the function that runs it.
+COMMANDS = {
+    "enumerate": ("list all terms of a given length", _cmd_enumerate),
+    "count": ("counting sequence of a subgroupoid", _cmd_count),
+    "transform": ("apply the counting transform to a raw sequence", _cmd_transform),
+    "density": ("estimate the density of one family in another", _cmd_density),
+    "longitudinal": ("asymptotes and semigroup data of a longitudinal family", _cmd_longitudinal),
+    "motzkin": ("count or list constrained Motzkin paths", _cmd_motzkin),
+    "verify": ("run the self-verification suite", _cmd_verify),
+}
+
+
+def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
+    """The arguments of ``command``, its --format and --out last."""
+    formats, default, out_help = ("plain", "json"), "plain", "output file (default stdout)"
+    if command == "enumerate":
+        p.add_argument("--n", type=int, required=True, help="term length (>= 1)")
+        formats = ("plain", "csv", "json")
+    elif command == "count":
+        p.add_argument("--family", required=True, help="family spec, e.g. finite:[(1+1)] or full")
+        p.add_argument("--n", type=int, required=True, help="horizon n_max (>= 1)")
+        formats, default = ("plain", "csv", "json"), "csv"
+    elif command == "transform":
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--seqfile", help="CSV file with header n,value")
+        group.add_argument("--values", help="comma-separated entries, e.g. 0,1,1")
+        n_help = "zero-pad/truncate input to this horizon; --seqfile rows past it are not read"
+        p.add_argument("--n", type=int, default=0, help=n_help)
+        formats, default = ("plain", "csv", "json"), "csv"
+    elif command == "density":
+        p.add_argument("--n", required=True, help="numerator family spec")
+        p.add_argument("--m", required=True, help="denominator family spec (e.g. full)")
+        p.add_argument("--nmax", type=int, required=True, help="trace horizon")
+        p.add_argument("--precision", type=int, default=8, help="requested significant digits (>= 6)")
+        default, out_help = "json", "output directory for report + trace CSVs"
+    elif command == "longitudinal":
+        p.add_argument("--lengths", required=True, help="comma-separated generator lengths, e.g. 2,3")
+        p.add_argument("--nmax", type=int, default=0, help="also emit the counting sequence to n_max")
+        default = "json"
+    elif command == "motzkin":
+        p.add_argument("--length", type=int, required=True)
+        p.add_argument("--forbid", default="", help="forbidden bigrams, e.g. FU,FF")
+        p.add_argument("--colors", default="", help="step color multiplicities, e.g. F=2")
+        p.add_argument("--list", action="store_true", help="list paths instead of counting")
+    else:
+        p.add_argument("--scope", choices=("fast", "full"), required=True)
+    p.add_argument("--format", choices=formats, default=default)
+    p.add_argument("--out", help=out_help)
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of ``argv``.  When its first word names a command, only
+    that command's subparser is built, under a usage that still lists all
+    seven; otherwise (no word, ``-h``, ``--version``, an unknown word) all
+    are, so every help text and usage error keeps its bytes either way."""
     parser = argparse.ArgumentParser(
         prog="freemagma",
         description=(
@@ -275,72 +329,23 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("enumerate", help="list all terms of a given length")
-    p.add_argument("--n", type=int, required=True, help="term length (>= 1)")
-    p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
-    p.add_argument("--out", help="output file (default stdout)")
-    p.set_defaults(fn=_cmd_enumerate)
-
-    p = sub.add_parser("count", help="counting sequence of a subgroupoid")
-    p.add_argument("--family", required=True, help="family spec, e.g. finite:[(1+1)] or full")
-    p.add_argument("--n", type=int, required=True, help="horizon n_max (>= 1)")
-    p.add_argument("--format", choices=("plain", "csv", "json"), default="csv")
-    p.add_argument("--out", help="output file (default stdout)")
-    p.set_defaults(fn=_cmd_count)
-
-    p = sub.add_parser("transform", help="apply the counting transform to a raw sequence")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--seqfile", help="CSV file with header n,value")
-    group.add_argument("--values", help="comma-separated entries, e.g. 0,1,1")
-    p.add_argument(
-        "--n",
-        type=int,
-        default=0,
-        help="zero-pad/truncate input to this horizon; --seqfile rows past it are not read",
-    )
-    p.add_argument("--format", choices=("plain", "csv", "json"), default="csv")
-    p.add_argument("--out", help="output file (default stdout)")
-    p.set_defaults(fn=_cmd_transform)
-
-    p = sub.add_parser("density", help="estimate the density of one family in another")
-    p.add_argument("--n", required=True, help="numerator family spec")
-    p.add_argument("--m", required=True, help="denominator family spec (e.g. full)")
-    p.add_argument("--nmax", type=int, required=True, help="trace horizon")
-    p.add_argument("--precision", type=int, default=8, help="requested significant digits (>= 6)")
-    p.add_argument("--format", choices=("plain", "json"), default="json")
-    p.add_argument("--out", help="output directory for report + trace CSVs")
-    p.set_defaults(fn=_cmd_density)
-
-    p = sub.add_parser("longitudinal", help="asymptotes and semigroup data of a longitudinal family")
-    p.add_argument("--lengths", required=True, help="comma-separated generator lengths, e.g. 2,3")
-    p.add_argument("--nmax", type=int, default=0, help="also emit the counting sequence to n_max")
-    p.add_argument("--format", choices=("plain", "json"), default="json")
-    p.add_argument("--out", help="output file (default stdout)")
-    p.set_defaults(fn=_cmd_longitudinal)
-
-    p = sub.add_parser("motzkin", help="count or list constrained Motzkin paths")
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--forbid", default="", help="forbidden bigrams, e.g. FU,FF")
-    p.add_argument("--colors", default="", help="step color multiplicities, e.g. F=2")
-    p.add_argument("--list", action="store_true", help="list paths instead of counting")
-    p.add_argument("--format", choices=("plain", "json"), default="plain")
-    p.add_argument("--out", help="output file (default stdout)")
-    p.set_defaults(fn=_cmd_motzkin)
-
-    p = sub.add_parser("verify", help="run the self-verification suite")
-    p.add_argument("--scope", choices=("fast", "full"), required=True)
-    p.add_argument("--format", choices=("plain", "json"), default="plain")
-    p.add_argument("--out", help="output file (default stdout)")
-    p.set_defaults(fn=_cmd_verify)
-
+    if argv and argv[0] in COMMANDS:
+        commands = [argv[0]]
+        sub = parser.add_subparsers(dest="command", required=True, metavar=f"{{{','.join(COMMANDS)}}}")
+    else:
+        commands = list(COMMANDS)
+        sub = parser.add_subparsers(dest="command", required=True)
+    for command in commands:
+        help_text, fn = COMMANDS[command]
+        p = sub.add_parser(command, help=help_text)
+        _add_arguments(p, command)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         from contextlib import nullcontext
 

@@ -5,14 +5,17 @@ their growth (cumulative counting) sequences.  Ratios are exact big-integer
 quotients converted to fixed-precision decimals only at the boundary;
 Aitken's delta-squared process then extrapolates the slowly converging
 trace, each sample and accelerated value handed on as it is made.  A
-growth sequence is constant between multiples of the gcd of the lengths at
-which its counts are nonzero, so the trace is accelerated on each residue
-class modulo the lcm p of the two periods.  When the class limits differ,
-as they do for a longitudinal family whose gcd exceeds 1, there is no
-density: the estimate reports the period and the per-residue values, whose
-exact closed forms :func:`longitudinal_asymptote` gives.  The paper's
-nullity criterion and the other density checks are in :mod:`freemagma.checks`;
-the two that the benchmark traces under this module still resolve here.
+growth sequence is constant between multiples of its period, the gcd of
+the lengths at which its counts are nonzero, which
+:func:`freemagma.subgroupoids._period` reads from the family before the
+first count.  The trace is accelerated on each residue class modulo the
+lcm p of the two periods as its samples come, so no sample is held.  When
+the class limits differ, as they do for a longitudinal family whose gcd
+exceeds 1, there is no density: the estimate reports the period and the
+per-residue values, whose exact closed forms :func:`longitudinal_asymptote`
+gives.  The paper's nullity criterion and the other density checks are in
+:mod:`freemagma.checks`; the two that the benchmark traces under this
+module still resolve here.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .sequences import BigSeq, _atomic_write, _csv_text
-from .subgroupoids import GenFamily, Longitudinal, _counts, format_family
+from .subgroupoids import GenFamily, Longitudinal, _counts, _period, format_family
 
 DEFAULT_DECIMAL_DIGITS = 30
 LOG10_2 = math.log10(2)
@@ -197,24 +200,6 @@ class DensityEstimate(NamedTuple):
     window_spread: Decimal | None = None
 
 
-class _Counts:
-    """A counting sequence read once, as it is made, that notes the gcd of
-    the lengths at which its counts are nonzero: the growth sequence is
-    constant between multiples of that period (1 while there is none)."""
-
-    __slots__ = ("values", "support_gcd")
-
-    def __init__(self, values: Iterable[int]):
-        self.values = values
-        self.support_gcd = 0
-
-    def __iter__(self) -> Iterator[int]:
-        for n, v in enumerate(self.values, 1):
-            if v:
-                self.support_gcd = math.gcd(self.support_gcd, n)
-            yield v
-
-
 def estimate_density(
     family_n: GenFamily,
     family_m: GenFamily,
@@ -229,10 +214,10 @@ def estimate_density(
     they are made, and hands each trace sample and accelerated value to
     ``trace_sink`` and ``accelerated_sink`` in increasing n, under the
     pass's decimal context; a sink left None is a list returned in
-    ``trace`` or ``accelerated``.  The trace's
-    period p is the lcm of the two sequences' periods (:class:`_Counts`),
-    and Aitken's process accelerates each class n mod p on its own; the
-    samples are held only until both periods are 1, which is then final.
+    ``trace`` or ``accelerated``.  The trace's period p, the lcm of the two
+    families' periods (:func:`freemagma.subgroupoids._period`), is known
+    before the first count, so Aitken's process accelerates each class
+    n mod p on its own as the samples come, and no sample is held.
     The trace is ``oscillating`` when every class has a full window of five
     accelerated values and the class estimates differ by more than
     10^-precision plus the largest class spread.  Otherwise the estimate is
@@ -246,37 +231,27 @@ def estimate_density(
     if precision < 1:
         raise ValueError(f"precision must be >= 1, got {precision}")
     digits = max(DEFAULT_DECIMAL_DIGITS, precision + 10)
-    seq_n, seq_m = _Counts(_counts(family_n, n_max, 1)), _Counts(_counts(family_m, n_max, 1))
+    seq_n, seq_m = _counts(family_n, n_max, 1), _counts(family_m, n_max, 1)
+    p = math.lcm(_period(family_n, n_max) or 1, _period(family_m, n_max) or 1)
     samples: list[tuple[int, Decimal]] = []
     accelerated: list[tuple[int, Decimal]] = []
     emit, emit_accelerated = trace_sink or samples.append, accelerated_sink or accelerated.append
     fits: defaultdict[int, _Aitken] = defaultdict(lambda: _Aitken(digits))
     halves: dict[int, Decimal] = {}  # each class's last accelerated value at n <= n_max // 2
-    held: list[tuple[int, Decimal]] = []  # all samples while p may exceed 1
     skipped: list[int] = []
-
-    def fit(p: int) -> None:
-        for n, x in held:
-            y = fits[n % p](x)
-            if y is not None:
-                emit_accelerated((n, y))
-                if n <= n_max // 2:
-                    halves[n % p] = y
-        held.clear()
-
     n = 0
     with localcontext() as ctx:
         ctx.prec = digits
         ctx.rounding = ROUND_HALF_EVEN
         for n, x in _ratio_samples(seq_n, seq_m, digits, skipped):
             emit((n, x))
-            held.append((n, x))
-            if seq_n.support_gcd == seq_m.support_gcd == 1:
-                fit(1)
+            y = fits[n % p](x)
+            if y is not None:
+                emit_accelerated((n, y))
+                if n <= n_max // 2:
+                    halves[n % p] = y
         if not n:
             raise ValueError("denominator growth is identically zero; no trace")
-        p = math.lcm(seq_n.support_gcd or 1, seq_m.support_gcd or 1)
-        fit(p)
     summaries = {r: fits[r].summary() for r in sorted(fits)}
     estimates, spreads, _ = zip(*summaries.values())
     full = len(fits) == p and None not in spreads

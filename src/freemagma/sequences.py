@@ -36,17 +36,19 @@ from decimal import (
     Rounded,
     setcontext,
 )
-from fractions import Fraction
 from functools import partial
 from itertools import chain, islice, repeat, starmap
 from math import log2
 from operator import sub
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO, Union
 
 from .errors import ExactDivisionError, check_memory
 
-Rational = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Rational = Union[int, "Fraction"]
 
 # Exact decimal arithmetic for counts that are printed: no precision limit,
 # and any rounding, invalid operation or division by zero raises.  Python's
@@ -153,7 +155,7 @@ def _catalan_series(count: int, one: int = 1) -> Iterator[int]:
     c = one
     yield c
     for n in range(count - 1):
-        c = _exact_div(c * 2 * (2 * n + 1), n + 2)
+        c = _exact_div(c * (4 * n + 2), n + 2)
         yield c
 
 

@@ -378,6 +378,19 @@ def _counts(family: GenFamily, n_max: int, one: int) -> Iterator[int]:
     return _histogram_counts(hist, n_max, one)
 
 
+def _period(family: GenFamily, n_max: int) -> int:
+    """The gcd of the lengths up to ``n_max`` at which ``family`` has
+    members, 0 when it has none: member lengths are sums of generator
+    lengths, so it is the gcd of the generator lengths up to ``n_max``
+    (|a|+1 and |a|+2, or fewer, for M+a)."""
+    if isinstance(family, Longitudinal):
+        return math.gcd(*(v for v in family.lengths if v <= n_max))
+    if isinstance(family, ShiftedFull):
+        return math.gcd(*range(family.a.length + 1, min(family.a.length + 2, n_max) + 1))
+    hist = family.seq.entries if isinstance(family, ExplicitSeq) else _generator_histogram(family, n_max)
+    return math.gcd(*(k for k, c in enumerate(hist[:n_max], 1) if c))
+
+
 def longitudinal_counting(lengths: Iterable[int], n_max: int) -> BigSeq:
     """Counting sequence of the longitudinal subgroupoid: the full Catalan
     count at lengths inside the subsemigroup, zero elsewhere."""

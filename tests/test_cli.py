@@ -1116,3 +1116,29 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+    @staticmethod
+    def _parse(capsys, parser, argv):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        return exc.value.code, *capsys.readouterr()
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_one_subparser_keeps_every_byte(self, capsys, command):
+        # A run builds only its command's subparser; its help and its
+        # usage errors read as those of the parser with all seven, as does
+        # the usage that an error after its arguments prints.
+        parser = cli.build_parser([command])
+        assert len(parser._subparsers._group_actions[0].choices) == 1
+        assert parser.format_usage() == cli.build_parser([]).format_usage()
+        for argv in ([command, "--help"], [command, "--bogus"]):
+            one = self._parse(capsys, cli.build_parser(argv), argv)
+            assert one == self._parse(capsys, cli.build_parser([]), argv), argv
+            assert one[0] == (0 if argv[1] == "--help" else 2)
+
+    def test_unknown_command_lists_all_seven(self, capsys):
+        code, out, err = self._parse(capsys, cli.build_parser(["bogus"]), ["bogus"])
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'bogus'" in err
+        for command in cli.COMMANDS:
+            assert f"'{command}'" in err, command

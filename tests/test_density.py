@@ -427,9 +427,9 @@ class TestEstimateDensity:
 
 
 # Numerator and denominator specs whose CLI run streams the trace: the
-# benchmark's four families, periodic and late-settling families, and a
-# numerator that is zero at the first samples over a denominator that
-# skips samples.
+# benchmark's four families, periodic and late-settling families, a
+# periodic family over another, and a numerator that is zero at the first
+# samples over a denominator that skips samples.
 STREAMED_CASES = [
     ("shifted:1", "full"),
     ("shifted:(1+1)", "full"),
@@ -441,6 +441,8 @@ STREAMED_CASES = [
     ("seq:[0,0,2]", "full"),
     ("finite:[(1+1),(1+((1+1)+1))]", "full"),
     ("finite:[((((1+1)+1)+1)+1)]", "longitudinal:[2]"),
+    ("finite:[(1+1)]", "full"),
+    ("longitudinal:[4,6]", "finite:[(1+1)]"),
 ]
 
 
@@ -481,19 +483,30 @@ class TestStreamedEstimate:
         # recurrences read, whose digits grow with n: measured on Python
         # 3.11, its peak grows by about 5 bytes per n, from 19 KB at
         # n_max=1000 to 35 KB at n_max=4000.
-        family_n, family_m = parse_family("shifted:1"), parse_family("full")
+        assert _peak_growth("shifted:1", "full") < 20 * 3000
 
-        def peak(n_max):
-            gc.collect()
-            tracemalloc.start()
-            try:
-                estimate_density(family_n, family_m, n_max, 8, _discard, _discard)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    def test_periodic_estimate_holds_a_window(self):
+        # A held sample costs about 300 bytes.  The period 2 is read before
+        # the first count, so each class holds only its Aitken window.
+        assert _peak_growth("longitudinal:[2]", "full") < 60_000
 
-        peak(1000)
-        assert peak(4000) - peak(1000) < 20 * 3000
+
+def _peak_growth(numer, denom):
+    """How far the tracemalloc peak of an estimate whose sinks discard
+    every row grows from n_max=1000 to n_max=4000, after a warm-up run."""
+    family_n, family_m = parse_family(numer), parse_family(denom)
+
+    def peak(n_max):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            estimate_density(family_n, family_m, n_max, 8, _discard, _discard)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1000)
+    return peak(4000) - peak(1000)
 
 
 class TestDensityReport:

@@ -87,18 +87,21 @@ def test_density_loads_neither_verify_nor_motzkin_paths():
 
 
 def test_count_loads_no_density():
+    # Nor does it load fractions, which only the code that makes a
+    # Fraction imports; transform loads none of these either.
+    unused = {
+        "freemagma.density",
+        "freemagma.verify",
+        "freemagma.checks",
+        "freemagma.motzkin_paths",
+        "freemagma.listing",
+        "fractions",
+        *RECORD_MACHINERY,
+    }
     loaded = loaded_modules("count", "--family", "shifted:1", "--n", "10")
     assert "freemagma.subgroupoids" in loaded
-    assert loaded.isdisjoint(
-        {
-            "freemagma.density",
-            "freemagma.verify",
-            "freemagma.checks",
-            "freemagma.motzkin_paths",
-            "freemagma.listing",
-            *RECORD_MACHINERY,
-        }
-    )
+    assert loaded.isdisjoint(unused)
+    assert loaded_modules("transform", "--values", "1,1", "--n", "5").isdisjoint(unused)
 
 
 def test_count_and_density_load_no_heapq():

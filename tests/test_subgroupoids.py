@@ -395,6 +395,33 @@ class TestCountingSequence:
             prices.clear()
 
 
+def _period_families():
+    """The whole magma, every set of one or two of the 9 terms of length
+    <= 4, the shifts by the 4 terms of length <= 3, longitudinal families
+    with gcd 1 and above and with lengths past the horizon, and explicit
+    lists with a gap and with no generator."""
+    short = list(iter_terms_up_to(4))
+    assert len(short) == 9
+    sets = [FiniteSet(s) for k in (1, 2) for s in combinations(short, k)]
+    shifts = [ShiftedFull(a) for a in short if a.length <= 3]
+    lengths = ({2}, {4, 6}, {3, 100}, {2, 101}, {9})
+    return [
+        FiniteSet({ONE}), *sets, *shifts, *(Longitudinal(v) for v in lengths),
+        parse_family("seq:[0,2,0,0,0,3]"), parse_family("seq:[0,0,0]"),
+    ]
+
+
+class TestPeriod:
+    def test_gcd_of_the_lengths_with_members(self):
+        # The oracle reads the counts: the gcd of the lengths n' <= n at
+        # which the family has members, 0 (math.gcd()) when it has none.
+        for family in _period_families():
+            for n in range(1, 41):
+                counts = counting_sequence(family, n)
+                expected = math.gcd(*(k for k in range(1, n + 1) if counts[k]))
+                assert subgroupoids._period(family, n) == expected, (format_family(family), n)
+
+
 # Shifts of length 1, 2, 3 and 5, and finite families whose minimal
 # generator histograms have gaps and multiplicities: [0,0,2] and [0,1,0,0,3].
 RECURRENCE_FAMILIES = [ShiftedFull(a) for a in (ONE, TWO, THREE_PLUS, left_comb(5))] + [
