@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Subcommands: enumerate, count, transform, density, longitudinal, motzkin,
-verify.  Outputs are deterministic for a given configuration.  An output
-file is opened before the work, so an unwritable one fails first; it is
-written as a temp file ``.NAME.XXXXXX`` beside it, renamed over it when the
-command ends and removed on any failure.  Exit codes: 0 success,
-1 verification failure, 2 usage error (bad arguments, unparsable input,
-unwritable output), 3 internal arithmetic fault (an exact division left a
-remainder).
+verify.  Outputs are deterministic for a given configuration.  Each command
+returns what to write and its exit code, and :func:`main` writes it to the
+output, which it opens before the command runs, so an unwritable one fails
+first (density opens the files of its ``--out`` directory itself).  An
+output file is written as a temp file ``.NAME.XXXXXX`` beside it, renamed
+over it when the command ends and removed on any failure.  Exit codes:
+0 success, 1 verification failure, 2 usage error (bad arguments,
+unparsable input, unwritable output), 3 internal arithmetic fault (an
+exact division left a remainder).
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+
+# What a command returns: the text that main writes, one string or pieces
+# made as they are read, and the exit code.
+Result = tuple["str | Iterable[str]", int]
 
 
 def _json_text(obj: dict) -> str:
@@ -71,11 +77,11 @@ def _sequence_text(texts: Iterable[str], fmt: str, meta: dict) -> Iterable[str]:
     return (f"n={n} {v}\n" for n, v in rows)
 
 
-def _cmd_enumerate(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> Result:
     """Plain output is the level's blocks as they come, and each JSON
     entry is a block's texts joined by one ``replace``.  CSV numbers its
     rows, so it is formatted one text at a time."""
-    from .sequences import _write_lines, catalan_numbers
+    from .sequences import catalan_numbers
     from .listing import _level_blocks
 
     pieces: Iterable[str]
@@ -91,25 +97,19 @@ def _cmd_enumerate(args: argparse.Namespace, out: TextIO) -> int:
         pieces = chain(("index,term\n",), (f"{i},{t}\n" for i, t in enumerate(texts, start=1)))
     else:
         pieces = _level_blocks(args.n)
-    _write_lines(out, pieces)
-    return EXIT_OK
+    return pieces, EXIT_OK
 
 
-def _cmd_count(args: argparse.Namespace, out: TextIO) -> int:
-    from .sequences import _write_lines
+def _cmd_count(args: argparse.Namespace) -> Result:
     from .subgroupoids import counting_texts, parse_family
 
     family = parse_family(args.family, args.n)
     texts = counting_texts(family, args.n)
-    text = _sequence_text(texts, args.format, {"family": args.family, "n_max": args.n})
-    _write_lines(out, text)
-    return EXIT_OK
+    return _sequence_text(texts, args.format, {"family": args.family, "n_max": args.n}), EXIT_OK
 
 
-def _cmd_transform(args: argparse.Namespace, out: TextIO) -> int:
-    from .sequences import (
-        BigSeq, _exact_texts, _histogram_counts, _write_lines, read_sequence_csv, unlimited_int_digits,
-    )
+def _cmd_transform(args: argparse.Namespace) -> Result:
+    from .sequences import BigSeq, _exact_texts, _histogram_counts, read_sequence_csv, unlimited_int_digits
 
     if args.seqfile:
         seq = read_sequence_csv(args.seqfile, args.n if args.n > 0 else None)
@@ -118,8 +118,7 @@ def _cmd_transform(args: argparse.Namespace, out: TextIO) -> int:
             seq = BigSeq(int(v) for v in args.values.split(","))
     seq = seq.padded(args.n or len(seq))
     texts = _exact_texts(_histogram_counts, seq.entries, len(seq))
-    _write_lines(out, _sequence_text(texts, args.format, {"n_max": len(seq)}))
-    return EXIT_OK
+    return _sequence_text(texts, args.format, {"n_max": len(seq)}), EXIT_OK
 
 
 def _csv_sink(fh: TextIO) -> Callable[[tuple[int, object]], object]:
@@ -131,7 +130,7 @@ def _csv_sink(fh: TextIO) -> Callable[[tuple[int, object]], object]:
     return lambda row: fh.write(_csv_row(*row))
 
 
-def _cmd_density(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_density(args: argparse.Namespace) -> Result:
     """``--out`` is a directory: its three files are opened before the
     work, the report first so that it is renamed last, and the trace CSVs
     are written as the estimate makes their rows."""
@@ -152,8 +151,6 @@ def _cmd_density(args: argparse.Namespace, out: TextIO) -> int:
             sinks = [
                 _csv_sink(files.enter_context(_atomic_file(Path(p)))) for p in (trace_path, accel_path)
             ]
-        if args.precision < 6:
-            raise FreeMagmaError(f"precision must be >= 6 significant digits, got {args.precision}")
         family_n = parse_family(args.n, args.nmax)
         family_m = parse_family(args.m, args.nmax)
         start = time.perf_counter()
@@ -176,13 +173,11 @@ def _cmd_density(args: argparse.Namespace, out: TextIO) -> int:
             text = f"density ~= {est.value} ({est.status}, n_max={est.n_max})"
     else:
         text = report_text
-    _write_lines(out, text)
-    return EXIT_OK
+    return text, EXIT_OK
 
 
-def _cmd_longitudinal(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_longitudinal(args: argparse.Namespace) -> Result:
     from .density import longitudinal_asymptote
-    from .sequences import _write_lines
     from .subgroupoids import Longitudinal, counting_texts, semigroup_info
 
     lengths = sorted({int(v) for v in args.lengths.split(",")})
@@ -210,13 +205,12 @@ def _cmd_longitudinal(args: argparse.Namespace, out: TextIO) -> int:
         text = _json_pieces(payload, "counting", {}, (f'"{n}": "{v}"' for n, v in enumerate(texts, 1)))
     else:
         text = _json_text(payload)
-    _write_lines(out, text)
-    return EXIT_OK
+    return text, EXIT_OK
 
 
-def _cmd_motzkin(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_motzkin(args: argparse.Namespace) -> Result:
     from .motzkin_paths import PathSpec, count_paths, enumerate_paths
-    from .sequences import _write_lines, unlimited_int_digits
+    from .sequences import unlimited_int_digits
 
     bigrams = [b.strip() for b in args.forbid.split(",") if b.strip()] if args.forbid else []
     colors = {}
@@ -237,12 +231,10 @@ def _cmd_motzkin(args: argparse.Namespace, out: TextIO) -> int:
         payload = {"length": args.length, "count": count_paths(spec)}
         with unlimited_int_digits():
             text = _json_text(payload) if args.format == "json" else str(payload["count"])
-    _write_lines(out, text)
-    return EXIT_OK
+    return text, EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
-    from .sequences import _write_lines
+def _cmd_verify(args: argparse.Namespace) -> Result:
     from .verify import verify_all
 
     reports = verify_all(args.scope)
@@ -262,8 +254,7 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
             lines.append(f"{status}  {r.name}: {r.details}")
         lines.append(f"{'OK' if ok else 'FAILED'}: {sum(r.passed for r in reports)}/{len(reports)} checks passed")
         text = "\n".join(lines)
-    _write_lines(out, text)
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    return text, EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
 # Each command's help and the function that runs it.
@@ -349,13 +340,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         from contextlib import nullcontext
 
-        from .sequences import _atomic_file
+        from .sequences import _atomic_file, _write_lines
 
         # The output is open before the work starts; density opens its own
         # directory's files.
         to_file = args.out and args.command != "density"
         with _atomic_file(Path(args.out)) if to_file else nullcontext(sys.stdout) as out:
-            return args.fn(args, out)
+            text, code = args.fn(args)
+            _write_lines(out, text)
+        return code
     except ExactDivisionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -23,13 +23,15 @@ from __future__ import annotations
 import math
 from collections import defaultdict, deque
 from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
-from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .sequences import BigSeq, _atomic_write, _csv_text
 from .subgroupoids import GenFamily, Longitudinal, _counts, _period, format_family
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_DECIMAL_DIGITS = 30
 LOG10_2 = math.log10(2)
@@ -50,11 +52,10 @@ def growth(a: BigSeq) -> BigSeq:
 
 
 class RatioTrace(NamedTuple):
-    """Growth-ratio samples (n, value) plus indices skipped for zero
-    denominators."""
+    """Growth-ratio samples (n, value); an n whose denominator growth is
+    zero has none."""
 
     samples: tuple[tuple[int, Decimal], ...]
-    skipped: tuple[int, ...]
 
     def values(self) -> list[Decimal]:
         return [v for _, v in self.samples]
@@ -68,24 +69,19 @@ def ratio_trace(
 
     Each sample is the exact rational |N|_<=n / |M|_<=n rounded half-even
     to ``precision`` significant digits.  Indices where the denominator
-    growth is still zero are skipped and flagged.
+    growth is still zero are skipped.
     """
-    skipped: list[int] = []
-    samples = tuple(_ratio_samples(numer, denom, precision, skipped))
-    return RatioTrace(samples, tuple(skipped))
+    return RatioTrace(tuple(_ratio_samples(numer, denom, precision)))
 
 
 def _ratio_samples(
-    numer: Iterable[int], denom: Iterable[int], precision: int, skipped: list[int]
+    numer: Iterable[int], denom: Iterable[int], precision: int
 ) -> Iterator[tuple[int, Decimal]]:
-    """The samples of :func:`ratio_trace` as they are made; the indices it
-    skips go to ``skipped``."""
+    """The samples of :func:`ratio_trace` as they are made."""
     ctx = Context(prec=precision, rounding=ROUND_HALF_EVEN)
     for n, (gn, gm) in enumerate(zip(accumulate(numer), accumulate(denom)), 1):
         if gm:
             yield n, _rounded_quotient(gn, gm, ctx)
-        else:
-            skipped.append(n)
 
 
 def _rounded_quotient(num: int, den: int, ctx: Context) -> Decimal:
@@ -165,12 +161,14 @@ class LongitudinalAsymptote(NamedTuple):
     per_residue: tuple[Fraction, ...]
 
     def mean(self) -> Fraction:
-        return sum(self.per_residue, Fraction(0)) / len(self.per_residue)
+        return sum(self.per_residue) / len(self.per_residue)
 
 
 def longitudinal_asymptote(lengths: Iterable[int]) -> LongitudinalAsymptote:
     """Closed-form ratio asymptotes: residue r of p = gcd(lengths) tends to
     3 / (4^(r+1) (1 - 4^-p))."""
+    from fractions import Fraction
+
     p = math.gcd(*Longitudinal(lengths).lengths)
     scale = 1 - Fraction(1, 4**p)
     residues = tuple(Fraction(3, 4 ** (r + 1)) / scale for r in range(p))
@@ -208,7 +206,8 @@ def estimate_density(
     trace_sink: Sink | None = None,
     accelerated_sink: Sink | None = None,
 ) -> DensityEstimate:
-    """Estimate the density of <family_n> with respect to <family_m>.
+    """Estimate the density of <family_n> with respect to <family_m>, to
+    ``precision`` >= 6 significant digits over a horizon ``n_max`` >= 3.
 
     One pass reads both counting sequences to ``n_max`` in lockstep, as
     they are made, and hands each trace sample and accelerated value to
@@ -226,10 +225,10 @@ def estimate_density(
     10^-precision of the last at n <= n_max // 2, and is reported even when
     ``inconclusive``.  Nestedness and ratios outside [0, 1] are not checked.
     """
+    if precision < 6:
+        raise ValueError(f"precision must be >= 6 significant digits, got {precision}")
     if n_max < 3:
         raise ValueError(f"n_max must be >= 3, got {n_max}")
-    if precision < 1:
-        raise ValueError(f"precision must be >= 1, got {precision}")
     digits = max(DEFAULT_DECIMAL_DIGITS, precision + 10)
     seq_n, seq_m = _counts(family_n, n_max, 1), _counts(family_m, n_max, 1)
     p = math.lcm(_period(family_n, n_max) or 1, _period(family_m, n_max) or 1)
@@ -238,12 +237,11 @@ def estimate_density(
     emit, emit_accelerated = trace_sink or samples.append, accelerated_sink or accelerated.append
     fits: defaultdict[int, _Aitken] = defaultdict(lambda: _Aitken(digits))
     halves: dict[int, Decimal] = {}  # each class's last accelerated value at n <= n_max // 2
-    skipped: list[int] = []
     n = 0
     with localcontext() as ctx:
         ctx.prec = digits
         ctx.rounding = ROUND_HALF_EVEN
-        for n, x in _ratio_samples(seq_n, seq_m, digits, skipped):
+        for n, x in _ratio_samples(seq_n, seq_m, digits):
             emit((n, x))
             y = fits[n % p](x)
             if y is not None:
@@ -270,7 +268,7 @@ def estimate_density(
         status=status,
         n_max=n_max,
         precision=precision,
-        trace=RatioTrace(tuple(samples), tuple(skipped)),
+        trace=RatioTrace(tuple(samples)),
         accelerated=tuple(accelerated),
         oscillation_period=p if oscillating else None,
         per_residue=estimates if oscillating else None,

@@ -65,9 +65,6 @@ class CheckReport:
         self.first_failure = first_failure
         self.data = {} if data is None else data
 
-    def __bool__(self) -> bool:
-        return self.passed
-
     def as_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
             "name": self.name,

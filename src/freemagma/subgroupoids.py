@@ -18,7 +18,7 @@ import operator
 from collections import Counter
 from itertools import count, islice, repeat, zip_longest
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import UnsupportedVariantError, check_length, check_memory
 from .reporting import _Record
@@ -315,22 +315,23 @@ def generator_counting_sequence(family: GenFamily, n_max: int) -> BigSeq:
     """|G|_n for the minimal generating set G described by ``family``."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if isinstance(family, FiniteSet):
-        return BigSeq(_generator_histogram(family, n_max)).padded(n_max)
     if isinstance(family, ShiftedFull):
         la = family.a.length
         return BigSeq(([0] * la + catalan_numbers(n_max - la))[:n_max])
-    if isinstance(family, ExplicitSeq):
-        return family.seq.padded(n_max)
-    raise UnsupportedVariantError(
-        "longitudinal families have no finite generator histogram; "
-        "use longitudinal_counting"
-    )
+    if isinstance(family, Longitudinal):
+        raise UnsupportedVariantError(
+            "longitudinal families have no finite generator histogram; "
+            "use longitudinal_counting"
+        )
+    return BigSeq(_generator_histogram(family, n_max)).padded(n_max)
 
 
-def _generator_histogram(family: FiniteSet, n_max: int) -> list[int]:
+def _generator_histogram(family: FiniteSet | ExplicitSeq, n_max: int) -> Sequence[int]:
     """|G|_1, ..., |G|_m for the minimal generating set G of ``family``, up
-    to its longest generator m <= n_max (empty when there is none)."""
+    to m <= n_max: an explicit sequence's entries, or a finite set's up to
+    its longest generator (empty when there is none)."""
+    if isinstance(family, ExplicitSeq):
+        return family.seq.entries[:n_max]
     lengths = Counter(g.length for g in minimal_generators(family.terms) if g.length <= n_max)
     return [lengths[k] for k in range(1, max(lengths, default=0) + 1)]
 
@@ -374,8 +375,7 @@ def _counts(family: GenFamily, n_max: int, one: int) -> Iterator[int]:
         k = family.a.length
         p0, p1 = [1] + [0] * (k - 1) + [-2], [0] * k + [2]
         return islice(_quadratic_root([1], [-1], p0, p1, n_max, one), 1, None)
-    hist = family.seq.entries if isinstance(family, ExplicitSeq) else _generator_histogram(family, n_max)
-    return _histogram_counts(hist, n_max, one)
+    return _histogram_counts(_generator_histogram(family, n_max), n_max, one)
 
 
 def _period(family: GenFamily, n_max: int) -> int:
@@ -387,8 +387,7 @@ def _period(family: GenFamily, n_max: int) -> int:
         return math.gcd(*(v for v in family.lengths if v <= n_max))
     if isinstance(family, ShiftedFull):
         return math.gcd(*range(family.a.length + 1, min(family.a.length + 2, n_max) + 1))
-    hist = family.seq.entries if isinstance(family, ExplicitSeq) else _generator_histogram(family, n_max)
-    return math.gcd(*(k for k, c in enumerate(hist[:n_max], 1) if c))
+    return math.gcd(*(k for k, c in enumerate(_generator_histogram(family, n_max), 1) if c))
 
 
 def longitudinal_counting(lengths: Iterable[int], n_max: int) -> BigSeq:

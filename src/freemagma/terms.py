@@ -81,11 +81,6 @@ class Term:
             return NotImplemented
         return sum_terms(self, other)
 
-    def __mul__(self, other: Term) -> Term:
-        if not isinstance(other, Term):
-            return NotImplemented
-        return product(self, other)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Term):
             return NotImplemented

@@ -998,6 +998,29 @@ class TestOutputProbe:
         names = ("density_accelerated.csv", "density_report.json", "density_trace.csv")
         assert sorted(opened) == [tmp_path / "out" / name for name in names]
 
+    def test_only_main_writes_a_commands_output(self):
+        # Each command takes its arguments alone and returns its output,
+        # which main writes; density also writes its report file.
+        import ast
+        from pathlib import Path
+
+        tree = ast.parse(Path(cli.__file__).read_text())
+        writers = {
+            getattr(node, "name", "<module>")
+            for node in tree.body
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and "_write_lines" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+        }
+        assert writers == {"main", "_cmd_density"}
+        commands = {
+            node.name: ast.unparse(node.args)
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")
+        }
+        assert len(commands) == len(cli.COMMANDS)
+        assert set(commands.values()) == {"args: argparse.Namespace"}
+
     # Each command with the function that starts its work.
     WORK = [
         (("count", "--family", "full", "--n", "5"), "subgroupoids", "counting_texts"),

@@ -65,7 +65,7 @@ class TestRatioTrace:
         cats = catalan_c(20)
         trace = ratio_trace(cats, cats)
         assert all(v == 1 for _, v in trace.samples)
-        assert trace.skipped == ()
+        assert [n for n, _ in trace.samples] == list(range(1, 21))
 
     def test_shifted_over_full_at_13(self):
         from decimal import localcontext
@@ -86,7 +86,6 @@ class TestRatioTrace:
         numer = BigSeq([0, 0, 0, 1])
         denom = BigSeq([0, 0, 1, 1])  # growth is zero for n = 1, 2
         trace = ratio_trace(numer, denom)
-        assert trace.skipped == (1, 2)
         assert [n for n, _ in trace.samples] == [3, 4]
 
     def test_bounded_for_nested_families(self):
@@ -424,6 +423,8 @@ class TestEstimateDensity:
     def test_validation(self):
         with pytest.raises(ValueError):
             estimate_density(FiniteSet({ONE}), FiniteSet({ONE}), 2)
+        with pytest.raises(ValueError, match="precision must be >= 6 significant digits, got 5"):
+            estimate_density(FiniteSet({ONE}), FiniteSet({ONE}), 50, precision=5)
 
 
 # Numerator and denominator specs whose CLI run streams the trace: the

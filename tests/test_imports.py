@@ -81,6 +81,7 @@ def test_density_loads_neither_verify_nor_motzkin_paths():
             "freemagma.checks",
             "freemagma.motzkin_paths",
             "freemagma.listing",
+            "fractions",
             *RECORD_MACHINERY,
         }
     )
