@@ -23,12 +23,14 @@ from __future__ import annotations
 import math
 from collections import defaultdict, deque
 from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
-from itertools import accumulate
+from functools import partial
+from itertools import accumulate, count
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
-from .sequences import BigSeq, _atomic_write, _csv_text
-from .subgroupoids import GenFamily, Longitudinal, _counts, _period, format_family
+from .errors import figure
+from .sequences import BigSeq, _atomic_write, _catalan_series, _csv_text
+from .subgroupoids import ExplicitSeq, GenFamily, Longitudinal, _counts, _period, format_family
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -223,14 +225,18 @@ def estimate_density(
     that of n_max's class, ``converged`` when every class has a full window
     whose spread is within 10^-precision and whose last value lies within
     10^-precision of the last at n <= n_max // 2, and is reported even when
-    ``inconclusive``.  Nestedness and ratios outside [0, 1] are not checked.
+    ``inconclusive``.  An explicit sequence counts a subgroupoid only when
+    no count b_n exceeds C_(n-1), the number of terms of length n: the
+    first that does raises ValueError.  Nestedness, and so a ratio above 1
+    between two subgroupoids, is not checked.
     """
     if precision < 6:
         raise ValueError(f"precision must be >= 6 significant digits, got {precision}")
     if n_max < 3:
         raise ValueError(f"n_max must be >= 3, got {n_max}")
     digits = max(DEFAULT_DECIMAL_DIGITS, precision + 10)
-    seq_n, seq_m = _counts(family_n, n_max, 1), _counts(family_m, n_max, 1)
+    seq_n = _member_counts(family_n, n_max, "numerator")
+    seq_m = _member_counts(family_m, n_max, "denominator")
     p = math.lcm(_period(family_n, n_max) or 1, _period(family_m, n_max) or 1)
     samples: list[tuple[int, Decimal]] = []
     accelerated: list[tuple[int, Decimal]] = []
@@ -275,6 +281,27 @@ def estimate_density(
         last_step_delta=delta,
         window_spread=spread,
     )
+
+
+def _member_counts(family: GenFamily, n_max: int, side: str) -> Iterator[int]:
+    """|N|_1..|N|_{n_max} of ``family``; an explicit sequence's are read
+    beside C_0, C_1, ... and checked by :func:`_member_count`."""
+    counts = _counts(family, n_max, 1)
+    if not isinstance(family, ExplicitSeq):
+        return counts
+    return map(partial(_member_count, side), count(1), counts, _catalan_series(n_max))
+
+
+def _member_count(side: str, n: int, members: int, terms: int) -> int:
+    """``members``, the count at length n of the ``side`` family, or a
+    ValueError when it exceeds ``terms``, the number of terms of that length."""
+    if members > terms:
+        have = "term has" if terms == 1 else "terms have"
+        raise ValueError(
+            f"the {side} has {figure(members)} members of length {n}, "
+            f"but only {figure(terms)} {have} that length"
+        )
+    return members
 
 
 def density_report(

@@ -49,6 +49,7 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 Rational = Union[int, "Fraction"]
+Term = tuple[int, int, int, int]  # (j, s, a, b) of _recurrence_terms
 
 # Exact decimal arithmetic for counts that are printed: no precision limit,
 # and any rounding, invalid operation or division by zero raises.  Python's
@@ -266,7 +267,7 @@ def _sqrt_series(p0: Sequence[int], p1: Sequence[int], n_max: int, one: int = 1)
     if p0[0] != 1 or p1[0] != 0:
         raise ValueError("the square-root series needs p0(0) = 1 and p1(0) = 0")
     if not any(p1):
-        return _sqrt_steps(n_max, one, [_recurrence_terms(_poly_deriv(p0), [2 * c for c in p0])])
+        return _sqrt_steps(n_max, one, _recurrence_terms(_poly_deriv(p0), [2 * c for c in p0], 0))
     w = [1, -4]
     alpha = _poly_deriv(p0)
     beta = _poly_sub(_poly_mul(_poly_deriv(p1), w), [2 * c for c in p1])
@@ -275,49 +276,47 @@ def _sqrt_series(p0: Sequence[int], p1: Sequence[int], n_max: int, one: int = 1)
     v = _poly_sub(_poly_mul(beta, p0), _poly_mul(_poly_mul(alpha, p1), w))
     d = _poly_mul([2 * c for c in norm], w)
     uw = _poly_mul(u, w)
-    terms = [(uw, d), (v, [0]), (_poly_mul(v, w), [0]), (_poly_sub(uw, [4 * c for c in norm]), d)]
-    return _sqrt_steps(n_max, one, list(starmap(_recurrence_terms, terms)))
+    q_row = _recurrence_terms(uw, d, 0) + _recurrence_terms(v, [0], 1)
+    t_row = _recurrence_terms(_poly_mul(v, w), [0], 0)
+    t_row += _recurrence_terms(_poly_sub(uw, [4 * c for c in norm]), d, 1)
+    return _sqrt_steps(n_max, one, q_row, t_row)
 
 
-def _sqrt_steps(n_max: int, one: int, terms: list[list[tuple[int, int, int]]]) -> Iterator[int]:
-    """The steps of :func:`_sqrt_series` from its terms, made in the type of
-    ``one``: q from q and, when T is carried, q from t, t from q and t from t.
-    Each window reaches the furthest term; a step that none reaches is +0."""
+def _sqrt_steps(n_max: int, one: int, q_row: list[Term], t_row: Sequence[Term] = ()) -> Iterator[int]:
+    """The steps of :func:`_sqrt_series` from the rows of q_n and, when T is
+    carried, t_n, made in the type of ``one``.  Each window reaches the
+    furthest term; a step that none reaches is +0."""
     zero = one - one
-    terms = [[(s, zero + c0, zero + c1) for s, c0, c1 in part] for part in terms]
-    q_from_q, *with_t = terms
-    q_from_t, t_from_q, t_from_t = with_t or ([], [], [])
-    window = max((s for part in terms for s, _, _ in part), default=1)
-    q, t = deque([one], maxlen=window), deque([one], maxlen=window)
+    q_row, t_row = ([(j, s, zero + a, zero + b) for j, s, a, b in row] for row in (q_row, t_row))
+    depth = max((s for _, s, _, _ in q_row + t_row), default=1)
+    windows = q, t = deque([one], maxlen=depth), deque([one], maxlen=depth)
     yield one
     for n in range(1, n_max + 1):
-        acc = _recurrence_step(q_from_q, q, n) or zero
-        if with_t:
-            acc += _recurrence_step(q_from_t, t, n)
-            t.append(
-                _exact_div(_recurrence_step(t_from_q, q, n) + _recurrence_step(t_from_t, t, n), 2 * n)
-            )
-        q.append(_exact_div(acc, 2 * n))
+        # Both rows read step n - 1, so t_n is appended after q_n is made.
+        t_n = _exact_div(_recurrence_step(t_row, windows, n), 2 * n) if t_row else zero
+        q.append(_exact_div(_recurrence_step(q_row, windows, n) or zero, 2 * n))
+        t.append(t_n)
         yield q[-1]
 
 
-def _recurrence_terms(rhs: Sequence[int], lhs: Sequence[int]) -> list[tuple[int, int, int]]:
-    """(s, c0, c1) for the nonzero coefficients c0 + c1*(n-s) of the term
-    s >= 1 steps back in [x^(n-1)] of rhs*F - lhs*F' (lhs[0] excluded)."""
+def _recurrence_terms(rhs: Sequence[int], lhs: Sequence[int], j: int) -> list[Term]:
+    """(j, s, c0 - c1*s, c1) for the nonzero coefficients c0 + c1*(n-s) of
+    the term s >= 1 steps back in window j in [x^(n-1)] of rhs*F - lhs*F'
+    (lhs[0] excluded): the value s back times a + b*n."""
     top = max(len(rhs), len(lhs) - 1)
     terms = []
     for s in range(1, top + 1):
         c0 = rhs[s - 1] if s - 1 < len(rhs) else 0
         c1 = -lhs[s] if s < len(lhs) else 0
         if c0 or c1:
-            terms.append((s, c0, c1))
+            terms.append((j, s, c0 - c1 * s, c1))
     return terms
 
 
-def _recurrence_step(terms: list[tuple[int, int, int]], window: deque, n: int) -> int:
-    """The sum of the terms at step n, from a ``window`` that ends with the
-    value of step n - 1."""
-    return sum((c0 + c1 * (n - s)) * window[-s] for s, c0, c1 in terms if s <= n)
+def _recurrence_step(row: list[Term], windows: Sequence[deque], n: int) -> int:
+    """The sum of the terms of ``row`` at step n, from ``windows`` that end
+    with the values of step n - 1."""
+    return sum((a + b * n) * windows[j][-s] for j, s, a, b in row if s <= n)
 
 
 @contextmanager
@@ -487,7 +486,7 @@ def _series_quotient(num: Iterable[int], den: Sequence[int], n_max: int) -> Iter
     low = list(islice(num, v))
     if any(low):
         raise ExactDivisionError(f"series {low}... is not divisible by x^{v}")
-    num, tail = islice(num, n_max + 1), [(i, c) for i, c in enumerate(den[v + 1 :], 1) if c]
+    num, tail = islice(num, n_max + 1), [(0, i, -c, 0) for i, c in enumerate(den[v + 1 :], 1) if c]
     if not tail:
         # A constant divisor reads no earlier quotient: one C-level map, which
         # counts a subgroupoid (alpha = 1) about 5% faster than the steps.
@@ -495,8 +494,8 @@ def _series_quotient(num: Iterable[int], den: Sequence[int], n_max: int) -> Iter
     return _quotient_steps(num, den[v], tail)
 
 
-def _quotient_steps(num: Iterator[int], lead: int, tail: list[tuple[int, int]]) -> Iterator[int]:
-    out: deque = deque(maxlen=tail[-1][0])
+def _quotient_steps(num: Iterator[int], lead: int, tail: list[Term]) -> Iterator[int]:
+    out: deque = deque(maxlen=tail[-1][1])
     for n, x in enumerate(num):
-        out.append(_exact_div(x - sum(c * out[-i] for i, c in tail if i <= n), lead))
+        out.append(_exact_div(x + _recurrence_step(tail, (out,), n), lead))
         yield out[-1]

@@ -551,6 +551,17 @@ class TestDensity:
         assert [p.name for p in tmp_path.iterdir()] == ["density_trace.csv"]
         assert (tmp_path / "density_trace.csv").read_bytes() == earlier
 
+    @pytest.mark.parametrize("seq", ["[1,1]", "[0,3]", "[0,1,3]", "[0,1,2,5]"])
+    def test_count_no_subgroupoid_has_is_refused(self, capsys, tmp_path, seq):
+        code, out, err = run_cli(
+            capsys, "density", "--n", f"seq:{seq}", "--m", "full", "--nmax", "300",
+            "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert "members of length" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_precision_floor(self, capsys):
         code, _, err = run_cli(
             capsys, "density", "--n", "shifted:1", "--m", "full", "--nmax", "50",

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import random
+import re
 import tracemalloc
 from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
@@ -419,6 +420,31 @@ class TestEstimateDensity:
         est = estimate_density(fam, FiniteSet({ONE}), 100, precision=6)
         aerated = counting_sequence(fam, 100)
         assert aerated[4] == 1 and aerated[6] == 2  # sanity: transform applied
+
+    @pytest.mark.parametrize(
+        "seq, n, members, terms",
+        [
+            ([1, 1], 2, 2, "1 term has"),
+            ([0, 3], 2, 3, "1 term has"),
+            ([0, 1, 3], 3, 3, "2 terms have"),
+            ([0, 1, 2, 5], 4, 6, "5 terms have"),
+            # Past 4300 digits a count is given by its leading digits.
+            ([0, 10**5000], 2, "1.00e+5000", "1 term has"),
+        ],
+    )
+    def test_explicit_seq_over_the_terms_is_refused(self, seq, n, members, terms):
+        # A list whose count b_n exceeds C_(n-1), the number of terms of
+        # length n, counts no subgroupoid; either side is checked.
+        fam, full = ExplicitSeq(BigSeq(seq)), FiniteSet({ONE})
+        for side, pair in (("numerator", (fam, full)), ("denominator", (full, fam))):
+            refused = f"the {side} has {members} members of length {n}, but only {terms} that length"
+            with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+                estimate_density(*pair, 300)
+
+    @pytest.mark.parametrize("seq", [[0, 1, 1], [0, 0, 2], [0, 1, 2, 4], [1]])
+    def test_explicit_seq_within_the_terms_is_estimated(self, seq):
+        est = estimate_density(ExplicitSeq(BigSeq(seq)), FiniteSet({ONE}), 300)
+        assert 0 <= est.value <= 1
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 identities, bounds, CSV round-trips."""
 
 import math
+import random
 import sys
 from decimal import Decimal, DivisionByZero, Inexact, InvalidOperation, Rounded, localcontext
 from fractions import Fraction
@@ -30,6 +31,7 @@ from freemagma.motzkin_paths import _poly_quotient
 from freemagma.sequences import (
     EXACT_DECIMAL,
     _exact_div,
+    _poly_mul,
     _quadratic_root,
     _series_quotient,
     _sqrt_series,
@@ -272,6 +274,65 @@ class TestDecimalRoute:
                 Decimal(1) // 0
             with pytest.raises(InvalidOperation):
                 Decimal(0) // 0
+
+
+class TestOneWindowedSum:
+    """_recurrence_step is the one windowed sum: _sqrt_series steps one row
+    (p1 = 0) or two (T = S*Q carried), and _series_quotient's tail is a row
+    too.  Both routes run in int and in Decimal under EXACT_DECIMAL."""
+
+    @staticmethod
+    def made(make, one):
+        """The values of ``make(one)`` until it ends or raises
+        ExactDivisionError, which ends the list."""
+        out = []
+        with localcontext(EXACT_DECIMAL):
+            try:
+                out.extend(make(one))
+            except ExactDivisionError:
+                out.append(ExactDivisionError)
+        return out
+
+    def sqrt_texts(self, p0, p1, n_max, one):
+        return [str(v) for v in self.made(lambda one: _sqrt_series(p0, p1, n_max, one), one)]
+
+    @pytest.mark.parametrize("case", range(15))
+    def test_sqrt_series_is_one_minus_twice_the_transform(self, case):
+        n_max, rng = 200, random.Random(case)
+        if case < 5:
+            p0, p1 = shifted_polys(case + 1)
+            gens = BigSeq(([0] * (case + 1) + catalan_numbers(n_max))[:n_max])
+        else:
+            hist = [rng.choice([0, 0, 1, 2, 5]) for _ in range(rng.randint(1, 12))]
+            p0, p1, gens = [1] + [-4 * c for c in hist], [0], BigSeq(hist).padded(n_max)
+        want = [str(v) for v in [1, *(-2 * b for b in cat_transform(gens))]]
+        assert self.sqrt_texts(p0, p1, n_max, 1) == want
+        assert self.sqrt_texts(p0, p1, n_max, Decimal(1)) == want
+
+    def test_non_integral_series_raise_alike(self):
+        rng, raised = random.Random(2401), set()
+        for _ in range(60):
+            p0 = [1] + [rng.randint(-3, 3) for _ in range(rng.randint(1, 4))]
+            p1 = [0] + [rng.randint(-3, 3) for _ in range(rng.randint(0, 4))]
+            ints = self.sqrt_texts(p0, p1, 50, 1)
+            assert self.sqrt_texts(p0, p1, 50, Decimal(1)) == ints, (p0, p1)
+            if ints[-1] == str(ExactDivisionError):
+                raised.add(any(p1))
+        # Both the one-row and the two-row route raised.
+        assert raised == {False, True}
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_series_quotient_with_tails(self, seed):
+        # den = x^v * (lead + tail) divides num = den * quot exactly.
+        rng = random.Random(seed)
+        tail = [rng.randint(-4, 4) for _ in range(rng.randint(0, 4))] + [rng.choice([1, -2, 3])]
+        den = [0] * rng.randint(0, 2) + [rng.choice([1, -1, 2, -3])] + tail
+        quot = [rng.randint(-9, 9) for _ in range(rng.randint(1, 10))]
+        num = _poly_mul(den, quot)
+        for one in (1, Decimal(1)):
+            got = self.made(lambda one: _series_quotient([one * c for c in num], den, 20), one)
+            assert got == (quot + [0] * 20)[:21]
+            assert all(type(v) is type(one) for v in got)
 
 
 class TestSignedTransform:
