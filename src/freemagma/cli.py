@@ -310,8 +310,8 @@ def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     """The parser of ``argv``.  When its first word names a command, only
     that command's subparser is built, under a usage that still lists all
-    seven; otherwise (no word, ``-h``, ``--version``, an unknown word) all
-    are, so every help text and usage error keeps its bytes either way."""
+    seven; ``--version`` builds none; otherwise (no word, ``-h``, an unknown
+    word) all are, so every help text and usage error keeps its bytes."""
     parser = argparse.ArgumentParser(
         prog="freemagma",
         description=(
@@ -320,13 +320,12 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    if argv and argv[0] in COMMANDS:
-        commands = [argv[0]]
-        sub = parser.add_subparsers(dest="command", required=True, metavar=f"{{{','.join(COMMANDS)}}}")
-    else:
-        commands = list(COMMANDS)
-        sub = parser.add_subparsers(dest="command", required=True)
-    for command in commands:
+    first = argv[0] if argv else None
+    if first == "--version":
+        return parser
+    metavar = f"{{{','.join(COMMANDS)}}}" if first in COMMANDS else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for command in [first] if first in COMMANDS else COMMANDS:
         help_text, fn = COMMANDS[command]
         p = sub.add_parser(command, help=help_text)
         _add_arguments(p, command)

@@ -116,9 +116,7 @@ class BigSeq:
         """Zero-extend (or truncate) to horizon ``n_max`` >= 0."""
         if n_max < 0:
             raise ValueError(f"horizon must be >= 0, got {n_max}")
-        if len(self._entries) >= n_max:
-            return BigSeq(self._entries[:n_max])
-        return BigSeq(self._entries + (0,) * (n_max - len(self._entries)))
+        return BigSeq((self._entries + (0,) * (n_max - len(self._entries)))[:n_max])
 
     def __repr__(self) -> str:
         shown = ", ".join(str(v) for v in self._entries[:8])
@@ -131,10 +129,8 @@ def _exact_div(num: int, den: int) -> int:
     q, r = divmod(num, den)
     if r:
         # The numerator may be past the int->str digit limit; report its size.
-        if isinstance(num, Decimal):
-            size = f"{num.adjusted() + 1}-digit decimal"
-        else:
-            size = f"{num.bit_length()}-bit integer"
+        dec = isinstance(num, Decimal)
+        size = f"{num.adjusted() + 1}-digit decimal" if dec else f"{num.bit_length()}-bit integer"
         raise ExactDivisionError(f"a {size} is not divisible by {den} (remainder {r})")
     return q
 
@@ -486,6 +482,8 @@ def _series_quotient(num: Iterable[int], den: Sequence[int], n_max: int) -> Iter
     low = list(islice(num, v))
     if any(low):
         raise ExactDivisionError(f"series {low}... is not divisible by x^{v}")
+    if den[v] < 0:  # Decimal(0) // -3 is -0
+        num, den = (-x for x in num), [-c for c in den]
     num, tail = islice(num, n_max + 1), [(0, i, -c, 0) for i, c in enumerate(den[v + 1 :], 1) if c]
     if not tail:
         # A constant divisor reads no earlier quotient: one C-level map, which

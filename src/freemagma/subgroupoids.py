@@ -28,6 +28,7 @@ from .sequences import (
     _exact_texts,
     _histogram_counts,
     _ints_bytes,
+    _poly_add,
     _quadratic_root,
     _transform_rate,
     catalan_numbers,
@@ -315,25 +316,26 @@ def generator_counting_sequence(family: GenFamily, n_max: int) -> BigSeq:
     """|G|_n for the minimal generating set G described by ``family``."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if isinstance(family, ShiftedFull):
-        la = family.a.length
-        return BigSeq(([0] * la + catalan_numbers(n_max - la))[:n_max])
     if isinstance(family, Longitudinal):
         raise UnsupportedVariantError(
             "longitudinal families have no finite generator histogram; "
             "use longitudinal_counting"
         )
-    return BigSeq(_generator_histogram(family, n_max)).padded(n_max)
+    h, k = _generators(family, n_max)
+    return BigSeq(_poly_add(h, [0] * k + catalan_numbers(n_max - k) if k else [])).padded(n_max)
 
 
-def _generator_histogram(family: FiniteSet | ExplicitSeq, n_max: int) -> Sequence[int]:
-    """|G|_1, ..., |G|_m for the minimal generating set G of ``family``, up
-    to m <= n_max: an explicit sequence's entries, or a finite set's up to
-    its longest generator (empty when there is none)."""
+def _generators(family: GenFamily, n_max: int) -> tuple[Sequence[int], int]:
+    """The certificate (h, k): the lengths of the minimal generators up to
+    n_max have the series Phi = h + x^k*C, C = sum C_(m-1)*x^m (no C at
+    k = 0), h = |G|_1, |G|_2, ... (a finite set's to its longest generator).
+    M+a, generated by y+a for y in M, is h = () and k = |a|."""
+    if isinstance(family, ShiftedFull):
+        return (), family.a.length
     if isinstance(family, ExplicitSeq):
-        return family.seq.entries[:n_max]
+        return family.seq.entries[:n_max], 0
     lengths = Counter(g.length for g in minimal_generators(family.terms) if g.length <= n_max)
-    return [lengths[k] for k in range(1, max(lengths, default=0) + 1)]
+    return [lengths[i] for i in range(1, max(lengths, default=0) + 1)], 0
 
 
 def counting_sequence(family: GenFamily, n_max: int) -> BigSeq:
@@ -355,12 +357,12 @@ def counting_texts(family: GenFamily, n_max: int) -> Iterator[str]:
 def _counts(family: GenFamily, n_max: int, one: int) -> Iterator[int]:
     """The one place that decides how a family is counted, every count made
     from ``one`` (int or Decimal); the family and the horizon are checked at
-    once, and |N|_1..|N|_{n_max} are made as they are read.  A finite set's
-    minimal generators and an explicit sequence are finite histograms
-    (:func:`_histogram_counts`); a shifted family's 1 - 4*Phi is algebraic
-    (:func:`_quadratic_root`); a longitudinal family is the Catalan count at
-    the lengths admitted by the :func:`_apery_table` of its reduced lengths,
-    of a <= n_max entries, none when every length exceeds n_max."""
+    once, and |N|_1..|N|_{n_max} are made as they are read.  A longitudinal
+    family is the Catalan count at the lengths admitted by the
+    :func:`_apery_table` of its reduced lengths, of a <= n_max entries, none
+    when every length exceeds n_max.  Any other reads its certificate
+    (:func:`_generators`): h alone at k = 0 (:func:`_histogram_counts`),
+    else the root of 1 - 4*Phi (:func:`_quadratic_root`)."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if isinstance(family, Longitudinal):
@@ -370,24 +372,24 @@ def _counts(family: GenFamily, n_max: int, one: int) -> Iterator[int]:
         least = _apery_table(sorted(v // g for v in family.lengths))
         member = (n % g == 0 and n // g >= least[n // g % len(least)] for n in count(1))
         return (c if m else 0 for c, m in zip(_catalan_series(n_max, one), member))
-    if isinstance(family, ShiftedFull):
-        # Phi = x^k * (1 - S)/2, so 1 - 4*Phi = (1 - 2x^k) + 2x^k * S.
-        k = family.a.length
-        p0, p1 = [1] + [0] * (k - 1) + [-2], [0] * k + [2]
-        return islice(_quadratic_root([1], [-1], p0, p1, n_max, one), 1, None)
-    return _histogram_counts(_generator_histogram(family, n_max), n_max, one)
+    h, k = _generators(family, n_max)
+    if not k:
+        return _histogram_counts(h, n_max, one)
+    # C = (1 - S)/2, so 1 - 4*Phi = (1 - 4h - 2x^k) + 2x^k * S.
+    p0 = _poly_add([1, *(-4 * c for c in h)], [0] * k + [-2])
+    return islice(_quadratic_root([1], [-1], p0, [0] * k + [2], n_max, one), 1, None)
 
 
 def _period(family: GenFamily, n_max: int) -> int:
     """The gcd of the lengths up to ``n_max`` at which ``family`` has
     members, 0 when it has none: member lengths are sums of generator
     lengths, so it is the gcd of the generator lengths up to ``n_max``
-    (|a|+1 and |a|+2, or fewer, for M+a)."""
+    (of h, and k+1 and k+2 or fewer if k > 0, in the certificate)."""
     if isinstance(family, Longitudinal):
         return math.gcd(*(v for v in family.lengths if v <= n_max))
-    if isinstance(family, ShiftedFull):
-        return math.gcd(*range(family.a.length + 1, min(family.a.length + 2, n_max) + 1))
-    return math.gcd(*(k for k, c in enumerate(_generator_histogram(family, n_max), 1) if c))
+    h, k = _generators(family, n_max)
+    shifted = range(k + 1, min(k + 2, n_max) + 1) if k else ()
+    return math.gcd(*(i for i, c in enumerate(h, 1) if c), *shifted)
 
 
 def longitudinal_counting(lengths: Iterable[int], n_max: int) -> BigSeq:

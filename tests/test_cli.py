@@ -1147,9 +1147,15 @@ class TestUsage:
         assert exc.value.code == 2
 
     def test_version(self, capsys):
+        # --version builds no subparser, and prints what the parser with
+        # all seven prints.
+        assert cli.build_parser(["--version"])._subparsers is None
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("freemagma ")
+        assert (0, out, err) == self._parse(capsys, cli.build_parser([]), ["--version"])
 
     @staticmethod
     def _parse(capsys, parser, argv):

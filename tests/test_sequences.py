@@ -329,10 +329,13 @@ class TestOneWindowedSum:
         den = [0] * rng.randint(0, 2) + [rng.choice([1, -1, 2, -3])] + tail
         quot = [rng.randint(-9, 9) for _ in range(rng.randint(1, 10))]
         num = _poly_mul(den, quot)
+        want = (quot + [0] * 20)[:21]
         for one in (1, Decimal(1)):
             got = self.made(lambda one: _series_quotient([one * c for c in num], den, 20), one)
-            assert got == (quot + [0] * 20)[:21]
+            assert got == want
             assert all(type(v) is type(one) for v in got)
+            # Decimal("-0") == 0, so the texts are compared too: no "-0".
+            assert list(map(str, got)) == list(map(str, want))
 
 
 class TestSignedTransform:

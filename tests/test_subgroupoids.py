@@ -422,6 +422,38 @@ class TestPeriod:
                 assert subgroupoids._period(family, n) == expected, (format_family(family), n)
 
 
+def _certificate_families():
+    """Seeded families of the three algebraic kinds: sets of one to three
+    of the 23 terms of length <= 5, nonnegative explicit lists, and the
+    shifts by the 4 terms of length <= 3."""
+    rng, short = random.Random(2401), list(iter_terms_up_to(5))
+    assert len(short) == 23
+    sets = [FiniteSet(rng.sample(short, rng.randint(1, 3))) for _ in range(12)]
+    lists = [
+        ExplicitSeq(BigSeq(rng.choice([0, 0, 1, 2, 3]) for _ in range(rng.randint(1, 8))))
+        for _ in range(8)
+    ]
+    return [*sets, *lists, *(ShiftedFull(a) for a in short if a.length <= 3)]
+
+
+class TestCertificate:
+    """Every algebraic family is counted from one certificate (h, k), and
+    its period and its generator counts are read from the same pair."""
+
+    @pytest.mark.parametrize("family", _certificate_families(), ids=format_family)
+    def test_counts_period_and_generators_agree(self, family):
+        counts = counting_sequence(family, 200)
+        assert counts == cat_transform(generator_counting_sequence(family, 200))
+        for n in range(1, 61):
+            expected = math.gcd(*(k for k in range(1, n + 1) if counts[k]))
+            assert subgroupoids._period(family, n) == expected, n
+        if not isinstance(family, ExplicitSeq):
+            # The closure lists the generators y+a of M+a from its terms,
+            # so this pins k = |a|, which the two checks above cannot.
+            levels = minimal_generating_up_to(family, 9)
+            assert generator_counting_sequence(family, 9) == BigSeq(map(len, levels[1:]))
+
+
 # Shifts of length 1, 2, 3 and 5, and finite families whose minimal
 # generator histograms have gaps and multiplicities: [0,0,2] and [0,1,0,0,3].
 RECURRENCE_FAMILIES = [ShiftedFull(a) for a in (ONE, TWO, THREE_PLUS, left_comb(5))] + [
